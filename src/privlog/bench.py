@@ -1,9 +1,10 @@
-"""Benchmark harness: protect throughput, stage breakdown, size overhead.
+"""Benchmark harness: protect latency and throughput, recovery speed, size overhead.
 
 Measured numbers are printed next to the published reference figures from
 the on-device deployment of this scheme (median 0.2 ms per message, 97.1
 bytes per protected field, 2.41% corpus growth). Those depend on that
 hardware and corpus, so they are context lines here, never assertions.
+Per-layer timings are measured from outside the program by `perfbench/`.
 """
 
 from __future__ import annotations
@@ -19,35 +20,32 @@ from typing import Dict, List, Optional, Tuple, Union
 from . import client as client_mod
 from . import server as server_mod
 from .corpus import BenchConfig, PlantedPii, generate_corpus
-from .crypto import aead_open
 from .dice import DeviceIdentity
-from .pii import detect_pii, extract_date, parse_protected_line
+from .pii import detect_pii, extract_date
 
 REFERENCE_ANDROID_MEDIAN_MS = 0.2
 REFERENCE_FIELD_OVERHEAD_BYTES = 97.1
 REFERENCE_CORPUS_OVERHEAD_PCT = 2.41
-
-STAGE_NAMES = ("keyDerivation", "formatProcessing", "hashing", "encryption")
 
 # '<PII type=""></PII>' plus the 60-char payload; add the label length.
 ELEMENT_BASE_LEN = 79
 
 
 @dataclass
-class StageSummary:
+class LatencySummary:
     median_ns: int
     p95_ns: int
     p99_ns: int
 
 
-def summarize(samples: List[int]) -> StageSummary:
+def summarize(samples: List[int]) -> LatencySummary:
     if not samples:
-        return StageSummary(0, 0, 0)
+        return LatencySummary(0, 0, 0)
     if len(samples) < 2:
         v = int(samples[0])
-        return StageSummary(v, v, v)
+        return LatencySummary(v, v, v)
     cuts = statistics.quantiles(samples, n=100, method="inclusive")
-    return StageSummary(
+    return LatencySummary(
         median_ns=int(statistics.median(samples)),
         p95_ns=int(cuts[94]),
         p99_ns=int(cuts[98]),
@@ -67,8 +65,7 @@ class BenchReport:
     config: BenchConfig
     line_count: int
     field_count: int
-    stages: Dict[str, StageSummary]
-    total_line_summary: StageSummary
+    total_line_summary: LatencySummary
     throughput_lps: float
     baseline_lps: float
     total_overhead_bytes: int
@@ -77,17 +74,7 @@ class BenchReport:
     type_counts: Dict[str, int]
     recovered_fields: int
     recover_lps: float
-    decrypt_summary: StageSummary
     wall_seconds: float = 0.0
-
-
-def _stage_samples(stats: List[client_mod.LineStats]) -> Dict[str, List[int]]:
-    return {
-        "keyDerivation": [s.key_derivation_ns for s in stats],
-        "formatProcessing": [s.format_processing_ns for s in stats],
-        "hashing": [s.hashing_ns for s in stats],
-        "encryption": [s.encryption_ns for s in stats],
-    }
 
 
 def run_bench(
@@ -111,13 +98,14 @@ def run_bench(
 
     session = client_mod.ProtectSession(state, mode=client_mod.MODE_STREAM, assumed_year=year)
     protected: List[str] = []
-    stats: List[client_mod.LineStats] = []
+    line_ns: List[int] = []
     t0 = perf_counter_ns()
     for line in lines:
-        out, st = session.protect_line(line)
+        t1 = perf_counter_ns()
+        out, _ = session.protect_line(line)
+        line_ns.append(perf_counter_ns() - t1)
         if out is not None:
             protected.append(out)
-        stats.append(st)
     protect_ns = perf_counter_ns() - t0
     throughput = len(lines) / (protect_ns / 1e9)
 
@@ -158,24 +146,11 @@ def run_bench(
     recover_ns = perf_counter_ns() - t0
     recover_lps = len(protected) / (recover_ns / 1e9) if protected else 0.0
 
-    decrypt_ns: List[int] = []
-    for line in protected:
-        day = extract_date(line, year)
-        key = window.days.get(day) if day else None
-        if key is None:
-            continue
-        _, fields, _ = parse_protected_line(line)
-        for f in fields:
-            t1 = perf_counter_ns()
-            aead_open(key, f.box)
-            decrypt_ns.append(perf_counter_ns() - t1)
-
     report = BenchReport(
         config=cfg,
         line_count=len(lines),
         field_count=len(truth),
-        stages={name: summarize(samples) for name, samples in _stage_samples(stats).items()},
-        total_line_summary=summarize([s.total_ns for s in stats]),
+        total_line_summary=summarize(line_ns),
         throughput_lps=throughput,
         baseline_lps=baseline,
         total_overhead_bytes=total_overhead,
@@ -184,7 +159,6 @@ def run_bench(
         type_counts=type_counts,
         recovered_fields=len(events),
         recover_lps=recover_lps,
-        decrypt_summary=summarize(decrypt_ns),
         wall_seconds=(perf_counter_ns() - t_wall0) / 1e9,
     )
     if out_dir is not None:
@@ -216,13 +190,8 @@ def write_report_files(report: BenchReport, out_dir: Path) -> None:
     with open(out_dir / "stage_timings.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["stage", "median_ns", "p95_ns", "p99_ns"])
-        for name in STAGE_NAMES:
-            s = report.stages[name]
-            writer.writerow([name, s.median_ns, s.p95_ns, s.p99_ns])
         t = report.total_line_summary
         writer.writerow(["total", t.median_ns, t.p95_ns, t.p99_ns])
-        d = report.decrypt_summary
-        writer.writerow(["serverDecryption", d.median_ns, d.p95_ns, d.p99_ns])
     with open(out_dir / "type_overhead.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -244,17 +213,13 @@ def format_summary(report: BenchReport) -> str:
         f"protect latency median/p95/p99: {report.total_line_summary.median_ns / 1e6:.4f} / "
         f"{report.total_line_summary.p95_ns / 1e6:.4f} / {report.total_line_summary.p99_ns / 1e6:.4f} ms",
     ]
-    for name in STAGE_NAMES:
-        s = report.stages[name]
-        lines.append(f"  {name}: median {s.median_ns} ns, p95 {s.p95_ns} ns, p99 {s.p99_ns} ns")
     avg_field = (
         report.total_overhead_bytes / report.field_count if report.field_count else 0.0
     )
     lines += [
         f"size overhead: {report.total_overhead_bytes:,} bytes total "
         f"({report.overhead_pct:.2f}% of raw), {avg_field:.1f} bytes per protected field",
-        f"server recovery: {report.recovered_fields} fields at {report.recover_lps:,.0f} lines/s, "
-        f"decrypt median {report.decrypt_summary.median_ns} ns",
+        f"server recovery: {report.recovered_fields} fields at {report.recover_lps:,.0f} lines/s",
         "reference (Android deployment, different hardware and corpus; context only): "
         f"median {REFERENCE_ANDROID_MEDIAN_MS} ms per message, "
         f"{REFERENCE_FIELD_OVERHEAD_BYTES} bytes per field, "

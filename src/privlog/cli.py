@@ -14,11 +14,12 @@ import os
 import sys
 from datetime import date
 from pathlib import Path
+from time import perf_counter_ns
 from typing import List, Optional
 
 from . import client as client_mod
 from . import server as server_mod
-from .bench import STAGE_NAMES, summarize
+from .bench import summarize
 from .dice import DeviceIdentity, attestation_digest, parse_identity
 from .errors import CorruptState, PrivlogError, exit_code_for
 from .grant import format_grant, parse_grant
@@ -119,13 +120,16 @@ def _cmd_protect(args) -> int:
         cfg.load_state(), mode=args.mode, assumed_year=cfg.assumed_year
     )
     out_lines: List[str] = []
-    stats: List[client_mod.LineStats] = []
+    latencies: List[int] = []
+    fields = 0
     skipped_pre_epoch = 0
     with open(args.infile, encoding="utf-8", errors="replace") as fh:
         for raw in fh:
             line = raw.rstrip("\n")
-            protected, st = session.protect_line(line)
-            stats.append(st)
+            t0 = perf_counter_ns()
+            protected, count = session.protect_line(line)
+            latencies.append(perf_counter_ns() - t0)
+            fields += count
             if protected is None:
                 skipped_pre_epoch += 1
             else:
@@ -133,24 +137,15 @@ def _cmd_protect(args) -> int:
     atomic_write(args.outfile, "".join(l + "\n" for l in out_lines))
     cfg.save_state(session.state)
 
-    fields = sum(s.pii_count for s in stats)
     print(f"protected {len(out_lines)} lines ({fields} fields) -> {args.outfile}")
     if skipped_pre_epoch:
         print(f"skipped {skipped_pre_epoch} pre-epoch lines")
-    if stats:
-        total = summarize([s.total_ns for s in stats])
+    if latencies:
+        total = summarize(latencies)
         print(
             f"latency median/p95/p99: {total.median_ns / 1e6:.4f} / "
             f"{total.p95_ns / 1e6:.4f} / {total.p99_ns / 1e6:.4f} ms"
         )
-        samples = {
-            "keyDerivation": [s.key_derivation_ns for s in stats],
-            "formatProcessing": [s.format_processing_ns for s in stats],
-            "hashing": [s.hashing_ns for s in stats],
-            "encryption": [s.encryption_ns for s in stats],
-        }
-        for name in STAGE_NAMES:
-            print(f"  {name}: median {summarize(samples[name]).median_ns} ns")
     return 0
 
 
@@ -280,8 +275,11 @@ def _cmd_accept(args) -> int:
     window = server_mod.accept_grant(
         keys, grant, keys.server_id, args.expect_device, expect_attest
     )
-    atomic_write(args.keystore, server_mod.save_server_keys(keys))
+    # Window first: saving the keystore consumes the one-time offer, and
+    # the client has already rotated, so a crash in between must leave
+    # the offer usable rather than the window lost.
     atomic_write(args.outfile, server_mod.save_window_keys(window))
+    atomic_write(args.keystore, server_mod.save_server_keys(keys))
     first, last = window.span()
     print(
         f"accepted grant {window.grant_id}: {len(window.days)} day keys "

@@ -20,7 +20,6 @@ from __future__ import annotations
 import secrets
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
-from time import perf_counter_ns
 from typing import Dict, List, Optional, Tuple
 
 from .crypto import (
@@ -137,19 +136,6 @@ def advance_to(
     return replace(state, chain_key=ck, chain_date=day), keys
 
 
-@dataclass
-class LineStats:
-    """Nanosecond stage timings and counters for one protected line."""
-
-    key_derivation_ns: int = 0
-    format_processing_ns: int = 0
-    hashing_ns: int = 0
-    encryption_ns: int = 0
-    total_ns: int = 0
-    pii_count: int = 0
-    skipped_pre_epoch: bool = False
-
-
 class ProtectSession:
     """Mutable wrapper advancing one client state across a log stream.
 
@@ -194,52 +180,28 @@ class ProtectSession:
 
     def protect_line(
         self, line: str, spans: Optional[List[PiiSpan]] = None
-    ) -> Tuple[Optional[str], LineStats]:
-        """Protect one line; returns (protected line or None if skipped, stats).
+    ) -> Tuple[Optional[str], int]:
+        """Protect one line; returns (protected line, number of fields protected).
 
-        Lines dated before the epoch are skipped (returned as None) and
-        flagged in the stats: their keys were destroyed by a rotation and
-        emitting them unprotected would leak. Passing `spans` bypasses
-        detection for caller-tagged fields.
+        Lines dated before the epoch are skipped and returned as None:
+        their keys were destroyed by a rotation and emitting them
+        unprotected would leak. Passing `spans` bypasses detection for
+        caller-tagged fields.
         """
-        stats = LineStats()
-        t_start = perf_counter_ns()
-
-        t0 = perf_counter_ns()
         line_date = extract_date(line, self.assumed_year)
         if line_date is not None and line_date < self._state.epoch_date:
-            stats.skipped_pre_epoch = True
-            stats.total_ns = perf_counter_ns() - t_start
-            return None, stats
+            return None, 0
         key = self._key_for(line_date if line_date is not None else self._state.chain_date)
-        stats.key_derivation_ns = perf_counter_ns() - t0
-
-        t1 = perf_counter_ns()
         if spans is None:
             spans = detect_pii(line)
-        stats.format_processing_ns = perf_counter_ns() - t1
         if not spans:
-            stats.total_ns = perf_counter_ns() - t_start
-            return line, stats
-
-        t2 = perf_counter_ns()
+            return line, 0
         tokens = [pseudonymize(self._state.hash_key, s.text.encode("utf-8")) for s in spans]
-        stats.hashing_ns = perf_counter_ns() - t2
-
-        t3 = perf_counter_ns()
         fields = [
             ProtectedField(span.pii_type, aead_seal(key, token))
             for span, token in zip(spans, tokens)
         ]
-        stats.encryption_ns = perf_counter_ns() - t3
-
-        t4 = perf_counter_ns()
-        out = encode_protected_line(line, spans, fields)
-        stats.format_processing_ns += perf_counter_ns() - t4
-
-        stats.pii_count = len(spans)
-        stats.total_ns = perf_counter_ns() - t_start
-        return out, stats
+        return encode_protected_line(line, spans, fields), len(spans)
 
 
 def create_grant(

@@ -161,6 +161,13 @@ def ratchet_step(ck: SecretKey32) -> Tuple[SecretKey32, SecretKey32]:
     return SecretKey32(x[:32]), SecretKey32(x[32:])
 
 
+def length_prefixed(raw: bytes) -> bytes:
+    """`raw` behind its 2-byte big-endian length, for unambiguous concatenation."""
+    if len(raw) > 0xFFFF:
+        raise InvalidLength("length-prefixed field longer than 65535 bytes")
+    return len(raw).to_bytes(2, "big") + raw
+
+
 def pseudonymize(hash_key: SecretKey32, plaintext: bytes) -> bytes:
     """Stable 16-byte correlation token for a sensitive value."""
     if not plaintext:

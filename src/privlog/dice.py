@@ -8,12 +8,12 @@ both outputs, which is what ties derived keys to measured device state.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 from dataclasses import dataclass
 
-from .crypto import SecretKey32, kdf
+from .crypto import SecretKey32, kdf, length_prefixed
 from .errors import CorruptState, InvalidLength
+from .kvfile import b64, b64_field, format_kv, parse_kv, require
 
 DIGEST_LEN = 32
 MAX_DEVICE_ID_LEN = 64
@@ -42,10 +42,6 @@ def derive_cdi(identity: DeviceIdentity) -> SecretKey32:
     return SecretKey32(kdf(identity.uds, identity.measurement, b"dice-cdi", 32))
 
 
-def _prefixed(raw: bytes) -> bytes:
-    return len(raw).to_bytes(2, "big") + raw
-
-
 def attestation_digest(identity: DeviceIdentity) -> bytes:
     """SHA-256 over length-prefixed (device_id, measurement).
 
@@ -53,38 +49,27 @@ def attestation_digest(identity: DeviceIdentity) -> bytes:
     by concatenation. A verifier holding the same inputs recomputes it.
     """
     return hashlib.sha256(
-        _prefixed(identity.device_id.encode()) + _prefixed(identity.measurement)
+        length_prefixed(identity.device_id.encode()) + length_prefixed(identity.measurement)
     ).digest()
 
 
 def parse_identity(text: str) -> DeviceIdentity:
     """Parse the identity file format: uds=, measurement=, device_id=."""
-    fields = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise CorruptState(f"identity file: bad line {line!r}")
-        key, _, value = line.partition("=")
-        fields[key] = value
-    try:
-        uds = base64.b64decode(fields["uds"], validate=True)
-        measurement = base64.b64decode(fields["measurement"], validate=True)
-        device_id = fields["device_id"]
-    except KeyError as exc:
-        raise CorruptState(f"identity file: missing field {exc}") from exc
-    except Exception as exc:
-        raise CorruptState("identity file: invalid base64") from exc
+    fields = parse_kv(text, "identity file")
+    uds = b64_field(fields, "uds", "identity file", 32)
+    measurement = b64_field(fields, "measurement", "identity file", 32)
+    device_id = require(fields, "device_id", "identity file")
     try:
         return DeviceIdentity(uds=uds, measurement=measurement, device_id=device_id)
     except InvalidLength as exc:
-        raise CorruptState(str(exc)) from exc
+        raise CorruptState(f"identity file: {exc}") from exc
 
 
 def format_identity(identity: DeviceIdentity) -> str:
-    return (
-        f"uds={base64.b64encode(identity.uds).decode()}\n"
-        f"measurement={base64.b64encode(identity.measurement).decode()}\n"
-        f"device_id={identity.device_id}\n"
+    return format_kv(
+        [
+            ("uds", b64(identity.uds)),
+            ("measurement", b64(identity.measurement)),
+            ("device_id", identity.device_id),
+        ]
     )

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 
-from .crypto import AeadBox, SecretKey32
-from .errors import CorruptState, InvalidLength
+from .crypto import AeadBox, SecretKey32, length_prefixed
+from .errors import CorruptState, UnsupportedVersion
 from .kvfile import b64, b64_field, date_field, format_kv, parse_kv, require
 
 GRANT_VERSION = "1"
@@ -30,12 +30,6 @@ class Grant:
     grant_date: date
 
 
-def _prefixed(raw: bytes) -> bytes:
-    if len(raw) > 0xFFFF:
-        raise InvalidLength("AAD field longer than 65535 bytes")
-    return len(raw).to_bytes(2, "big") + raw
-
-
 def canonical_aad(
     server_id: str,
     device_id: str,
@@ -45,7 +39,7 @@ def canonical_aad(
 ) -> bytes:
     """Length-prefixed field concatenation, fixed order, both sides."""
     return b"".join(
-        _prefixed(part)
+        length_prefixed(part)
         for part in (
             server_id.encode(),
             device_id.encode(),
@@ -98,8 +92,6 @@ def format_grant(grant: Grant) -> str:
 
 def parse_grant(text: str) -> Grant:
     fields = parse_kv(text, "grant file")
-    from .errors import UnsupportedVersion
-
     if require(fields, "v", "grant file") != GRANT_VERSION:
         raise UnsupportedVersion(f"grant file version {fields['v']!r}")
     return Grant(

@@ -1,14 +1,17 @@
 """Line-oriented key=value files used for state, grants, offers and keys.
 
 All on-disk secrets are base64; dates are ISO YYYY-MM-DD. Writers that
-replace an existing file go through `atomic_write` (temp file, fsync,
-rename) so a crash never leaves a half-written file in place.
+replace an existing file go through `atomic_write` (uniquely named temp
+file, fsync, rename, directory fsync) so a crash never leaves a
+half-written file in place and concurrent writers never share a temp file.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import os
+import tempfile
 from datetime import date
 from pathlib import Path
 from typing import Dict, Union
@@ -66,9 +69,20 @@ def b64(raw: bytes) -> str:
 
 def atomic_write(path: Union[str, Path], text: str) -> None:
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    # Make the rename itself durable, not just the file contents.
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)

@@ -9,13 +9,16 @@ cannot reach any day before the window start.
 
 from __future__ import annotations
 
+import base64
 import csv
 import secrets
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .crypto import DhKeyPair, SecretKey32, aead_open, dh_derive_keypair, dh_shared, kdf, ratchet_step
+from .crypto import (
+    TOKEN_LEN, DhKeyPair, SecretKey32, aead_open, dh_derive_keypair, dh_shared, kdf, ratchet_step,
+)
 from .errors import AuthFailure, ContextMismatch, CorruptState, InvalidWindow, UnsupportedVersion
 from .grant import Grant, grant_aad, unpack_window_payload
 from .kvfile import b64, b64_field, format_kv, parse_kv, require
@@ -23,8 +26,6 @@ from .pii import PiiType, extract_date, parse_protected_line
 
 KEYSTORE_VERSION = "1"
 WINDOW_VERSION = "1"
-
-TOKEN_LEN = 16
 
 EVENTS_HEADER = ["line_no", "date", "pii_type", "token_b64", "template"]
 LINKAGE_HEADER = ["token_b64", "pii_type", "count", "first_date", "last_date"]
@@ -254,8 +255,6 @@ def load_server_keys(text: str) -> ServerKeys:
             public=b64_field(fields, "longterm_pub", "server keystore", 32),
         ),
     )
-    import base64
-
     for key, value in fields.items():
         if not key.startswith("eph."):
             continue
@@ -305,8 +304,6 @@ def write_events_csv(events: List[RecoveredEvent], fh) -> None:
 
 
 def read_events_csv(fh) -> List[RecoveredEvent]:
-    import base64
-
     reader = csv.reader(fh)
     header = next(reader, None)
     if header != EVENTS_HEADER:

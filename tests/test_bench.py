@@ -5,7 +5,7 @@ import csv
 import pytest
 
 from privlog import BenchConfig, run_bench
-from privlog.bench import ELEMENT_BASE_LEN, STAGE_NAMES, format_summary, summarize
+from privlog.bench import ELEMENT_BASE_LEN, format_summary, summarize
 from privlog.corpus import generate_corpus
 from privlog.pii import PiiType
 
@@ -17,24 +17,21 @@ def report(tmp_path_factory):
     return run_bench(cfg, out_dir=out), out
 
 
-def test_report_has_all_stages(report):
+def test_line_latency_percentiles_ordered(report):
     rep, _ = report
-    assert set(rep.stages) == set(STAGE_NAMES)
-    for s in rep.stages.values():
-        assert s.median_ns <= s.p95_ns <= s.p99_ns
+    t = rep.total_line_summary
+    assert 0 < t.median_ns <= t.p95_ns <= t.p99_ns
 
 
-def test_stage_csv_parses_and_is_complete(report):
-    _, out = report
+def test_timing_csv_has_total_row(report):
+    rep, out = report
     with open(out / "stage_timings.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["stage", "median_ns", "p95_ns", "p99_ns"]
-    names = [r[0] for r in rows[1:]]
-    assert names == list(STAGE_NAMES) + ["total", "serverDecryption"]
-    for r in rows[1:]:
-        assert all(int(v) >= 0 for v in r[1:])
-    by_name = {r[0]: int(r[1]) for r in rows[1:]}
-    assert sum(by_name[n] for n in STAGE_NAMES) <= by_name["total"]
+    t = rep.total_line_summary
+    assert rows == [
+        ["stage", "median_ns", "p95_ns", "p99_ns"],
+        ["total", str(t.median_ns), str(t.p95_ns), str(t.p99_ns)],
+    ]
 
 
 def test_type_overhead_csv(report):

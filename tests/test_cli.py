@@ -207,6 +207,16 @@ def test_exit_code_corrupt_state(ws):
     assert _client(ws, "state") == 6
 
 
+def test_exit_code_corrupt_identity(ws):
+    good = (ws / "identity.kv").read_text()
+    missing = "".join(l + "\n" for l in good.splitlines() if not l.startswith("measurement="))
+    uds = parse_kv(good, "identity")["uds"]
+    short_uds = good.replace(uds, base64.b64encode(b"\x11" * 31).decode())
+    for text in (missing, short_uds):
+        (ws / "identity.kv").write_text(text)
+        assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 6
+
+
 def test_exit_code_unsupported_version(ws):
     assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
     text = (ws / "state.kv").read_text().replace("v=1", "v=99")
@@ -247,6 +257,25 @@ def test_offer_refuses_duplicate_grant_id(ws):
     ]) == 2
 
 
+def _crash_at_write(monkeypatch, crash_at, run):
+    """Run `run` with the CLI's `crash_at`-th atomic_write raising OSError."""
+    import privlog.cli as cli_mod
+
+    real_atomic_write = cli_mod.atomic_write
+    calls = {"n": 0}
+
+    def crashing(path, text):
+        calls["n"] += 1
+        if calls["n"] == crash_at:
+            raise OSError("injected crash")
+        real_atomic_write(path, text)
+
+    monkeypatch.setattr(cli_mod, "atomic_write", crashing)
+    with pytest.raises(OSError):
+        run()
+    monkeypatch.setattr(cli_mod, "atomic_write", real_atomic_write)
+
+
 def test_grant_crash_atomicity(ws, monkeypatch):
     """A crash between the state rotation and the grant write must never
     leave both the old epoch on disk and a released grant file."""
@@ -257,27 +286,13 @@ def test_grant_crash_atomicity(ws, monkeypatch):
     ]) == 0
     state_before = (ws / "state.kv").read_text()
 
-    import privlog.cli as cli_mod
-
-    real_atomic_write = cli_mod.atomic_write
-
     for crash_at in (1, 2):  # 1: state write, 2: grant write
         (ws / "state.kv").write_text(state_before)
         (ws / "grant.kv").unlink(missing_ok=True)
-        calls = {"n": 0}
-
-        def crashing(path, text, _crash_at=crash_at, _calls=calls):
-            _calls["n"] += 1
-            if _calls["n"] == _crash_at:
-                raise OSError("injected crash")
-            real_atomic_write(path, text)
-
-        monkeypatch.setattr(cli_mod, "atomic_write", crashing)
-        with pytest.raises(OSError):
-            _client(ws, "grant", "--server-offer", str(ws / "offer.kv"),
-                    "--start", DAY1.isoformat(), "--today", DAY1.isoformat(),
-                    "--out", str(ws / "grant.kv"))
-        monkeypatch.setattr(cli_mod, "atomic_write", real_atomic_write)
+        _crash_at_write(monkeypatch, crash_at, lambda: _client(
+            ws, "grant", "--server-offer", str(ws / "offer.kv"),
+            "--start", DAY1.isoformat(), "--today", DAY1.isoformat(),
+            "--out", str(ws / "grant.kv")))
 
         state_now = (ws / "state.kv").read_text()
         grant_released = (ws / "grant.kv").exists()
@@ -290,7 +305,36 @@ def test_atomic_write_leaves_no_partial_file(ws, monkeypatch):
 
     target = ws / "atomic.kv"
     target.write_text("original")
+    files_before = set(ws.iterdir())
     monkeypatch.setattr(kv.os, "replace", lambda *a: (_ for _ in ()).throw(OSError("boom")))
     with pytest.raises(OSError):
         kv.atomic_write(target, "replacement")
     assert target.read_text() == "original"
+    assert set(ws.iterdir()) == files_before, "temp file left behind"
+
+
+def test_accept_crash_never_loses_window(ws, monkeypatch):
+    """Saving the keystore consumes the one-time offer, and the client has
+    already rotated: a crash must never leave the offer consumed while no
+    window file exists, or the window is lost for good."""
+    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert server_main([
+        "offer", "--keystore", str(ws / "server.kv"),
+        "--grant-id", "g-accept", "--out", str(ws / "offer.kv"), "--seed", SEED_C,
+    ]) == 0
+    assert _client(ws, "grant", "--server-offer", str(ws / "offer.kv"),
+                   "--start", DAY1.isoformat(), "--today", DAY1.isoformat(),
+                   "--out", str(ws / "grant.kv")) == 0
+    keystore_before = (ws / "server.kv").read_text()
+    assert "eph.g-accept=" in keystore_before
+
+    for crash_at in (1, 2):
+        (ws / "server.kv").write_text(keystore_before)
+        (ws / "window.kv").unlink(missing_ok=True)
+        _crash_at_write(monkeypatch, crash_at, lambda: server_main([
+            "accept", "--keystore", str(ws / "server.kv"), "--grant", str(ws / "grant.kv"),
+            "--expect-device", "pixel-lab", "--out", str(ws / "window.kv"),
+        ]))
+
+        offer_consumed = "eph.g-accept=" not in (ws / "server.kv").read_text()
+        assert not (offer_consumed and not (ws / "window.kv").exists()), f"crash at write {crash_at}"
