@@ -9,13 +9,12 @@ here. Exit codes are stable for scripting: 0 ok, 2 InvalidWindow,
 from __future__ import annotations
 
 import argparse
-import base64
 import os
 import sys
 from datetime import date
 from pathlib import Path
 from time import perf_counter_ns
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from . import client as client_mod
 from . import server as server_mod
@@ -23,7 +22,7 @@ from .bench import summarize
 from .dice import DeviceIdentity, attestation_digest, parse_identity
 from .errors import CorruptState, PrivlogError, exit_code_for
 from .grant import format_grant, parse_grant
-from .kvfile import atomic_write, b64, format_kv, parse_kv, require
+from .kvfile import atomic_write, b64, b64_decode, format_kv, parse_kv, require
 
 
 def _fail(exc: PrivlogError) -> int:
@@ -36,6 +35,30 @@ def _read(path: str, what: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CorruptState(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+def _read_lines(path: str, what: str) -> Iterator[str]:
+    """Lines of a UTF-8 text file; a byte that is not UTF-8 is CorruptState."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise CorruptState(
+                f"{what} {path!r} line {_first_bad_line(path)} is not valid UTF-8"
+            ) from exc
+
+
+def _first_bad_line(path: str) -> int:
+    # Text mode decodes in chunks, so its error does not give the line.
+    # UTF-8 never encodes a newline inside a character: lines decode alone.
+    line_no = 0
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+    return line_no
 
 
 def _parse_date(value: str) -> date:
@@ -83,10 +106,7 @@ class ClientConfig:
         server_pub_b64 = args.server_pub or fields.get("server_pub")
         self.server_pub: Optional[bytes] = None
         if server_pub_b64:
-            try:
-                self.server_pub = base64.b64decode(server_pub_b64, validate=True)
-            except Exception as exc:
-                raise CorruptState("server_pub is not valid base64") from exc
+            self.server_pub = b64_decode(server_pub_b64, "server_pub")
 
         self.server_id = args.server_id or fields.get("server_id") or "server"
         year = args.year if args.year is not None else fields.get("assumed_year")
@@ -123,17 +143,16 @@ def _cmd_protect(args) -> int:
     latencies: List[int] = []
     fields = 0
     skipped_pre_epoch = 0
-    with open(args.infile, encoding="utf-8", errors="replace") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            t0 = perf_counter_ns()
-            protected, count = session.protect_line(line)
-            latencies.append(perf_counter_ns() - t0)
-            fields += count
-            if protected is None:
-                skipped_pre_epoch += 1
-            else:
-                out_lines.append(protected)
+    for raw in _read_lines(args.infile, "input"):
+        line = raw.rstrip("\n")
+        t0 = perf_counter_ns()
+        protected, count = session.protect_line(line)
+        latencies.append(perf_counter_ns() - t0)
+        fields += count
+        if protected is None:
+            skipped_pre_epoch += 1
+        else:
+            out_lines.append(protected)
     atomic_write(args.outfile, "".join(l + "\n" for l in out_lines))
     cfg.save_state(session.state)
 
@@ -154,10 +173,9 @@ def _cmd_grant(args) -> int:
     state = cfg.load_state()
     offer = parse_kv(_read(args.server_offer, "offer file"), "offer file")
     grant_id = require(offer, "grant_id", "offer file")
-    try:
-        server_eph_pub = base64.b64decode(require(offer, "server_eph_pub", "offer file"), validate=True)
-    except Exception as exc:
-        raise CorruptState("offer file: server_eph_pub is not valid base64") from exc
+    server_eph_pub = b64_decode(
+        require(offer, "server_eph_pub", "offer file"), "offer file: server_eph_pub"
+    )
 
     today = _parse_date(args.today) if args.today else date.today()
     req = client_mod.GrantRequest(
@@ -268,10 +286,7 @@ def _cmd_accept(args) -> int:
     grant = parse_grant(_read(args.grant, "grant file"))
     expect_attest = None
     if args.expect_attest:
-        try:
-            expect_attest = base64.b64decode(args.expect_attest, validate=True)
-        except Exception as exc:
-            raise CorruptState("--expect-attest is not valid base64") from exc
+        expect_attest = b64_decode(args.expect_attest, "--expect-attest")
     window = server_mod.accept_grant(
         keys, grant, keys.server_id, args.expect_device, expect_attest
     )
@@ -290,8 +305,9 @@ def _cmd_accept(args) -> int:
 
 def _cmd_recover(args) -> int:
     window = server_mod.load_window_keys(_read(args.keys, "window keys file"))
-    with open(args.infile, encoding="utf-8", errors="replace") as fh:
-        events, skipped = server_mod.recover_tokens(window, fh, args.year)
+    events, skipped = server_mod.recover_tokens(
+        window, _read_lines(args.infile, "input"), args.year
+    )
     with open(args.outfile, "w", encoding="utf-8", newline="") as fh:
         server_mod.write_events_csv(events, fh)
     print(f"recovered {len(events)} tokens -> {args.outfile}")
@@ -305,10 +321,7 @@ def _cmd_report(args) -> int:
     with open(args.events, encoding="utf-8", newline="") as fh:
         events = server_mod.read_events_csv(fh)
     if args.timeline:
-        try:
-            token = base64.b64decode(args.timeline, validate=True)
-        except Exception as exc:
-            raise CorruptState("--timeline token is not valid base64") from exc
+        token = b64_decode(args.timeline, "--timeline token")
         rows = server_mod.timeline(events, token)
         out = sys.stdout if not args.outfile else open(args.outfile, "w", encoding="utf-8")
         try:

@@ -15,7 +15,6 @@ from .crypto import SecretKey32, kdf, length_prefixed
 from .errors import CorruptState, InvalidLength
 from .kvfile import b64, b64_field, format_kv, parse_kv, require
 
-DIGEST_LEN = 32
 MAX_DEVICE_ID_LEN = 64
 
 

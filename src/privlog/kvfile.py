@@ -42,12 +42,16 @@ def require(fields: Dict[str, str], key: str, what: str) -> str:
     return fields[key]
 
 
-def b64_field(fields: Dict[str, str], key: str, what: str, length: int = 0) -> bytes:
-    raw = require(fields, key, what)
+def b64_decode(text: str, what: str) -> bytes:
+    """Strict base64 (no stray characters); CorruptState names `what`."""
     try:
-        decoded = base64.b64decode(raw, validate=True)
-    except Exception as exc:
-        raise CorruptState(f"{what}: field {key!r} is not valid base64") from exc
+        return base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise CorruptState(f"{what} is not valid base64") from exc
+
+
+def b64_field(fields: Dict[str, str], key: str, what: str, length: int = 0) -> bytes:
+    decoded = b64_decode(require(fields, key, what), f"{what}: field {key!r}")
     if length and len(decoded) != length:
         raise CorruptState(
             f"{what}: field {key!r} has {len(decoded)} bytes, expected {length}"

@@ -1,13 +1,18 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is built from hashlib.sha256 and Python integers only, so
-oracle results do not share a code path with the library under test (which
-uses the `cryptography` package and stdlib hmac). HKDF follows RFC 5869,
-HMAC is the raw ipad/opad construction, and x25519 is the RFC 7748
-Montgomery ladder.
+The crypto oracles are built from hashlib.sha256 and Python integers only,
+so their results do not share a code path with the library under test
+(which uses the `cryptography` package and stdlib hmac). HKDF follows
+RFC 5869, HMAC is the raw ipad/opad construction, and x25519 is the
+RFC 7748 Montgomery ladder.
+
+The detection oracle is the plain detector: every one of the ten patterns
+scanned over every line, then overlaps resolved. privlog's `detect_pii`
+must return the same spans while skipping scans that cannot match.
 """
 
 import hashlib
+import re
 
 SHA256_BLOCK = 64
 
@@ -116,3 +121,54 @@ X25519_BASE = (9).to_bytes(32, "little")
 
 def x25519_public(private: bytes) -> bytes:
     return x25519(private, X25519_BASE)
+
+
+# --- reference PII detector ----------------------------------------------
+
+# Keyed by the type's label so that nothing here imports privlog.
+PII_PATTERNS = {
+    "EMAIL": re.compile(r"\b[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}\b"),
+    "PHONE": re.compile(
+        r"(?<!\d)(?:\+\d{1,2}[ .-])?\(?\d{3}\)?[ .-]\d{3}[ .-]\d{4}(?!\d)"
+    ),
+    "IMEI": re.compile(r"(?<!\d)\d{15}(?!\d)"),
+    "MAC": re.compile(r"\b(?:[0-9A-Fa-f]{2}[:-]){5}[0-9A-Fa-f]{2}\b"),
+    "IPV4": re.compile(
+        r"(?<!\d)(?:(?:25[0-5]|2[0-4]\d|1\d\d|[1-9]?\d)\.){3}"
+        r"(?:25[0-5]|2[0-4]\d|1\d\d|[1-9]?\d)(?!\d)"
+    ),
+    "IPV6": re.compile(
+        r"\b(?:(?:[0-9A-Fa-f]{1,4}:){7}[0-9A-Fa-f]{1,4}"
+        r"|(?:[0-9A-Fa-f]{1,4}:){1,6}:(?:[0-9A-Fa-f]{1,4}(?::[0-9A-Fa-f]{1,4}){0,5})?)\b"
+    ),
+    "URL": re.compile(r"\bhttps?://[^\s<>\"']+"),
+    "SSN": re.compile(r"(?<![\d-])\d{3}-\d{2}-\d{4}(?![\d-])"),
+    "CREDIT_CARD": re.compile(
+        r"(?<![\d-])(?:\d{4}-){3}\d{4}(?![\d-])|(?<!\d)\d{16}(?!\d)"
+    ),
+    "DEVICE_SERIAL": re.compile(r"\bSN-[A-Z0-9]{10,16}\b"),
+}
+
+PII_PRIORITY = (
+    "URL", "EMAIL", "IPV6", "IPV4", "MAC", "IMEI", "CREDIT_CARD", "SSN", "PHONE",
+    "DEVICE_SERIAL",
+)
+_PII_PRIORITY_INDEX = {t: i for i, t in enumerate(PII_PRIORITY)}
+
+
+def detect_pii(line: str) -> list:
+    """All ten scans, then longest, earliest, highest-priority span wins.
+
+    Returns (label, start, end, text) tuples sorted by start.
+    """
+    candidates = []
+    for label, pattern in PII_PATTERNS.items():
+        for m in pattern.finditer(line):
+            candidates.append((label, m.start(), m.end(), m.group()))
+    candidates.sort(key=lambda s: (-(s[2] - s[1]), s[1], _PII_PRIORITY_INDEX[s[0]]))
+    chosen = []
+    for span in candidates:
+        if all(span[2] <= kept[1] or span[1] >= kept[2] for kept in chosen):
+            chosen.append(span)
+    chosen.sort(key=lambda s: s[1])
+    return chosen

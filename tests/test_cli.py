@@ -338,3 +338,55 @@ def test_accept_crash_never_loses_window(ws, monkeypatch):
 
         offer_consumed = "eph.g-accept=" not in (ws / "server.kv").read_text()
         assert not (offer_consumed and not (ws / "window.kv").exists()), f"crash at write {crash_at}"
+
+
+def test_protect_rejects_invalid_utf8(ws, capsys):
+    """Bytes that are not UTF-8 must stop protect, not be rewritten as U+FFFD."""
+    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    state_before = (ws / "state.kv").read_bytes()
+    raw = ws / "latin1.log"
+    raw.write_bytes(
+        b"05-01 10:00:00.000  1000  1000 I T: mail a@b.co\n"
+        b"05-01 10:00:01.000  1000  1000 I T: caf\xe9 open\n"
+    )
+    assert _client(ws, "protect", "--in", str(raw), "--out", str(ws / "latin1.out")) == 6
+    assert not (ws / "latin1.out").exists()
+    assert (ws / "state.kv").read_bytes() == state_before
+    assert "line 2 is not valid UTF-8" in capsys.readouterr().err
+
+
+def test_recover_rejects_invalid_utf8(ws, capsys):
+    (ws / "window.kv").write_text("v=1\ngrant_id=g-utf8\n")
+    (ws / "bad.out").write_bytes(b"05-01 10:00:00.000  1000  1000 I T: caf\xe9\n")
+    assert server_main([
+        "recover", "--keys", str(ws / "window.kv"), "--in", str(ws / "bad.out"),
+        "--out", str(ws / "events.csv"), "--year", "2024",
+    ]) == 6
+    assert not (ws / "events.csv").exists()
+    assert "line 1" in capsys.readouterr().err
+
+
+def test_exit_code_bad_expect_attest(ws):
+    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert server_main([
+        "offer", "--keystore", str(ws / "server.kv"),
+        "--grant-id", "g-attest", "--out", str(ws / "offer.kv"), "--seed", SEED_C,
+    ]) == 0
+    assert _client(ws, "grant", "--server-offer", str(ws / "offer.kv"),
+                   "--start", DAY1.isoformat(), "--today", DAY1.isoformat(),
+                   "--out", str(ws / "grant.kv")) == 0
+    assert server_main([
+        "accept", "--keystore", str(ws / "server.kv"), "--grant", str(ws / "grant.kv"),
+        "--expect-device", "pixel-lab", "--expect-attest", "not*base64",
+        "--out", str(ws / "window.kv"),
+    ]) == 6
+    assert not (ws / "window.kv").exists()
+
+
+def test_exit_code_bad_timeline_token(ws):
+    (ws / "events.csv").write_text("line_no,date,pii_type,token_b64,template\n")
+    # Non-ASCII text makes b64decode raise a plain ValueError, not binascii.Error.
+    for token in ("not*base64", "töken"):
+        assert server_main([
+            "report", "--events", str(ws / "events.csv"), "--timeline", token,
+        ]) == 6

@@ -6,10 +6,12 @@ import re
 from datetime import date
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from privlog import (
     AeadBox,
+    BenchConfig,
     InvalidSpans,
     PiiSpan,
     PiiType,
@@ -17,9 +19,10 @@ from privlog import (
     detect_pii,
     encode_protected_line,
     extract_date,
+    generate_corpus,
     parse_protected_line,
 )
-from privlog.pii import PATTERNS, PRIORITY, fill_template, render_field
+from privlog.pii import PATTERNS, PRIORITY, candidate_types, fill_template, render_field
 
 SAMPLE_LINE = (
     "10-15 14:23:47.821  2341  2341 I AuthService: "
@@ -61,6 +64,10 @@ def test_detect_all_ten_types_have_patterns():
     assert set(PATTERNS) == set(PiiType)
     assert len(PiiType) == 10
     assert set(PRIORITY) == set(PiiType)
+    # A line that meets every precheck: each type has one, so none is
+    # skipped for want of a precheck.
+    every_shape = "a@b.co http://h SN- 1.2.3 1:2:3:4:5:6:7 1-2-3 352099001761481 555-867-5309"
+    assert set(candidate_types(every_shape)) == set(PiiType)
 
 
 @pytest.mark.parametrize(
@@ -69,6 +76,8 @@ def test_detect_all_ten_types_have_patterns():
         ("alice@example.com", PiiType.EMAIL),
         ("555-867-5309", PiiType.PHONE),
         ("352099001761481", PiiType.IMEI),
+        ("\u0663" * 15, PiiType.IMEI),  # `\d` matches Arabic-Indic digits too
+        ("\uff13" * 15, PiiType.IMEI),  # and fullwidth ones
         ("a4:6b:09:1f:00:ff", PiiType.MAC),
         ("192.168.1.20", PiiType.IPV4),
         ("2001:0db8:85a3:0000:0000:8a2e:0370:7334", PiiType.IPV6),
@@ -93,6 +102,98 @@ def test_overlap_prefers_longer_match():
     line = "go https://h.example/x?imei=352099001761481 now"
     spans = detect_pii(line)
     assert [s.pii_type for s in spans] == [PiiType.URL]
+
+
+def _as_tuples(spans):
+    return [(s.pii_type.value, s.start, s.end, s.text) for s in spans]
+
+
+@pytest.mark.parametrize("density", ["low", "medium", "high"])
+def test_detect_matches_reference_on_corpus(density):
+    lines, _ = generate_corpus(
+        BenchConfig(line_count=2000, pii_density=density, day_span=5, seed=17)
+    )
+    for line in lines:
+        assert _as_tuples(detect_pii(line)) == oracles.detect_pii(line)
+
+
+# Lines of value-shaped pieces and single characters: every character the
+# patterns and prechecks turn on, so pieces run into each other and into
+# separators. Digit runs mix in Arabic-Indic and fullwidth digits, which
+# `\d` matches.
+_DIGIT = "0123456789\u0663\uff13"
+_HEX = "0123456789abcdefABCDEF"
+_WORD = "abcdefxyzABCXYZ0123456789"
+
+
+def _run(alphabet, lo, hi):
+    return st.text(alphabet=alphabet, min_size=lo, max_size=hi)
+
+
+def _cat(*parts):
+    return st.tuples(*[st.just(p) if isinstance(p, str) else p for p in parts]).map("".join)
+
+
+def _groups(group, seps, lo, hi, last):
+    return _cat(st.lists(_cat(group, st.sampled_from(seps)), min_size=lo, max_size=hi).map("".join), last)
+
+
+_SHAPES = st.one_of(
+    _cat(_run(_WORD + "._%+-", 1, 6), "@", _run(_WORD + ".-", 1, 6), ".", _run("abcXYZ", 1, 3)),
+    _cat(
+        st.sampled_from(["", "(", "+1 ", "+44-", "+\u0663."]), _run(_DIGIT, 3, 3),
+        st.sampled_from(["", ")"]), st.sampled_from(" .-"), _run(_DIGIT, 3, 3),
+        st.sampled_from(" .-"), _run(_DIGIT, 3, 5),
+    ),
+    _run(_DIGIT, 14, 17),
+    _groups(_run(_HEX, 2, 2), [":", "-"], 4, 6, _run(_HEX, 1, 2)),
+    _groups(_run("0123456789", 1, 3), ["."], 3, 3, _run("0123456789", 1, 3)),
+    _groups(_run(_HEX, 1, 4), [":", "::"], 1, 8, _run(_HEX, 0, 4)),
+    _cat(st.sampled_from(["http://", "https://"]), _run(_WORD + "/?=&.:%-", 1, 10)),
+    _cat(_run(_DIGIT, 3, 3), "-", _run(_DIGIT, 2, 2), "-", _run(_DIGIT, 4, 4)),
+    _groups(_run(_DIGIT, 4, 4), ["-"], 2, 4, _run(_DIGIT, 4, 4)),
+    _cat("SN-", _run("ABCXYZ0123456789", 8, 17)),
+)
+_ADVERSARIAL = st.lists(
+    st.one_of(
+        _SHAPES,
+        st.sampled_from(list(_DIGIT + ":-.()+@ " + _HEX) + ["://", "SN-"]),
+    ),
+    max_size=12,
+).map("".join)
+
+_HARD_CASES = (
+    "x " + "\u0663" * 15 + " y",
+    "call (555) 867-5309 or +1 555.867.5309",
+    "fe80::1 and 2001:db8::ff00:42:8329 via a4-6b-09-1f-00-ff",
+    "4111-1111-1111-1111-1111 123-45-6789-0 4111111111111111",
+    "https://h.example/x?imei=352099001761481&ip=10.0.0.5",
+)
+
+
+def _with_hard_cases(test):
+    for line in _HARD_CASES:
+        test = example(line=line)(test)
+    return test
+
+
+@settings(max_examples=1000, deadline=None)
+@given(line=_ADVERSARIAL)
+@_with_hard_cases
+def test_detect_matches_reference_on_adversarial_lines(line):
+    assert _as_tuples(detect_pii(line)) == oracles.detect_pii(line)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(line=_ADVERSARIAL)
+@_with_hard_cases
+def test_precheck_holds_for_every_match(line):
+    """A pattern that matches anywhere in a line must pass its precheck,
+    even where overlap resolution would discard the match."""
+    types = candidate_types(line)
+    for pii_type, pattern in PATTERNS.items():
+        if pattern.search(line):
+            assert pii_type in types, pii_type
 
 
 # --- date extraction -----------------------------------------------------
