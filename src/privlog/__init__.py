@@ -6,7 +6,6 @@ keys for one closed date window and recover the tokens (never the
 underlying values) for linkage and timeline analysis.
 """
 
-from .bench import BenchReport, run_bench
 from .client import (
     ClientState,
     GrantRequest,

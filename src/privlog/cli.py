@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
 from datetime import date
 from pathlib import Path
@@ -18,7 +19,6 @@ from typing import Iterator, List, Optional
 
 from . import client as client_mod
 from . import server as server_mod
-from .bench import summarize
 from .dice import DeviceIdentity, attestation_digest, parse_identity
 from .errors import CorruptState, PrivlogError, exit_code_for
 from .grant import format_grant, parse_grant
@@ -38,8 +38,9 @@ def _read(path: str, what: str) -> str:
 
 
 def _read_lines(path: str, what: str) -> Iterator[str]:
-    """Lines of a UTF-8 text file; a byte that is not UTF-8 is CorruptState."""
-    with open(path, encoding="utf-8") as fh:
+    """Lines of a UTF-8 file, split at "\n" only and untranslated, each with
+    its "\n" if it has one. A byte that is not UTF-8 is CorruptState."""
+    with open(path, encoding="utf-8", newline="\n") as fh:
         try:
             yield from fh
         except UnicodeDecodeError as exc:
@@ -110,7 +111,7 @@ class ClientConfig:
 
         self.server_id = args.server_id or fields.get("server_id") or "server"
         year = args.year if args.year is not None else fields.get("assumed_year")
-        self.assumed_year = int(year) if year is not None else date.today().year
+        self.assumed_year: Optional[int] = int(year) if year is not None else None
 
     def load_state(self) -> client_mod.ClientState:
         return client_mod.load_state(_read(self.state_path, "state file"))
@@ -134,17 +135,26 @@ def _cmd_init(args) -> int:
     return 0
 
 
+def _latency_line(samples: List[int]) -> str:
+    if len(samples) < 2:  # statistics.quantiles needs two samples
+        median = p95 = p99 = samples[0]
+    else:
+        cuts = statistics.quantiles(samples, n=100, method="inclusive")
+        median, p95, p99 = statistics.median(samples), cuts[94], cuts[98]
+    return f"latency median/p95/p99: {median / 1e6:.4f} / {p95 / 1e6:.4f} / {p99 / 1e6:.4f} ms"
+
+
 def _cmd_protect(args) -> int:
     cfg = ClientConfig(args)
-    session = client_mod.ProtectSession(
-        cfg.load_state(), mode=args.mode, assumed_year=cfg.assumed_year
-    )
+    state = cfg.load_state()
+    year = cfg.assumed_year if cfg.assumed_year is not None else state.chain_date.year
+    session = client_mod.ProtectSession(state, mode=args.mode, assumed_year=year)
     out_lines: List[str] = []
     latencies: List[int] = []
     fields = 0
     skipped_pre_epoch = 0
     for raw in _read_lines(args.infile, "input"):
-        line = raw.rstrip("\n")
+        line = raw.removesuffix("\n")
         t0 = perf_counter_ns()
         protected, count = session.protect_line(line)
         latencies.append(perf_counter_ns() - t0)
@@ -152,19 +162,15 @@ def _cmd_protect(args) -> int:
         if protected is None:
             skipped_pre_epoch += 1
         else:
-            out_lines.append(protected)
-    atomic_write(args.outfile, "".join(l + "\n" for l in out_lines))
+            out_lines.append(protected + raw[len(line):])
+    atomic_write(args.outfile, "".join(out_lines))
     cfg.save_state(session.state)
 
     print(f"protected {len(out_lines)} lines ({fields} fields) -> {args.outfile}")
     if skipped_pre_epoch:
         print(f"skipped {skipped_pre_epoch} pre-epoch lines")
     if latencies:
-        total = summarize(latencies)
-        print(
-            f"latency median/p95/p99: {total.median_ns / 1e6:.4f} / "
-            f"{total.p95_ns / 1e6:.4f} / {total.p99_ns / 1e6:.4f} ms"
-        )
+        print(_latency_line(latencies))
     return 0
 
 
@@ -218,7 +224,7 @@ def client_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--state", help="state file path (overrides config)")
     parser.add_argument("--server-pub", help="server long-term public key, base64")
     parser.add_argument("--server-id", help="server identifier for grants")
-    parser.add_argument("--year", type=int, help="assumed year for year-less timestamps")
+    parser.add_argument("--year", type=int, help="year of year-less dates (default: the state's)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("init", help="derive fresh state from the device identity")
@@ -305,9 +311,9 @@ def _cmd_accept(args) -> int:
 
 def _cmd_recover(args) -> int:
     window = server_mod.load_window_keys(_read(args.keys, "window keys file"))
-    events, skipped = server_mod.recover_tokens(
-        window, _read_lines(args.infile, "input"), args.year
-    )
+    first, _ = window.span()
+    year = args.year if args.year is not None else (first or date.today()).year
+    events, skipped = server_mod.recover_tokens(window, _read_lines(args.infile, "input"), year)
     with open(args.outfile, "w", encoding="utf-8", newline="") as fh:
         server_mod.write_events_csv(events, fh)
     print(f"recovered {len(events)} tokens -> {args.outfile}")
@@ -373,7 +379,7 @@ def server_main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--keys", required=True, help="window keys file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--year", type=int, default=date.today().year)
+    p.add_argument("--year", type=int, help="year of year-less dates (default: the window's first)")
     p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser("report", help="linkage report or per-token timeline")

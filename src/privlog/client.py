@@ -20,7 +20,7 @@ from __future__ import annotations
 import secrets
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .crypto import (
     DhKeyPair,
@@ -36,7 +36,9 @@ from .dice import DeviceIdentity, attestation_digest, derive_cdi
 from .errors import CorruptState, InvalidLength, InvalidWindow, OutOfOrderDate, UnsupportedVersion
 from .grant import Grant, canonical_aad, pack_window_payload
 from .kvfile import b64, b64_field, date_field, format_kv, parse_kv, require
-from .pii import PiiSpan, ProtectedField, detect_pii, encode_protected_line, extract_date
+from .pii import (
+    ROLLOVER_DAYS, ProtectedField, detect_pii, encode_protected_line, extract_date, next_year,
+)
 
 STATE_VERSION = "1"
 
@@ -144,7 +146,9 @@ class ProtectSession:
     during this session so out-of-order lines within the advanced range
     still protect; nothing from the cache is ever persisted. Dates before
     the session's starting chain position are unreachable in both modes
-    because those chain keys no longer exist.
+    because those chain keys no longer exist. Year-less dates start in
+    `assumed_year` and move to the next year when one falls more than
+    ROLLOVER_DAYS before the previous line's date (first: the chain date).
     """
 
     def __init__(self, state: ClientState, mode: str = MODE_STREAM, assumed_year: int = 2024):
@@ -153,6 +157,7 @@ class ProtectSession:
         self._state = state
         self.mode = mode
         self.assumed_year = assumed_year
+        self._last_date = state.chain_date
         self._cache: Dict[date, SecretKey32] = {}
 
     @property
@@ -178,22 +183,22 @@ class ProtectSession:
             self._cache.update(new_keys)
         return self._cache[day]
 
-    def protect_line(
-        self, line: str, spans: Optional[List[PiiSpan]] = None
-    ) -> Tuple[Optional[str], int]:
+    def protect_line(self, line: str) -> Tuple[Optional[str], int]:
         """Protect one line; returns (protected line, number of fields protected).
 
         Lines dated before the epoch are skipped and returned as None:
         their keys were destroyed by a rotation and emitting them
-        unprotected would leak. Passing `spans` bypasses detection for
-        caller-tagged fields.
+        unprotected would leak.
         """
         line_date = extract_date(line, self.assumed_year)
-        if line_date is not None and line_date < self._state.epoch_date:
-            return None, 0
+        if line_date is not None:
+            if (self._last_date - line_date).days > ROLLOVER_DAYS:
+                line_date, self.assumed_year = next_year(line, line_date, self.assumed_year)
+            self._last_date = line_date
+            if line_date < self._state.epoch_date:
+                return None, 0
         key = self._key_for(line_date if line_date is not None else self._state.chain_date)
-        if spans is None:
-            spans = detect_pii(line)
+        spans = detect_pii(line)
         if not spans:
             return line, 0
         tokens = [pseudonymize(self._state.hash_key, s.text.encode("utf-8")) for s in spans]

@@ -173,6 +173,8 @@ def detect_pii(line: str) -> List[PiiSpan]:
 
 _ISO_PREFIX = re.compile(r"^(\d{4})-(\d{2})-(\d{2})\b")
 _LOGCAT_PREFIX = re.compile(r"^(\d{2})-(\d{2}) \d{2}:\d{2}:\d{2}\.\d{3}")
+# A year-less date this far before the previous line's has passed new year.
+ROLLOVER_DAYS = 182
 
 
 def extract_date(line: str, assumed_year: int) -> Optional[LogDate]:
@@ -197,6 +199,15 @@ def extract_date(line: str, assumed_year: int) -> Optional[LogDate]:
         except ValueError:
             return None
     return None
+
+
+def next_year(line: str, day: LogDate, year: int) -> Tuple[LogDate, int]:
+    """`day` and its year after a year-less date has passed new year.
+
+    An ISO date, or a date impossible in `year + 1`, stays as it is.
+    """
+    later = extract_date(line, year + 1)
+    return (later, year + 1) if later is not None and later != day else (day, year)
 
 
 def render_field(field: ProtectedField) -> str:

@@ -19,10 +19,12 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .crypto import (
     TOKEN_LEN, DhKeyPair, SecretKey32, aead_open, dh_derive_keypair, dh_shared, kdf, ratchet_step,
 )
-from .errors import AuthFailure, ContextMismatch, CorruptState, InvalidWindow, UnsupportedVersion
+from .errors import (
+    AuthFailure, ContextMismatch, CorruptState, InvalidLength, InvalidWindow, UnsupportedVersion,
+)
 from .grant import Grant, grant_aad, unpack_window_payload
-from .kvfile import b64, b64_field, format_kv, parse_kv, require
-from .pii import PiiType, extract_date, parse_protected_line
+from .kvfile import b64, b64_decode, b64_field, format_kv, parse_kv, require
+from .pii import ROLLOVER_DAYS, PiiType, extract_date, next_year, parse_protected_line
 
 KEYSTORE_VERSION = "1"
 WINDOW_VERSION = "1"
@@ -134,7 +136,9 @@ def recover_tokens(
 
     Failures are per field, never fatal: a mixed corpus is expected to
     contain lines outside the window and fields sealed under other
-    epochs, and those must not abort recovery of the rest.
+    epochs, and those must not abort recovery of the rest. Year-less
+    dates move to the next year as in `ProtectSession`, starting from the
+    window's first day. Templates exclude a trailing "\n" or "\r\n".
     """
     events: List[RecoveredEvent] = []
     skipped = {
@@ -144,17 +148,22 @@ def recover_tokens(
         "fields_auth_failed": 0,
         "fields_malformed": 0,
     }
+    year = assumed_year
+    last_date = min(window.days, default=date.min)
     for line_no, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
+        line = line.removesuffix("\n").removesuffix("\r")
         template, fields, warnings = parse_protected_line(line)
         skipped["fields_malformed"] += len(warnings)
         if not fields:
             skipped["lines_no_pii"] += 1
             continue
-        day = extract_date(line, assumed_year)
+        day = extract_date(line, year)
         if day is None:
             skipped["lines_no_date"] += 1
             continue
+        if (last_date - day).days > ROLLOVER_DAYS:
+            day, year = next_year(line, day, year)
+        last_date = day
         key = window.days.get(day)
         if key is None:
             skipped["lines_out_of_window"] += 1
@@ -258,16 +267,15 @@ def load_server_keys(text: str) -> ServerKeys:
     for key, value in fields.items():
         if not key.startswith("eph."):
             continue
-        grant_id = key[len("eph.") :]
+        what = f"server keystore: ephemeral entry {key!r}"
+        parts = value.split(",")
+        if len(parts) != 2:
+            raise CorruptState(f"{what} must be two base64 keys joined by ','")
         try:
-            priv_b64, pub_b64 = value.split(",")
-            pair = DhKeyPair(
-                private=base64.b64decode(priv_b64, validate=True),
-                public=base64.b64decode(pub_b64, validate=True),
-            )
-        except Exception as exc:
-            raise CorruptState(f"server keystore: bad ephemeral entry {key!r}") from exc
-        keys.ephemeral[grant_id] = pair
+            pair = DhKeyPair(*(b64_decode(part, what) for part in parts))
+        except InvalidLength as exc:
+            raise CorruptState(f"{what}: {exc}") from exc
+        keys.ephemeral[key[len("eph.") :]] = pair
     return keys
 
 

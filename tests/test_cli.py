@@ -1,14 +1,16 @@
 """File-level CLI round trips and the stable exit-code contract."""
 
 import base64
+import re
 from datetime import date, timedelta
 
 import pytest
 
-from privlog import BenchConfig, DeviceIdentity, write_corpus
+from privlog import BenchConfig, CorruptState, DeviceIdentity, write_corpus
 from privlog.cli import client_main, server_main
 from privlog.dice import format_identity
 from privlog.kvfile import parse_kv
+from privlog.server import load_server_keys
 
 DAY1 = date(2024, 5, 1)
 SEED_A = "07" * 32
@@ -390,3 +392,85 @@ def test_exit_code_bad_timeline_token(ws):
         assert server_main([
             "report", "--events", str(ws / "events.csv"), "--timeline", token,
         ]) == 6
+
+
+def test_protect_preserves_line_endings(ws, capsys):
+    """CRLF, a lone CR and a last line with no newline come out as they went in."""
+    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    raw = (
+        b"05-01 10:00:00.000  1000  1000 I T: mail a@b.co hello\r\n"
+        b"05-01 10:00:01.000  1000  1000 I T: a\rb\n"
+        b"05-01 10:00:02.000  1000  1000 I T: last-no-newline"
+    )
+    (ws / "crlf.log").write_bytes(raw)
+    capsys.readouterr()
+    assert _client(ws, "protect", "--in", str(ws / "crlf.log"), "--out", str(ws / "crlf.out")) == 0
+    assert "protected 3 lines (1 fields)" in capsys.readouterr().out
+    out = (ws / "crlf.out").read_bytes()
+    assert re.sub(rb'<PII type="EMAIL">[A-Za-z0-9+/=]{60}</PII>', b"a@b.co", out) == raw
+
+
+def test_protect_one_line_prints_equal_percentiles(ws, capsys):
+    """One sample: median, p95 and p99 are that sample (quantiles needs two)."""
+    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    (ws / "one.log").write_text("05-01 10:00:00.000  1000  1000 I T: mail a@b.co\n")
+    capsys.readouterr()
+    assert _client(ws, "protect", "--in", str(ws / "one.log"), "--out", str(ws / "one.out")) == 0
+    m = re.search(r"latency median/p95/p99: (\S+) / (\S+) / (\S+) ms", capsys.readouterr().out)
+    assert m and m.group(1) == m.group(2) == m.group(3)
+
+
+def test_protect_defaults_to_chain_year(ws):
+    """With no --year and no assumed_year=, year-less lines take the state's year."""
+    cfg = ws / "client.cfg"
+    cfg.write_text(cfg.read_text().replace("assumed_year=2024\n", ""))
+    assert _client(ws, "init", "--today", "2023-05-01", "--seed", SEED_A) == 0
+    (ws / "raw.log").write_text("05-02 10:00:00.000  1000  1000 I T: mail a@b.co\n")
+    assert _client(ws, "protect", "--in", str(ws / "raw.log"), "--out", str(ws / "raw.out")) == 0
+    assert parse_kv((ws / "state.kv").read_text(), "state")["chain_date"] == "2023-05-02"
+
+
+def test_recover_defaults_to_window_year(ws):
+    """With no --year, recover reads year-less lines in the window's first year."""
+    assert _client(ws, "--year", "2023", "init", "--today", "2023-05-01", "--seed", SEED_A) == 0
+    (ws / "raw.log").write_text(
+        "05-01 10:00:00.000  1000  1000 I T: mail a@b.co\n"
+        "05-02 10:00:00.000  1000  1000 I T: mail c@d.co\n"
+    )
+    assert _client(ws, "--year", "2023", "protect", "--in", str(ws / "raw.log"),
+                   "--out", str(ws / "prot.log")) == 0
+    assert server_main([
+        "offer", "--keystore", str(ws / "server.kv"),
+        "--grant-id", "g-year", "--out", str(ws / "offer.kv"), "--seed", SEED_C,
+    ]) == 0
+    assert _client(ws, "grant", "--server-offer", str(ws / "offer.kv"), "--start", "2023-05-01",
+                   "--today", "2023-05-02", "--out", str(ws / "grant.kv")) == 0
+    assert server_main([
+        "accept", "--keystore", str(ws / "server.kv"), "--grant", str(ws / "grant.kv"),
+        "--expect-device", "pixel-lab", "--out", str(ws / "window.kv"),
+    ]) == 0
+    assert server_main([
+        "recover", "--keys", str(ws / "window.kv"), "--in", str(ws / "prot.log"),
+        "--out", str(ws / "events.csv"),
+    ]) == 0
+    rows = (ws / "events.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[1] for r in rows] == ["2023-05-01", "2023-05-02"]
+
+
+_PUB32 = base64.b64encode(b"\x01" * 32).decode()
+
+
+@pytest.mark.parametrize("entry, cause", [
+    (_PUB32, "two base64 keys"),
+    (f"not*base64,{_PUB32}", "not valid base64"),
+    (f"{base64.b64encode(bytes(30)).decode()},{_PUB32}", "32 bytes"),
+], ids=["no-comma", "bad-base64", "30-byte-key"])
+def test_bad_ephemeral_entry_is_corrupt_state(ws, capsys, entry, cause):
+    keystore = ws / "server.kv"
+    keystore.write_text(keystore.read_text() + f"eph.g-old={entry}\n")
+    with pytest.raises(CorruptState, match=cause):
+        load_server_keys(keystore.read_text())
+    assert server_main([
+        "offer", "--keystore", str(keystore), "--grant-id", "g-new", "--out", str(ws / "offer.kv"),
+    ]) == 6
+    assert "eph.g-old" in capsys.readouterr().err

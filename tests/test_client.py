@@ -206,25 +206,23 @@ def test_protect_stream_keeps_only_newest_key(client_state):
     assert list(session.day_keys) == [D(3)]
 
 
-def test_protect_explicit_spans_bypass_detection(client_state):
-    from privlog import PiiSpan, PiiType
-
-    session = ProtectSession(client_state, assumed_year=2024)
-    line = "operator tagged THISVALUE as sensitive"
-    span = PiiSpan(PiiType.DEVICE_SERIAL, 16, 25, "THISVALUE")
-    out, count = session.protect_line(line, spans=[span])
-    assert count == 1
-    assert '<PII type="DEVICE_SERIAL">' in out
-    _, fields, _ = parse_protected_line(out)
-    token = aead_open(session.day_keys[DAY1], fields[0].box)
-    assert token == pseudonymize(client_state.hash_key, b"THISVALUE")
-
-
 def test_protect_returns_field_count(client_state):
     session = ProtectSession(client_state, assumed_year=2024)
     msgs = ["a@b.co from 10.0.0.5", "nothing", "imei 352099001761481"]
     counts = [session.protect_line(logcat(DAY1, msg))[1] for msg in msgs]
     assert counts == [2, 0, 1]
+
+
+def test_protect_year_rollover(identity, server_keys):
+    """A year-less `01-01` right after `12-31` belongs to the next year."""
+    state = init_client(identity, server_keys.longterm.public, date(2024, 12, 31),
+                        rng_seed=b"\x07" * 32)
+    session = ProtectSession(state, assumed_year=2024)
+    assert session.protect_line(logcat(date(2024, 12, 31), "mail a@b.co"))[1] == 1
+    out, count = session.protect_line(logcat(date(2025, 1, 1), "mail a@b.co"))
+    assert out is not None and count == 1
+    assert session.state.chain_date == date(2025, 1, 1)
+    assert session.assumed_year == 2025  # later lines stay in 2025
 
 
 # --- grants ----------------------------------------------------------------

@@ -28,7 +28,7 @@ from privlog import (
     timeline,
 )
 from privlog.grant import Grant, canonical_aad, pack_window_payload
-from privlog.pii import PiiType
+from privlog.pii import PiiType, parse_protected_line
 from privlog.server import (
     RecoveredEvent,
     WindowKeys,
@@ -277,6 +277,36 @@ def test_recover_malformed_element(identity, server_keys, client_state):
     assert events == []
     assert skipped["fields_malformed"] == 1
     assert skipped["lines_no_pii"] == 1
+
+
+def test_recover_year_rollover(identity, server_keys):
+    """Logcat lines running from 12-30 to 01-02 all recover, dated across the year."""
+    days = [date(2024, 12, 30) + timedelta(days=n) for n in range(4)]
+    state = init_client(identity, server_keys.longterm.public, days[0], rng_seed=b"\x07" * 32)
+    session = ProtectSession(state, assumed_year=2024)
+    # Protect ISO-dated lines, then drop the year: the file a logcat device writes.
+    iso_lines = [f"{d.isoformat()} 12:00:00.000  1000  1000 I T: mail u{d.day}@test.org" for d in days]
+    lines = [session.protect_line(line)[0][len("2024-"):] for line in iso_lines]
+    assert lines[2].startswith("01-01 ")
+    offer_pub = create_offer(server_keys, "g-year", seed=b"\x51" * 32)
+    grant, _ = create_grant(
+        session.state, GrantRequest(offer_pub, days[0], "lab-server", "g-year"),
+        identity, days[-1], rng_seed=b"\x52" * 32,
+    )
+    window = accept_grant(server_keys, grant, "lab-server", identity.device_id)
+    events, skipped = recover_tokens(window, lines, 2024)
+    assert [e.date for e in events] == days
+    assert skipped["lines_out_of_window"] == 0
+
+
+def test_recover_template_drops_crlf(identity, server_keys, client_state):
+    lines, window, _ = _protected_corpus(identity, server_keys, client_state)
+    events, _ = recover_tokens(window, [lines[3] + "\r\n", lines[4] + "\n"], 2024)
+    assert len(events) == 2
+    # Templates carry no line terminator, whichever one the file used.
+    assert [e.template for e in events] == [
+        parse_protected_line(lines[3])[0], parse_protected_line(lines[4])[0],
+    ]
 
 
 def test_recovered_tokens_never_contain_plaintext(identity, server_keys, client_state):
