@@ -40,26 +40,13 @@ def _read(path: str, what: str) -> str:
 def _read_lines(path: str, what: str) -> Iterator[str]:
     """Lines of a UTF-8 file, split at "\n" only and untranslated, each with
     its "\n" if it has one. A byte that is not UTF-8 is CorruptState."""
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        try:
-            yield from fh
-        except UnicodeDecodeError as exc:
-            raise CorruptState(
-                f"{what} {path!r} line {_first_bad_line(path)} is not valid UTF-8"
-            ) from exc
-
-
-def _first_bad_line(path: str) -> int:
-    # Text mode decodes in chunks, so its error does not give the line.
     # UTF-8 never encodes a newline inside a character: lines decode alone.
-    line_no = 0
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                break
-    return line_no
+                yield raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorruptState(f"{what} {path!r} line {line_no} is not valid UTF-8") from exc
 
 
 def _parse_date(value: str) -> date:
@@ -146,9 +133,11 @@ def _latency_line(samples: List[int]) -> str:
 
 def _cmd_protect(args) -> int:
     cfg = ClientConfig(args)
-    state = cfg.load_state()
-    year = cfg.assumed_year if cfg.assumed_year is not None else state.chain_date.year
-    session = client_mod.ProtectSession(state, mode=args.mode, assumed_year=year)
+    today = date.today()  # with no year given, year-less dates are read nearest today
+    near = today if cfg.assumed_year is None else None
+    session = client_mod.ProtectSession(
+        cfg.load_state(), args.mode, cfg.assumed_year or today.year, near
+    )
     out_lines: List[str] = []
     latencies: List[int] = []
     fields = 0
@@ -224,7 +213,7 @@ def client_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--state", help="state file path (overrides config)")
     parser.add_argument("--server-pub", help="server long-term public key, base64")
     parser.add_argument("--server-id", help="server identifier for grants")
-    parser.add_argument("--year", type=int, help="year of year-less dates (default: the state's)")
+    parser.add_argument("--year", type=int, help="year of year-less dates (default: today's)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("init", help="derive fresh state from the device identity")

@@ -36,9 +36,7 @@ from .dice import DeviceIdentity, attestation_digest, derive_cdi
 from .errors import CorruptState, InvalidLength, InvalidWindow, OutOfOrderDate, UnsupportedVersion
 from .grant import Grant, canonical_aad, pack_window_payload
 from .kvfile import b64, b64_field, date_field, format_kv, parse_kv, require
-from .pii import (
-    ROLLOVER_DAYS, ProtectedField, detect_pii, encode_protected_line, extract_date, next_year,
-)
+from .pii import ProtectedField, detect_pii, encode_protected_line, extract_date, roll_year
 
 STATE_VERSION = "1"
 
@@ -146,18 +144,20 @@ class ProtectSession:
     during this session so out-of-order lines within the advanced range
     still protect; nothing from the cache is ever persisted. Dates before
     the session's starting chain position are unreachable in both modes
-    because those chain keys no longer exist. Year-less dates start in
-    `assumed_year` and move to the next year when one falls more than
-    ROLLOVER_DAYS before the previous line's date (first: the chain date).
+    because those chain keys no longer exist. A year-less date is read
+    in `assumed_year` and then in the year nearest the previous line's
+    date (`pii.roll_year`); the first is read nearest `near`, by default
+    the chain date.
     """
 
-    def __init__(self, state: ClientState, mode: str = MODE_STREAM, assumed_year: int = 2024):
+    def __init__(self, state: ClientState, mode: str = MODE_STREAM, assumed_year: int = 2024,
+                 near: Optional[date] = None):
         if mode not in (MODE_STREAM, MODE_BATCH):
             raise ValueError(f"unknown mode {mode!r}")
         self._state = state
         self.mode = mode
         self.assumed_year = assumed_year
-        self._last_date = state.chain_date
+        self._last_date = near or state.chain_date
         self._cache: Dict[date, SecretKey32] = {}
 
     @property
@@ -192,9 +192,11 @@ class ProtectSession:
         """
         line_date = extract_date(line, self.assumed_year)
         if line_date is not None:
-            if (self._last_date - line_date).days > ROLLOVER_DAYS:
-                line_date, self.assumed_year = next_year(line, line_date, self.assumed_year)
-            self._last_date = line_date
+            if line_date != self._last_date:  # the previous line's date: nothing to re-read
+                line_date, self.assumed_year = roll_year(
+                    line, line_date, self.assumed_year, self._last_date
+                )
+                self._last_date = line_date
             if line_date < self._state.epoch_date:
                 return None, 0
         key = self._key_for(line_date if line_date is not None else self._state.chain_date)

@@ -33,9 +33,6 @@ from typing import List, Optional, Tuple
 from .crypto import AeadBox
 from .errors import InvalidSpans, MalformedBox
 
-LogDate = date
-
-
 class PiiType(enum.Enum):
     EMAIL = "EMAIL"
     PHONE = "PHONE"
@@ -173,11 +170,11 @@ def detect_pii(line: str) -> List[PiiSpan]:
 
 _ISO_PREFIX = re.compile(r"^(\d{4})-(\d{2})-(\d{2})\b")
 _LOGCAT_PREFIX = re.compile(r"^(\d{2})-(\d{2}) \d{2}:\d{2}:\d{2}\.\d{3}")
-# A year-less date this far before the previous line's has passed new year.
+# A year-less date further than this from the previous line's is in another year.
 ROLLOVER_DAYS = 182
 
 
-def extract_date(line: str, assumed_year: int) -> Optional[LogDate]:
+def extract_date(line: str, assumed_year: int) -> Optional[date]:
     """Date of a log line: ISO prefix, else logcat MM-DD prefix (year-less).
 
     Logcat timestamps carry no year, so the caller supplies one; getting
@@ -201,13 +198,20 @@ def extract_date(line: str, assumed_year: int) -> Optional[LogDate]:
     return None
 
 
-def next_year(line: str, day: LogDate, year: int) -> Tuple[LogDate, int]:
-    """`day` and its year after a year-less date has passed new year.
+def roll_year(line: str, day: date, year: int, last: date) -> Tuple[date, int]:
+    """`day` re-read in the year nearest `last`, and the running year after it.
 
-    An ISO date, or a date impossible in `year + 1`, stays as it is.
+    Only a date that passed new year after `last` moves the running year
+    on. An ISO date, or a date impossible in the other year, stays as it is.
     """
-    later = extract_date(line, year + 1)
-    return (later, year + 1) if later is not None and later != day else (day, year)
+    gap = (day - last).days
+    if abs(gap) <= ROLLOVER_DAYS:
+        return day, year
+    other_year = year + 1 if gap < 0 else year - 1
+    other = extract_date(line, other_year) if 1970 <= other_year <= 9999 else None
+    if other is None or other == day:
+        return day, year
+    return other, max(year, other_year)
 
 
 def render_field(field: ProtectedField) -> str:

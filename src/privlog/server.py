@@ -24,7 +24,7 @@ from .errors import (
 )
 from .grant import Grant, grant_aad, unpack_window_payload
 from .kvfile import b64, b64_decode, b64_field, format_kv, parse_kv, require
-from .pii import ROLLOVER_DAYS, PiiType, extract_date, next_year, parse_protected_line
+from .pii import PiiType, extract_date, parse_protected_line, roll_year
 
 KEYSTORE_VERSION = "1"
 WINDOW_VERSION = "1"
@@ -137,8 +137,8 @@ def recover_tokens(
     Failures are per field, never fatal: a mixed corpus is expected to
     contain lines outside the window and fields sealed under other
     epochs, and those must not abort recovery of the rest. Year-less
-    dates move to the next year as in `ProtectSession`, starting from the
-    window's first day. Templates exclude a trailing "\n" or "\r\n".
+    dates are read as in `ProtectSession`, the first nearest the window's
+    first day. Templates exclude a trailing "\n" or "\r\n".
     """
     events: List[RecoveredEvent] = []
     skipped = {
@@ -161,9 +161,9 @@ def recover_tokens(
         if day is None:
             skipped["lines_no_date"] += 1
             continue
-        if (last_date - day).days > ROLLOVER_DAYS:
-            day, year = next_year(line, day, year)
-        last_date = day
+        if day != last_date:  # the previous line's date: nothing to re-read
+            day, year = roll_year(line, day, year, last_date)
+            last_date = day
         key = window.days.get(day)
         if key is None:
             skipped["lines_out_of_window"] += 1

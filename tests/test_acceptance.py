@@ -349,6 +349,7 @@ def test_criterion_7_performance_envelope():
             protected.append(session.protect_line(line)[0])
             line_ns.append(time.perf_counter_ns() - t1)
         throughput_lps = len(lines) / ((time.perf_counter_ns() - t_protect) / 1e9)
+        assert None not in protected, "a corpus line was skipped as dated before the epoch"
 
         last_day = cfg.start_date + timedelta(days=cfg.day_span - 1)
         offer_pub = create_offer(server, "bench-grant", seed=b"\x33" * 32)

@@ -420,41 +420,43 @@ def test_protect_one_line_prints_equal_percentiles(ws, capsys):
     assert m and m.group(1) == m.group(2) == m.group(3)
 
 
-def test_protect_defaults_to_chain_year(ws):
-    """With no --year and no assumed_year=, year-less lines take the state's year."""
+def test_protect_without_year_reads_dates_nearest_today(ws):
+    """A device idle for 300 days protects today's year-less lines as today's."""
     cfg = ws / "client.cfg"
     cfg.write_text(cfg.read_text().replace("assumed_year=2024\n", ""))
-    assert _client(ws, "init", "--today", "2023-05-01", "--seed", SEED_A) == 0
-    (ws / "raw.log").write_text("05-02 10:00:00.000  1000  1000 I T: mail a@b.co\n")
+    today = date.today()
+    last_use = today - timedelta(days=300)
+    assert _client(ws, "init", "--today", last_use.isoformat(), "--seed", SEED_A) == 0
+    (ws / "raw.log").write_text(f"{today:%m-%d} 10:00:00.000  1000  1000 I T: mail a@b.co\n")
     assert _client(ws, "protect", "--in", str(ws / "raw.log"), "--out", str(ws / "raw.out")) == 0
-    assert parse_kv((ws / "state.kv").read_text(), "state")["chain_date"] == "2023-05-02"
+    assert parse_kv((ws / "state.kv").read_text(), "state")["chain_date"] == today.isoformat()
 
 
-def test_recover_defaults_to_window_year(ws):
-    """With no --year, recover reads year-less lines in the window's first year."""
-    assert _client(ws, "--year", "2023", "init", "--today", "2023-05-01", "--seed", SEED_A) == 0
-    (ws / "raw.log").write_text(
-        "05-01 10:00:00.000  1000  1000 I T: mail a@b.co\n"
-        "05-02 10:00:00.000  1000  1000 I T: mail c@d.co\n"
-    )
-    assert _client(ws, "--year", "2023", "protect", "--in", str(ws / "raw.log"),
-                   "--out", str(ws / "prot.log")) == 0
+@pytest.mark.parametrize("year", [[], ["--year", "2025"]], ids=["default", "2025"])
+def test_recover_december_lines_before_january_window(ws, year):
+    """Lines from 12-30 to 01-02 under a window from 2025-01-01: January recovers."""
+    assert _client(ws, "init", "--today", "2024-12-30", "--seed", SEED_A) == 0
+    (ws / "raw.log").write_text("".join(
+        f"{day} 10:00:00.000  1000  1000 I T: mail a@b.co\n"
+        for day in ["12-30", "12-31", "01-01", "01-02"]
+    ))
+    assert _client(ws, "protect", "--in", str(ws / "raw.log"), "--out", str(ws / "prot.log")) == 0
     assert server_main([
         "offer", "--keystore", str(ws / "server.kv"),
         "--grant-id", "g-year", "--out", str(ws / "offer.kv"), "--seed", SEED_C,
     ]) == 0
-    assert _client(ws, "grant", "--server-offer", str(ws / "offer.kv"), "--start", "2023-05-01",
-                   "--today", "2023-05-02", "--out", str(ws / "grant.kv")) == 0
+    assert _client(ws, "grant", "--server-offer", str(ws / "offer.kv"), "--start", "2025-01-01",
+                   "--today", "2025-01-03", "--out", str(ws / "grant.kv")) == 0
     assert server_main([
         "accept", "--keystore", str(ws / "server.kv"), "--grant", str(ws / "grant.kv"),
         "--expect-device", "pixel-lab", "--out", str(ws / "window.kv"),
     ]) == 0
     assert server_main([
         "recover", "--keys", str(ws / "window.kv"), "--in", str(ws / "prot.log"),
-        "--out", str(ws / "events.csv"),
+        "--out", str(ws / "events.csv"), *year,
     ]) == 0
     rows = (ws / "events.csv").read_text().splitlines()[1:]
-    assert [r.split(",")[1] for r in rows] == ["2023-05-01", "2023-05-02"]
+    assert [r.split(",")[1] for r in rows] == ["2025-01-01", "2025-01-02"]
 
 
 _PUB32 = base64.b64encode(b"\x01" * 32).decode()

@@ -225,6 +225,16 @@ def test_protect_year_rollover(identity, server_keys):
     assert session.assumed_year == 2025  # later lines stay in 2025
 
 
+def test_protect_skips_december_line_before_chain(identity, server_keys):
+    """A year-less `12-31` before a 2025-01-02 chain is 2024's, not a year ahead."""
+    state = init_client(identity, server_keys.longterm.public, date(2025, 1, 2),
+                        rng_seed=b"\x07" * 32)
+    session = ProtectSession(state, assumed_year=2025)
+    assert session.protect_line(logcat(date(2024, 12, 31), "mail a@b.co")) == (None, 0)
+    assert session.protect_line(logcat(date(2025, 1, 2), "mail a@b.co"))[1] == 1
+    assert session.state.chain_date == date(2025, 1, 2)
+
+
 # --- grants ----------------------------------------------------------------
 
 

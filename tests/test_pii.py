@@ -22,7 +22,9 @@ from privlog import (
     generate_corpus,
     parse_protected_line,
 )
-from privlog.pii import PATTERNS, PRIORITY, candidate_types, fill_template, render_field
+from privlog.pii import (
+    PATTERNS, PRIORITY, candidate_types, fill_template, render_field, roll_year,
+)
 
 SAMPLE_LINE = (
     "10-15 14:23:47.821  2341  2341 I AuthService: "
@@ -226,6 +228,19 @@ def test_extract_date_year_bounds():
         extract_date(SAMPLE_LINE, 1969)
     with pytest.raises(ValueError):
         extract_date(SAMPLE_LINE, 10000)
+
+
+@pytest.mark.parametrize("line, last, year, expected", [
+    ("01-01 10:00:00.000 x", date(2024, 12, 31), 2024, (date(2025, 1, 1), 2025)),
+    ("12-31 10:00:00.000 x", date(2025, 1, 1), 2025, (date(2024, 12, 31), 2025)),
+    ("06-15 10:00:00.000 x", date(2024, 1, 1), 2024, (date(2024, 6, 15), 2024)),
+    ("2024-01-01 boot", date(2024, 12, 31), 2024, (date(2024, 1, 1), 2024)),
+    ("02-29 10:00:00.000 x", date(2024, 9, 30), 2024, (date(2024, 2, 29), 2024)),
+    ("12-31 10:00:00.000 x", date(1970, 1, 1), 1970, (date(1970, 12, 31), 1970)),
+], ids=["new-year", "year-before", "within", "iso", "no-feb-29", "year-floor"])
+def test_roll_year_reads_nearest_year(line, last, year, expected):
+    day = extract_date(line, year)
+    assert roll_year(line, day, year, last) == expected
 
 
 # --- wire format ---------------------------------------------------------

@@ -299,6 +299,25 @@ def test_recover_year_rollover(identity, server_keys):
     assert skipped["lines_out_of_window"] == 0
 
 
+@pytest.mark.parametrize("year", [2024, 2025])
+def test_recover_reads_lines_before_window_in_their_year(identity, server_keys, year):
+    """December lines before a January window are out of window, not a year on."""
+    days = [date(2024, 12, 30) + timedelta(days=n) for n in range(4)]
+    state = init_client(identity, server_keys.longterm.public, days[0], rng_seed=b"\x07" * 32)
+    session = ProtectSession(state, assumed_year=2024)
+    iso_lines = [f"{d.isoformat()} 12:00:00.000  1000  1000 I T: mail u{d.day}@test.org" for d in days]
+    lines = [session.protect_line(line)[0][len("2024-"):] for line in iso_lines]
+    offer_pub = create_offer(server_keys, "g-jan", seed=b"\x51" * 32)
+    grant, _ = create_grant(
+        session.state, GrantRequest(offer_pub, days[2], "lab-server", "g-jan"),
+        identity, date(2025, 1, 3), rng_seed=b"\x52" * 32,
+    )
+    window = accept_grant(server_keys, grant, "lab-server", identity.device_id)
+    events, skipped = recover_tokens(window, lines, year)
+    assert [e.date for e in events] == days[2:]
+    assert skipped["lines_out_of_window"] == 2
+
+
 def test_recover_template_drops_crlf(identity, server_keys, client_state):
     lines, window, _ = _protected_corpus(identity, server_keys, client_state)
     events, _ = recover_tokens(window, [lines[3] + "\r\n", lines[4] + "\n"], 2024)
