@@ -4,7 +4,7 @@
 import argparse
 from datetime import date
 
-from privlog import BenchConfig, write_corpus
+from privlog.corpus import BenchConfig, write_corpus
 
 
 def main() -> None:

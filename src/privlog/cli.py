@@ -22,7 +22,8 @@ from . import server as server_mod
 from .dice import DeviceIdentity, attestation_digest, parse_identity
 from .errors import CorruptState, PrivlogError, exit_code_for
 from .grant import format_grant, parse_grant
-from .kvfile import atomic_write, b64, b64_decode, format_kv, parse_kv, require
+from .kvfile import atomic_write, b64, b64_decode, format_kv, iso_date, parse_kv, require
+from .pii import YEAR_MAX, YEAR_MIN
 
 
 def _fail(exc: PrivlogError) -> int:
@@ -49,11 +50,17 @@ def _read_lines(path: str, what: str) -> Iterator[str]:
                 raise CorruptState(f"{what} {path!r} line {line_no} is not valid UTF-8") from exc
 
 
-def _parse_date(value: str) -> date:
+def _parse_year(value: Optional[str], what: str) -> Optional[int]:
+    """A year for year-less dates, from a flag or the config; None stays None."""
+    if value is None:
+        return None
     try:
-        return date.fromisoformat(value)
+        year = int(value)
     except ValueError as exc:
-        raise CorruptState(f"bad date {value!r}, want YYYY-MM-DD") from exc
+        raise CorruptState(f"{what} {value!r} is not a year") from exc
+    if not YEAR_MIN <= year <= YEAR_MAX:
+        raise CorruptState(f"{what} {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+    return year
 
 
 def _parse_seed(value: Optional[str]) -> Optional[bytes]:
@@ -97,8 +104,10 @@ class ClientConfig:
             self.server_pub = b64_decode(server_pub_b64, "server_pub")
 
         self.server_id = args.server_id or fields.get("server_id") or "server"
-        year = args.year if args.year is not None else fields.get("assumed_year")
-        self.assumed_year: Optional[int] = int(year) if year is not None else None
+        if args.year is not None:
+            self.assumed_year = _parse_year(args.year, "--year")
+        else:
+            self.assumed_year = _parse_year(fields.get("assumed_year"), "config assumed_year")
 
     def load_state(self) -> client_mod.ClientState:
         return client_mod.load_state(_read(self.state_path, "state file"))
@@ -113,7 +122,7 @@ def _cmd_init(args) -> int:
         raise CorruptState("init needs server_pub= in config or --server-pub")
     if Path(cfg.state_path).exists() and not args.force:
         raise CorruptState(f"state file {cfg.state_path!r} exists; use --force to re-init")
-    today = _parse_date(args.today) if args.today else date.today()
+    today = iso_date(args.today, "--today") if args.today else date.today()
     state = client_mod.init_client(
         cfg.identity, cfg.server_pub, today, rng_seed=_parse_seed(args.seed)
     )
@@ -172,10 +181,10 @@ def _cmd_grant(args) -> int:
         require(offer, "server_eph_pub", "offer file"), "offer file: server_eph_pub"
     )
 
-    today = _parse_date(args.today) if args.today else date.today()
+    today = iso_date(args.today, "--today") if args.today else date.today()
     req = client_mod.GrantRequest(
         server_pub=server_eph_pub,
-        start_date=_parse_date(args.start),
+        start_date=iso_date(args.start, "--start"),
         server_id=cfg.server_id,
         grant_id=grant_id,
     )
@@ -213,7 +222,7 @@ def client_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--state", help="state file path (overrides config)")
     parser.add_argument("--server-pub", help="server long-term public key, base64")
     parser.add_argument("--server-id", help="server identifier for grants")
-    parser.add_argument("--year", type=int, help="year of year-less dates (default: today's)")
+    parser.add_argument("--year", help="year of year-less dates (default: today's)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("init", help="derive fresh state from the device identity")
@@ -301,7 +310,7 @@ def _cmd_accept(args) -> int:
 def _cmd_recover(args) -> int:
     window = server_mod.load_window_keys(_read(args.keys, "window keys file"))
     first, _ = window.span()
-    year = args.year if args.year is not None else (first or date.today()).year
+    year = _parse_year(args.year, "--year") or (first or date.today()).year
     events, skipped = server_mod.recover_tokens(window, _read_lines(args.infile, "input"), year)
     with open(args.outfile, "w", encoding="utf-8", newline="") as fh:
         server_mod.write_events_csv(events, fh)
@@ -318,14 +327,11 @@ def _cmd_report(args) -> int:
     if args.timeline:
         token = b64_decode(args.timeline, "--timeline token")
         rows = server_mod.timeline(events, token)
-        out = sys.stdout if not args.outfile else open(args.outfile, "w", encoding="utf-8")
-        try:
-            out.write("date,line_no,template\n")
-            for day, line_no, template in rows:
-                out.write(f"{day.isoformat()},{line_no},{template}\n")
-        finally:
-            if out is not sys.stdout:
-                out.close()
+        if not args.outfile:
+            server_mod.write_timeline_csv(rows, sys.stdout)
+        else:
+            with open(args.outfile, "w", encoding="utf-8", newline="") as fh:
+                server_mod.write_timeline_csv(rows, fh)
         return 0
     if not args.outfile:
         raise CorruptState("report needs --out (or --timeline TOKEN)")
@@ -368,7 +374,7 @@ def server_main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--keys", required=True, help="window keys file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--year", type=int, help="year of year-less dates (default: the window's first)")
+    p.add_argument("--year", help="year of year-less dates (default: the window's first)")
     p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser("report", help="linkage report or per-token timeline")

@@ -33,9 +33,9 @@ from .crypto import (
     ratchet_step,
 )
 from .dice import DeviceIdentity, attestation_digest, derive_cdi
-from .errors import CorruptState, InvalidLength, InvalidWindow, OutOfOrderDate, UnsupportedVersion
+from .errors import CorruptState, InvalidLength, InvalidWindow, OutOfOrderDate
 from .grant import Grant, canonical_aad, pack_window_payload
-from .kvfile import b64, b64_field, date_field, format_kv, parse_kv, require
+from .kvfile import b64, b64_field, date_field, format_kv, parse_versioned
 from .pii import ProtectedField, detect_pii, encode_protected_line, extract_date, roll_year
 
 STATE_VERSION = "1"
@@ -297,10 +297,7 @@ def save_state(state: ClientState) -> str:
 
 
 def load_state(text: str) -> ClientState:
-    fields = parse_kv(text, "state file")
-    version = require(fields, "v", "state file")
-    if version != STATE_VERSION:
-        raise UnsupportedVersion(f"state file version {version!r}")
+    fields = parse_versioned(text, "state file", STATE_VERSION)
     return ClientState(
         root_key=SecretKey32(b64_field(fields, "root_key", "state file", 32)),
         hash_key=SecretKey32(b64_field(fields, "hash_key", "state file", 32)),

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from datetime import date
 
 from .crypto import AeadBox, SecretKey32, length_prefixed
-from .errors import CorruptState, UnsupportedVersion
-from .kvfile import b64, b64_field, date_field, format_kv, parse_kv, require
+from .errors import CorruptState
+from .kvfile import b64, b64_field, date_field, format_kv, iso_date, parse_versioned, require
 
 GRANT_VERSION = "1"
 _PAYLOAD_LEN = 32 + 10  # chain key || ISO date
@@ -67,11 +67,7 @@ def pack_window_payload(chain_key: SecretKey32, start: date) -> bytes:
 def unpack_window_payload(raw: bytes):
     if len(raw) != _PAYLOAD_LEN:
         raise CorruptState(f"grant payload has {len(raw)} bytes, expected {_PAYLOAD_LEN}")
-    try:
-        start = date.fromisoformat(raw[32:].decode("ascii"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise CorruptState("grant payload date is invalid") from exc
-    return SecretKey32(raw[:32]), start
+    return SecretKey32(raw[:32]), iso_date(raw[32:].decode("ascii", "replace"), "grant payload")
 
 
 def format_grant(grant: Grant) -> str:
@@ -91,9 +87,7 @@ def format_grant(grant: Grant) -> str:
 
 
 def parse_grant(text: str) -> Grant:
-    fields = parse_kv(text, "grant file")
-    if require(fields, "v", "grant file") != GRANT_VERSION:
-        raise UnsupportedVersion(f"grant file version {fields['v']!r}")
+    fields = parse_versioned(text, "grant file", GRANT_VERSION)
     return Grant(
         client_eph_pub=b64_field(fields, "client_eph_pub", "grant file", 32),
         box=AeadBox(

@@ -16,7 +16,7 @@ from datetime import date
 from pathlib import Path
 from typing import Dict, Union
 
-from .errors import CorruptState
+from .errors import CorruptState, UnsupportedVersion
 
 
 def parse_kv(text: str, what: str = "file") -> Dict[str, str]:
@@ -30,6 +30,15 @@ def parse_kv(text: str, what: str = "file") -> Dict[str, str]:
         key, _, value = line.partition("=")
         out[key] = value
     return out
+
+
+def parse_versioned(text: str, what: str, version: str) -> Dict[str, str]:
+    """`parse_kv`, then require field `v` to be `version` (else UnsupportedVersion)."""
+    fields = parse_kv(text, what)
+    found = require(fields, "v", what)
+    if found != version:
+        raise UnsupportedVersion(f"{what} version {found!r}")
+    return fields
 
 
 def format_kv(fields) -> str:
@@ -59,12 +68,16 @@ def b64_field(fields: Dict[str, str], key: str, what: str, length: int = 0) -> b
     return decoded
 
 
-def date_field(fields: Dict[str, str], key: str, what: str) -> date:
-    raw = require(fields, key, what)
+def iso_date(text: str, what: str) -> date:
+    """A YYYY-MM-DD date; CorruptState names `what`."""
     try:
-        return date.fromisoformat(raw)
+        return date.fromisoformat(text)
     except ValueError as exc:
-        raise CorruptState(f"{what}: field {key!r} is not an ISO date") from exc
+        raise CorruptState(f"{what}: {text!r} is not an ISO date (YYYY-MM-DD)") from exc
+
+
+def date_field(fields: Dict[str, str], key: str, what: str) -> date:
+    return iso_date(require(fields, key, what), f"{what}: field {key!r}")
 
 
 def b64(raw: bytes) -> str:

@@ -172,6 +172,8 @@ _ISO_PREFIX = re.compile(r"^(\d{4})-(\d{2})-(\d{2})\b")
 _LOGCAT_PREFIX = re.compile(r"^(\d{2})-(\d{2}) \d{2}:\d{2}:\d{2}\.\d{3}")
 # A year-less date further than this from the previous line's is in another year.
 ROLLOVER_DAYS = 182
+# The years a year-less date may be read in.
+YEAR_MIN, YEAR_MAX = 1970, 9999
 
 
 def extract_date(line: str, assumed_year: int) -> Optional[date]:
@@ -181,8 +183,8 @@ def extract_date(line: str, assumed_year: int) -> Optional[date]:
     it wrong shifts every line by whole years. Returns None when the line
     starts with neither form or names an impossible date.
     """
-    if not 1970 <= assumed_year <= 9999:
-        raise ValueError(f"assumed_year {assumed_year} outside [1970, 9999]")
+    if not YEAR_MIN <= assumed_year <= YEAR_MAX:
+        raise ValueError(f"assumed_year {assumed_year} outside [{YEAR_MIN}, {YEAR_MAX}]")
     m = _ISO_PREFIX.match(line)
     if m:
         try:
@@ -208,7 +210,7 @@ def roll_year(line: str, day: date, year: int, last: date) -> Tuple[date, int]:
     if abs(gap) <= ROLLOVER_DAYS:
         return day, year
     other_year = year + 1 if gap < 0 else year - 1
-    other = extract_date(line, other_year) if 1970 <= other_year <= 9999 else None
+    other = extract_date(line, other_year) if YEAR_MIN <= other_year <= YEAR_MAX else None
     if other is None or other == day:
         return day, year
     return other, max(year, other_year)

@@ -9,7 +9,6 @@ cannot reach any day before the window start.
 
 from __future__ import annotations
 
-import base64
 import csv
 import secrets
 from dataclasses import dataclass, field
@@ -19,11 +18,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .crypto import (
     TOKEN_LEN, DhKeyPair, SecretKey32, aead_open, dh_derive_keypair, dh_shared, kdf, ratchet_step,
 )
-from .errors import (
-    AuthFailure, ContextMismatch, CorruptState, InvalidLength, InvalidWindow, UnsupportedVersion,
-)
+from .errors import AuthFailure, ContextMismatch, CorruptState, InvalidLength, InvalidWindow
 from .grant import Grant, grant_aad, unpack_window_payload
-from .kvfile import b64, b64_decode, b64_field, format_kv, parse_kv, require
+from .kvfile import b64, b64_decode, b64_field, format_kv, iso_date, parse_versioned, require
 from .pii import PiiType, extract_date, parse_protected_line, roll_year
 
 KEYSTORE_VERSION = "1"
@@ -31,6 +28,7 @@ WINDOW_VERSION = "1"
 
 EVENTS_HEADER = ["line_no", "date", "pii_type", "token_b64", "template"]
 LINKAGE_HEADER = ["token_b64", "pii_type", "count", "first_date", "last_date"]
+TIMELINE_HEADER = ["date", "line_no", "template"]
 
 
 @dataclass
@@ -196,7 +194,6 @@ class LinkageGroup:
     count: int
     first_date: date
     last_date: date
-    per_day: Dict[date, int]
 
 
 @dataclass
@@ -212,9 +209,6 @@ def linkage_report(events: List[RecoveredEvent]) -> LinkageReport:
         by_token.setdefault(ev.token, []).append(ev)
     groups = []
     for token, evs in by_token.items():
-        per_day: Dict[date, int] = {}
-        for ev in evs:
-            per_day[ev.date] = per_day.get(ev.date, 0) + 1
         groups.append(
             LinkageGroup(
                 token=token,
@@ -222,7 +216,6 @@ def linkage_report(events: List[RecoveredEvent]) -> LinkageReport:
                 count=len(evs),
                 first_date=min(ev.date for ev in evs),
                 last_date=max(ev.date for ev in evs),
-                per_day=per_day,
             )
         )
     groups.sort(key=lambda g: (-g.count, g.token))
@@ -254,9 +247,7 @@ def save_server_keys(keys: ServerKeys) -> str:
 
 
 def load_server_keys(text: str) -> ServerKeys:
-    fields = parse_kv(text, "server keystore")
-    if require(fields, "v", "server keystore") != KEYSTORE_VERSION:
-        raise UnsupportedVersion(f"server keystore version {fields['v']!r}")
+    fields = parse_versioned(text, "server keystore", KEYSTORE_VERSION)
     keys = ServerKeys(
         server_id=require(fields, "server_id", "server keystore"),
         longterm=DhKeyPair(
@@ -287,18 +278,12 @@ def save_window_keys(window: WindowKeys) -> str:
 
 
 def load_window_keys(text: str) -> WindowKeys:
-    fields = parse_kv(text, "window keys file")
-    if require(fields, "v", "window keys file") != WINDOW_VERSION:
-        raise UnsupportedVersion(f"window keys file version {fields['v']!r}")
+    fields = parse_versioned(text, "window keys file", WINDOW_VERSION)
     days: Dict[date, SecretKey32] = {}
     for key in fields:
-        if not key.startswith("key."):
-            continue
-        try:
-            day = date.fromisoformat(key[len("key.") :])
-        except ValueError as exc:
-            raise CorruptState(f"window keys file: bad date in {key!r}") from exc
-        days[day] = SecretKey32(b64_field(fields, key, "window keys file", 32))
+        if key.startswith("key."):
+            day = iso_date(key[len("key.") :], "window keys file")
+            days[day] = SecretKey32(b64_field(fields, key, "window keys file", 32))
     return WindowKeys(grant_id=require(fields, "grant_id", "window keys file"), days=days)
 
 
@@ -323,9 +308,9 @@ def read_events_csv(fh) -> List[RecoveredEvent]:
             events.append(
                 RecoveredEvent(
                     line_no=int(line_no),
-                    date=date.fromisoformat(day),
+                    date=iso_date(day, "events csv: date"),
                     pii_type=PiiType(pii_type),
-                    token=base64.b64decode(token_b64, validate=True),
+                    token=b64_decode(token_b64, "events csv: token"),
                     template=template,
                 )
             )
@@ -347,3 +332,10 @@ def write_linkage_csv(report: LinkageReport, fh) -> None:
                 g.last_date.isoformat(),
             ]
         )
+
+
+def write_timeline_csv(rows: List[Tuple[date, int, str]], fh) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(TIMELINE_HEADER)
+    for day, line_no, template in rows:
+        writer.writerow([day.isoformat(), line_no, template])

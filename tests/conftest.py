@@ -8,7 +8,9 @@ import pytest
 TESTS_DIR = Path(__file__).parent
 sys.path.insert(0, str(TESTS_DIR))
 
-from privlog import DeviceIdentity, init_client, keygen  # noqa: E402
+from privlog.client import init_client  # noqa: E402
+from privlog.dice import DeviceIdentity  # noqa: E402
+from privlog.server import keygen  # noqa: E402
 
 
 @pytest.fixture(scope="session")

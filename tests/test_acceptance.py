@@ -19,31 +19,27 @@ from types import SimpleNamespace
 import pytest
 
 import oracles
-from privlog import (
-    AuthFailure,
-    BenchConfig,
-    ContextMismatch,
-    DeviceIdentity,
+from privlog.client import (
+    MODE_BATCH,
     GrantRequest,
     ProtectSession,
-    SecretKey32,
-    accept_grant,
-    aead_open,
-    aead_seal,
     advance_to,
     create_grant,
-    create_offer,
+    init_client,
+)
+from privlog.corpus import BenchConfig, generate_corpus
+from privlog.crypto import (
+    SecretKey32,
+    aead_open,
+    aead_seal,
     dh_derive_keypair,
     dh_shared,
-    generate_corpus,
-    init_client,
     kdf,
-    keygen,
     pseudonymize,
     ratchet_step,
-    recover_tokens,
 )
-from privlog.client import MODE_BATCH
+from privlog.dice import DeviceIdentity
+from privlog.errors import AuthFailure, ContextMismatch
 from privlog.grant import grant_aad, unpack_window_payload
 from privlog.pii import (
     PiiType,
@@ -54,7 +50,7 @@ from privlog.pii import (
     fill_template,
     parse_protected_line,
 )
-from privlog.server import WindowKeys
+from privlog.server import WindowKeys, accept_grant, create_offer, keygen, recover_tokens
 
 DAY1 = date(2024, 5, 1)
 
@@ -385,7 +381,7 @@ def test_criterion_8_property_suites():
             blob = bytearray(box.to_bytes())
             blob[rng(1)[0] % len(blob)] ^= 1 + rng(1)[0] % 255
             try:
-                from privlog import AeadBox
+                from privlog.crypto import AeadBox
 
                 aead_open(key, AeadBox.from_bytes(bytes(blob)), aad)
                 assert False, "mutated box authenticated"
@@ -452,7 +448,7 @@ def test_criterion_8_property_suites():
                 advance_to(state, state.chain_date - timedelta(days=1))
                 assert False, "rewind accepted"
             except Exception as exc:
-                from privlog import OutOfOrderDate
+                from privlog.errors import OutOfOrderDate
 
                 assert isinstance(exc, OutOfOrderDate)
 

@@ -1,16 +1,24 @@
 """File-level CLI round trips and the stable exit-code contract."""
 
+import ast
 import base64
+import csv
+import importlib
+import io
 import re
+from collections import Counter
 from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
 
-from privlog import BenchConfig, CorruptState, DeviceIdentity, write_corpus
 from privlog.cli import client_main, server_main
-from privlog.dice import format_identity
+from privlog.corpus import BenchConfig, write_corpus
+from privlog.dice import DeviceIdentity, format_identity
+from privlog.errors import CorruptState
 from privlog.kvfile import parse_kv
-from privlog.server import load_server_keys
+from privlog.pii import PiiType
+from privlog.server import RecoveredEvent, load_server_keys, write_events_csv
 
 DAY1 = date(2024, 5, 1)
 SEED_A = "07" * 32
@@ -76,7 +84,7 @@ def test_full_cli_roundtrip(ws, capsys):
     events_rows = (ws / "events.csv").read_text().strip().splitlines()
     assert events_rows[0] == "line_no,date,pii_type,token_b64,template"
     # window covers days 2..5: exactly the planted fields in range recover
-    from privlog import extract_date
+    from privlog.pii import extract_date
     from privlog.corpus import read_truth
 
     raw_lines = (ws / "raw.log").read_text().splitlines()
@@ -476,3 +484,95 @@ def test_bad_ephemeral_entry_is_corrupt_state(ws, capsys, entry, cause):
         "offer", "--keystore", str(keystore), "--grant-id", "g-new", "--out", str(ws / "offer.kv"),
     ]) == 6
     assert "eph.g-old" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_timeline_is_valid_csv(ws, capsys, to_file):
+    """A template holding ',' and '"' reads back as one column, unchanged."""
+    template = 'uid=1000, msg "hi" <PII#0>'
+    token = b"\x07" * 16
+    with open(ws / "events.csv", "w", encoding="utf-8", newline="") as fh:
+        write_events_csv([RecoveredEvent(1, DAY1, PiiType.EMAIL, token, template)], fh)
+    argv = ["report", "--events", str(ws / "events.csv"), "--timeline", base64.b64encode(token).decode()]
+    if to_file:
+        argv += ["--out", str(ws / "timeline.csv")]
+    capsys.readouterr()
+    assert server_main(argv) == 0
+    text = (ws / "timeline.csv").read_bytes().decode() if to_file else capsys.readouterr().out
+    assert list(csv.reader(io.StringIO(text))) == [
+        ["date", "line_no", "template"], ["2024-05-01", "1", template],
+    ]
+
+
+def test_recover_bad_year_exits_6(ws):
+    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    (ws / "one.log").write_text("05-01 10:00:00.000  1000  1000 I T: mail a@b.co\n")
+    assert _client(ws, "protect", "--in", str(ws / "one.log"), "--out", str(ws / "one.out")) == 0
+    (ws / "window.kv").write_text("v=1\ngrant_id=g-year\n")
+    for year in ("0", "abc"):
+        assert server_main([
+            "recover", "--keys", str(ws / "window.kv"), "--in", str(ws / "one.out"),
+            "--out", str(ws / "events.csv"), "--year", year,
+        ]) == 6
+        assert not (ws / "events.csv").exists()
+
+
+@pytest.mark.parametrize("config_year, argv", [
+    ("abc", ["state"]),
+    ("abc", ["protect", "--in", "one.log", "--out", "one.out"]),
+    ("2024", ["--year", "0", "protect", "--in", "one.log", "--out", "one.out"]),
+], ids=["config-state", "config-protect", "flag-protect"])
+def test_client_bad_year_exits_6(ws, config_year, argv):
+    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    state_before = (ws / "state.kv").read_bytes()
+    (ws / "one.log").write_text("05-01 10:00:00.000  1000  1000 I T: mail a@b.co\n")
+    cfg = ws / "client.cfg"
+    cfg.write_text(cfg.read_text().replace("assumed_year=2024", f"assumed_year={config_year}"))
+    argv = [str(ws / a) if a.startswith("one.") else a for a in argv]
+    assert _client(ws, *argv) == 6
+    assert not (ws / "one.out").exists()
+    assert (ws / "state.kv").read_bytes() == state_before
+
+
+def _trace_targets():
+    """`TARGETS` of perfbench/tracing.py, read without importing perfbench."""
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    for node in ast.parse(tracing.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("no TARGETS in perfbench/tracing.py")
+
+
+def test_every_trace_target_is_called(ws, monkeypatch):
+    """perfbench patches each target by the name its caller imported; a
+    call made some other way would bypass the patch and read as 0 calls."""
+    calls = Counter()
+    for target, attr, _ in _trace_targets():
+        module, _, cls = target.partition(":")
+        owner = importlib.import_module(module)
+        owner = getattr(owner, cls) if cls else owner
+
+        def counted(*args, _fn=getattr(owner, attr), _key=f"{target}.{attr}", **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    write_corpus(BenchConfig(line_count=100, pii_density="medium", day_span=3, seed=5),
+                 ws / "raw.log", ws / "raw.truth.csv")
+    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "protect", "--in", str(ws / "raw.log"), "--out", str(ws / "prot.log")) == 0
+    assert server_main(["offer", "--keystore", str(ws / "server.kv"), "--grant-id", "g-trace",
+                        "--out", str(ws / "offer.kv"), "--seed", SEED_C]) == 0
+    assert _client(ws, "grant", "--server-offer", str(ws / "offer.kv"), "--start", DAY1.isoformat(),
+                   "--today", D(3).isoformat(), "--out", str(ws / "grant.kv")) == 0
+    assert server_main(["accept", "--keystore", str(ws / "server.kv"), "--grant", str(ws / "grant.kv"),
+                        "--expect-device", "pixel-lab", "--out", str(ws / "window.kv")]) == 0
+    assert server_main(["recover", "--keys", str(ws / "window.kv"), "--in", str(ws / "prot.log"),
+                        "--out", str(ws / "events.csv")]) == 0
+    assert server_main(["report", "--events", str(ws / "events.csv"),
+                        "--out", str(ws / "linkage.csv")]) == 0
+    token = (ws / "linkage.csv").read_text().splitlines()[1].split(",")[0]
+    assert server_main(["report", "--events", str(ws / "events.csv"), "--timeline", token]) == 0
+
+    assert {f"{t}.{a}" for t, a, _ in _trace_targets()} - set(calls) == set()

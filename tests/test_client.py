@@ -6,23 +6,20 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privlog import (
-    CorruptState,
-    DeviceIdentity,
+from privlog.client import (
+    MODE_BATCH,
+    MODE_STREAM,
     GrantRequest,
-    InvalidWindow,
-    OutOfOrderDate,
     ProtectSession,
-    UnsupportedVersion,
     advance_to,
-    aead_open,
     create_grant,
     init_client,
     load_state,
-    pseudonymize,
     save_state,
 )
-from privlog.client import MODE_BATCH, MODE_STREAM
+from privlog.crypto import aead_open, pseudonymize
+from privlog.dice import DeviceIdentity
+from privlog.errors import CorruptState, InvalidWindow, OutOfOrderDate, UnsupportedVersion
 from privlog.pii import parse_protected_line
 
 DAY1 = date(2024, 5, 1)
@@ -239,7 +236,7 @@ def test_protect_skips_december_line_before_chain(identity, server_keys):
 
 
 def test_grant_start_at_epoch_covers_epoch_key(identity, server_keys, client_state):
-    from privlog import accept_grant, create_offer
+    from privlog.server import accept_grant, create_offer
 
     _, keys = advance_to(client_state, DAY1)
     offer_pub = create_offer(server_keys, "g-epoch", seed=b"\x31" * 32)
@@ -256,7 +253,7 @@ def test_grant_start_at_epoch_covers_epoch_key(identity, server_keys, client_sta
 
 
 def test_grant_rotates_epoch_and_skips_grant_day(identity, server_keys, client_state):
-    from privlog import create_offer
+    from privlog.server import create_offer
 
     state, _ = advance_to(client_state, D(4))
     offer_pub = create_offer(server_keys, "g1", seed=b"\x31" * 32)
@@ -280,7 +277,7 @@ def test_grant_rotates_epoch_and_skips_grant_day(identity, server_keys, client_s
 
 
 def test_grant_window_bounds(identity, server_keys, client_state):
-    from privlog import create_offer
+    from privlog.server import create_offer
 
     state, _ = advance_to(client_state, D(3))
     offer_pub = create_offer(server_keys, "g2", seed=b"\x31" * 32)
@@ -298,7 +295,7 @@ def test_grant_window_bounds(identity, server_keys, client_state):
 
 def test_token_stability_across_rotation(identity, server_keys, client_state):
     """The same plaintext yields the same token before and after a rotation."""
-    from privlog import accept_grant, create_offer, recover_tokens
+    from privlog.server import accept_grant, create_offer, recover_tokens
 
     line_day2 = logcat(D(2), "login alice@example.com ok")
     line_day9 = logcat(D(9), "login alice@example.com again")
@@ -340,7 +337,7 @@ _PROP_IDENTITY = DeviceIdentity(
 @given(jumps=st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=12),
        grant_at=st.integers(min_value=0, max_value=11))
 def test_chain_date_never_decreases(jumps, grant_at):
-    from privlog import create_offer, keygen
+    from privlog.server import create_offer, keygen
 
     sk = keygen("lab-server", seed=b"\x42" * 32)
     state = init_client(_PROP_IDENTITY, sk.longterm.public, DAY1, rng_seed=b"\x07" * 32)

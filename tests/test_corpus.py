@@ -2,8 +2,8 @@
 
 import pytest
 
-from privlog import BenchConfig, detect_pii, extract_date, generate_corpus, write_corpus
-from privlog.corpus import read_truth
+from privlog.corpus import BenchConfig, generate_corpus, read_truth, write_corpus
+from privlog.pii import detect_pii, extract_date
 
 
 def test_deterministic_generation():

@@ -7,14 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from privlog import (
+from privlog.crypto import (
     AeadBox,
-    AuthFailure,
-    EmptyInput,
-    InvalidLength,
-    MalformedBox,
     SecretKey32,
-    WeakKey,
     aead_open,
     aead_seal,
     dh_derive_keypair,
@@ -23,6 +18,7 @@ from privlog import (
     pseudonymize,
     ratchet_step,
 )
+from privlog.errors import AuthFailure, EmptyInput, InvalidLength, MalformedBox, WeakKey
 
 # --- oracle self-checks (published vectors) -----------------------------
 

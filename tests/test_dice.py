@@ -4,9 +4,14 @@ import os
 
 import pytest
 
-from privlog import CorruptState, DeviceIdentity, attestation_digest, derive_cdi
-from privlog.dice import format_identity, parse_identity
-from privlog.errors import InvalidLength
+from privlog.dice import (
+    DeviceIdentity,
+    attestation_digest,
+    derive_cdi,
+    format_identity,
+    parse_identity,
+)
+from privlog.errors import CorruptState, InvalidLength
 
 
 def test_cdi_deterministic(identity):

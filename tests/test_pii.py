@@ -9,21 +9,23 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from privlog import (
-    AeadBox,
-    BenchConfig,
-    InvalidSpans,
+from privlog.corpus import BenchConfig, generate_corpus
+from privlog.crypto import AeadBox
+from privlog.errors import InvalidSpans
+from privlog.pii import (
+    PATTERNS,
+    PRIORITY,
     PiiSpan,
     PiiType,
     ProtectedField,
+    candidate_types,
     detect_pii,
     encode_protected_line,
     extract_date,
-    generate_corpus,
+    fill_template,
     parse_protected_line,
-)
-from privlog.pii import (
-    PATTERNS, PRIORITY, candidate_types, fill_template, render_field, roll_year,
+    render_field,
+    roll_year,
 )
 
 SAMPLE_LINE = (

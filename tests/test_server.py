@@ -1,5 +1,6 @@
 """Server side: grant ingestion, window enforcement, recovery, reports."""
 
+import base64
 import dataclasses
 import io
 from datetime import date, timedelta
@@ -7,36 +8,31 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privlog import (
+from privlog.client import GrantRequest, ProtectSession, advance_to, create_grant, init_client
+from privlog.crypto import AeadBox, SecretKey32, aead_seal, dh_shared, kdf
+from privlog.errors import (
     AuthFailure,
     ContextMismatch,
-    GrantRequest,
+    CorruptState,
     InvalidWindow,
-    ProtectSession,
-    SecretKey32,
-    accept_grant,
-    advance_to,
-    aead_seal,
-    create_grant,
-    create_offer,
-    dh_shared,
-    init_client,
-    kdf,
-    keygen,
-    linkage_report,
-    recover_tokens,
-    timeline,
+    UnsupportedVersion,
 )
-from privlog.grant import Grant, canonical_aad, pack_window_payload
+from privlog.grant import Grant, canonical_aad, format_grant, pack_window_payload, parse_grant
 from privlog.pii import PiiType, parse_protected_line
 from privlog.server import (
     RecoveredEvent,
     WindowKeys,
+    accept_grant,
+    create_offer,
+    keygen,
+    linkage_report,
     load_server_keys,
     load_window_keys,
     read_events_csv,
+    recover_tokens,
     save_server_keys,
     save_window_keys,
+    timeline,
     write_events_csv,
     write_linkage_csv,
 )
@@ -76,7 +72,7 @@ def test_replay_matches_client_keys(identity, server_keys, interop):
 
 
 def test_accept_checks_attestation(identity, server_keys, interop):
-    from privlog import attestation_digest
+    from privlog.dice import attestation_digest
 
     _, grant, _ = interop
     window = accept_grant(
@@ -129,7 +125,7 @@ def test_accept_is_single_use(identity, server_keys, interop):
 def test_grant_context_tamper_always_auth_failure(field_idx, byte_seed):
     """Flipping any byte of any AAD field breaks authentication."""
     identity_uds = b"\x01" * 32
-    from privlog import DeviceIdentity
+    from privlog.dice import DeviceIdentity
 
     identity = DeviceIdentity(uds=identity_uds, measurement=b"\x02" * 32, device_id="golden-device")
     sk = keygen("lab-server", seed=b"\x42" * 32)
@@ -167,7 +163,7 @@ def test_forged_window_start_rejected(identity, server_keys):
     state = init_client(identity, server_keys.longterm.public, DAY1, rng_seed=b"\x07" * 32)
     offer_pub = create_offer(server_keys, "g-forged", seed=b"\x51" * 32)
 
-    from privlog import dh_derive_keypair
+    from privlog.crypto import dh_derive_keypair
 
     eph = dh_derive_keypair(b"\x52" * 32, b"export-keygen")
     z = dh_shared(eph.private, offer_pub)
@@ -250,7 +246,7 @@ def test_recover_post_rotation_lines_fail_auth(identity, server_keys, client_sta
     ck_like = window.days[max(window.days)]
     day = max(window.days)
     ck = ck_like
-    from privlog import ratchet_step
+    from privlog.crypto import ratchet_step
 
     for _ in range(400):
         day += timedelta(days=1)
@@ -356,7 +352,6 @@ def test_linkage_groups_and_sorting():
     assert [g.token for g in report.groups] == [tok_a, tok_b]
     g = report.groups[0]
     assert (g.count, g.first_date, g.last_date) == (3, D(1), D(4))
-    assert g.per_day == {D(1): 1, D(2): 1, D(4): 1}
     assert sum(g.count for g in report.groups) == report.total_events
 
 
@@ -408,6 +403,34 @@ def test_events_csv_roundtrip(identity, server_keys, client_state):
     write_events_csv(events, buf)
     buf.seek(0)
     assert read_events_csv(buf) == events
+
+
+_KEY = base64.b64encode(b"\x01" * 32).decode()
+_GRANT = format_grant(Grant(
+    client_eph_pub=b"\x01" * 32, box=AeadBox(b"\x02" * 12, b"\x03" * 32), server_id="lab-server",
+    device_id="pixel-lab", attest_digest=b"\x04" * 32, grant_id="g", grant_date=DAY1,
+))
+_EVENTS = "line_no,date,pii_type,token_b64,template\n"
+
+
+@pytest.mark.parametrize("load, text, exc, what", [
+    (load_server_keys, f"v=99\nserver_id=s\nlongterm_priv={_KEY}\nlongterm_pub={_KEY}\n",
+     UnsupportedVersion, "server keystore"),
+    (load_window_keys, f"v=99\ngrant_id=g\nkey.2024-05-01={_KEY}\n",
+     UnsupportedVersion, "window keys file"),
+    (parse_grant, _GRANT.replace("v=1\n", "v=99\n", 1), UnsupportedVersion, "grant file"),
+    (load_window_keys, f"v=1\ngrant_id=g\nkey.2024-13-01={_KEY}\n",
+     CorruptState, "window keys file"),
+    (lambda text: read_events_csv(io.StringIO(text)),
+     _EVENTS + f"1,2024-05-32,EMAIL,{base64.b64encode(bytes(16)).decode()},t\n",
+     CorruptState, "events csv"),
+    (parse_grant, _GRANT.replace("grant_date=2024-05-01", "grant_date=2024-5-1"),
+     CorruptState, "grant file"),
+], ids=["keystore-v99", "window-v99", "grant-v99", "window-date", "events-date", "grant-date"])
+def test_file_checks_reject_bad_version_and_date(load, text, exc, what):
+    with pytest.raises(exc, match=what) as info:
+        load(text)
+    assert exc is UnsupportedVersion or not isinstance(info.value, UnsupportedVersion)
 
 
 def test_linkage_csv_shape():
