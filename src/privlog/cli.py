@@ -310,7 +310,8 @@ def _cmd_accept(args) -> int:
 def _cmd_recover(args) -> int:
     window = server_mod.load_window_keys(_read(args.keys, "window keys file"))
     first, _ = window.span()
-    year = _parse_year(args.year, "--year") or (first or date.today()).year
+    default = str((first or date.today()).year)
+    year = _parse_year(args.year, "--year") or _parse_year(default, "window start year")
     events, skipped = server_mod.recover_tokens(window, _read_lines(args.infile, "input"), year)
     with open(args.outfile, "w", encoding="utf-8", newline="") as fh:
         server_mod.write_events_csv(events, fh)

@@ -100,29 +100,6 @@ class DhKeyPair:
         return f"DhKeyPair(public={self.public.hex()}, private=<redacted>)"
 
 
-@dataclass(frozen=True)
-class AeadBox:
-    """One sealed value: 12-byte nonce plus ciphertext-with-tag."""
-
-    nonce: bytes
-    ct: bytes
-
-    def __post_init__(self):
-        if len(self.nonce) != NONCE_LEN:
-            raise MalformedBox(f"nonce must be {NONCE_LEN} bytes")
-        if len(self.ct) < TAG_LEN:
-            raise MalformedBox("ciphertext shorter than the authentication tag")
-
-    def to_bytes(self) -> bytes:
-        return self.nonce + self.ct
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "AeadBox":
-        if len(raw) < NONCE_LEN + TAG_LEN:
-            raise MalformedBox(f"box too short: {len(raw)} bytes")
-        return cls(nonce=raw[:NONCE_LEN], ct=raw[NONCE_LEN:])
-
-
 def _as_bytes(value: Union[bytes, bytearray, SecretKey32, None]) -> bytes:
     if value is None:
         return b""
@@ -175,15 +152,18 @@ def pseudonymize(hash_key: SecretKey32, plaintext: bytes) -> bytes:
     return _hmac.new(hash_key.bytes, plaintext, hashlib.sha256).digest()[:TOKEN_LEN]
 
 
-def aead_seal(key: SecretKey32, plaintext: bytes, aad: bytes = b"") -> AeadBox:
+def aead_seal(key: SecretKey32, plaintext: bytes, aad: bytes = b"") -> bytes:
+    """`nonce || ciphertext || tag`, under a fresh random nonce."""
     nonce = os.urandom(NONCE_LEN)
-    ct = ChaCha20Poly1305(key.bytes).encrypt(nonce, plaintext, aad)
-    return AeadBox(nonce=nonce, ct=ct)
+    return nonce + ChaCha20Poly1305(key.bytes).encrypt(nonce, plaintext, aad)
 
 
-def aead_open(key: SecretKey32, box: AeadBox, aad: bytes = b"") -> bytes:
+def aead_open(key: SecretKey32, sealed: bytes, aad: bytes = b"") -> bytes:
+    """Inverse of `aead_seal`: MalformedBox if too short, AuthFailure if forged."""
+    if len(sealed) < NONCE_LEN + TAG_LEN:
+        raise MalformedBox(f"sealed value too short: {len(sealed)} bytes")
     try:
-        return ChaCha20Poly1305(key.bytes).decrypt(box.nonce, box.ct, aad)
+        return ChaCha20Poly1305(key.bytes).decrypt(sealed[:NONCE_LEN], sealed[NONCE_LEN:], aad)
     except InvalidTag as exc:
         raise AuthFailure("AEAD authentication failed") from exc
 

@@ -18,7 +18,7 @@ class AuthFailure(PrivlogError):
 
 
 class MalformedBox(PrivlogError):
-    """A serialized AEAD box is structurally invalid (too short, bad nonce)."""
+    """A sealed value is too short to hold a nonce and an authentication tag."""
 
 
 class WeakKey(PrivlogError):

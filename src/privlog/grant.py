@@ -1,9 +1,9 @@
 """Grant container: context binding (AAD), payload layout, file format.
 
-A grant carries an ephemeral public key plus one AEAD box whose plaintext
-is the window's starting chain key and start date. The context fields
-ride as AEAD associated data, so any mismatch or tampering surfaces as an
-authentication failure on the receiving side.
+A grant carries an ephemeral public key plus one sealed value whose
+plaintext is the window's starting chain key and start date. The context
+fields ride as AEAD associated data, so any mismatch or tampering surfaces
+as an authentication failure on the receiving side.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 
-from .crypto import AeadBox, SecretKey32, length_prefixed
+from .crypto import NONCE_LEN, SecretKey32, length_prefixed
 from .errors import CorruptState
 from .kvfile import b64, b64_field, date_field, format_kv, iso_date, parse_versioned, require
 
@@ -22,7 +22,7 @@ _PAYLOAD_LEN = 32 + 10  # chain key || ISO date
 @dataclass(frozen=True)
 class Grant:
     client_eph_pub: bytes
-    box: AeadBox
+    box: bytes  # nonce || ciphertext || tag
     server_id: str
     device_id: str
     attest_digest: bytes
@@ -75,8 +75,8 @@ def format_grant(grant: Grant) -> str:
         [
             ("v", GRANT_VERSION),
             ("client_eph_pub", b64(grant.client_eph_pub)),
-            ("nonce", b64(grant.box.nonce)),
-            ("ciphertext", b64(grant.box.ct)),
+            ("nonce", b64(grant.box[:NONCE_LEN])),
+            ("ciphertext", b64(grant.box[NONCE_LEN:])),
             ("server_id", grant.server_id),
             ("device_id", grant.device_id),
             ("attest_digest", b64(grant.attest_digest)),
@@ -90,10 +90,8 @@ def parse_grant(text: str) -> Grant:
     fields = parse_versioned(text, "grant file", GRANT_VERSION)
     return Grant(
         client_eph_pub=b64_field(fields, "client_eph_pub", "grant file", 32),
-        box=AeadBox(
-            nonce=b64_field(fields, "nonce", "grant file", 12),
-            ct=b64_field(fields, "ciphertext", "grant file"),
-        ),
+        box=b64_field(fields, "nonce", "grant file", NONCE_LEN)
+        + b64_field(fields, "ciphertext", "grant file"),
         server_id=require(fields, "server_id", "grant file"),
         device_id=require(fields, "device_id", "grant file"),
         attest_digest=b64_field(fields, "attest_digest", "grant file", 32),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import base64
 import contextlib
 import os
+import re
 import tempfile
 from datetime import date
 from pathlib import Path
@@ -68,12 +69,15 @@ def b64_field(fields: Dict[str, str], key: str, what: str, length: int = 0) -> b
     return decoded
 
 
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def iso_date(text: str, what: str) -> date:
-    """A YYYY-MM-DD date; CorruptState names `what`."""
-    try:
-        return date.fromisoformat(text)
-    except ValueError as exc:
-        raise CorruptState(f"{what}: {text!r} is not an ISO date (YYYY-MM-DD)") from exc
+    """A YYYY-MM-DD date, and no other ISO form; CorruptState names `what`."""
+    if _ISO_DATE.fullmatch(text):
+        with contextlib.suppress(ValueError):
+            return date.fromisoformat(text)
+    raise CorruptState(f"{what}: {text!r} is not an ISO date (YYYY-MM-DD)")
 
 
 def date_field(fields: Dict[str, str], key: str, what: str) -> date:

@@ -17,8 +17,8 @@ Wire grammar for a protected field, with no interior whitespace:
     <PII type="LABEL">BASE64</PII>
 
 LABEL is one of the ten uppercase type names; BASE64 is the standard,
-padded encoding of nonce||ciphertext (always 44 bytes, so always 60
-characters for the 16-byte tokens this pipeline seals).
+padded encoding of the 44 bytes nonce || ciphertext || tag that seal a
+16-byte token, so always 60 characters. Any other payload is malformed.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from datetime import date
 from typing import List, Optional, Tuple
 
-from .crypto import AeadBox
-from .errors import InvalidSpans, MalformedBox
+from .errors import InvalidSpans
 
 class PiiType(enum.Enum):
     EMAIL = "EMAIL"
@@ -97,7 +96,7 @@ class PiiSpan:
 @dataclass(frozen=True)
 class ProtectedField:
     pii_type: PiiType
-    box: AeadBox
+    box: bytes  # nonce || ciphertext || tag, 44 bytes
 
 
 # Digit shapes for the prechecks. `\d` matches every Unicode decimal digit,
@@ -217,7 +216,7 @@ def roll_year(line: str, day: date, year: int, last: date) -> Tuple[date, int]:
 
 
 def render_field(field: ProtectedField) -> str:
-    payload = base64.b64encode(field.box.to_bytes()).decode("ascii")
+    payload = base64.b64encode(field.box).decode("ascii")
     return f'<PII type="{field.pii_type.value}">{payload}</PII>'
 
 
@@ -243,6 +242,9 @@ def encode_protected_line(
 
 
 _ELEMENT = re.compile(r'<PII type="([^"]*)">([^<]*)</PII>')
+# Exactly the canonical base64 of 44 bytes: the last data character's two
+# low bits are padding and must be zero.
+_PAYLOAD = re.compile(r"[A-Za-z0-9+/]{58}[AEIMQUYcgkosw048]=")
 _LABELS = {t.value: t for t in PiiType}
 
 
@@ -265,25 +267,12 @@ def parse_protected_line(
         if pii_type is None:
             warnings.append(f"Malformed element at {m.start()}: unknown type {label!r}")
             continue
-        try:
-            raw = base64.b64decode(payload, validate=True)
-            if base64.b64encode(raw).decode("ascii") != payload:
-                raise ValueError("non-canonical base64")
-            box = AeadBox.from_bytes(raw)
-        except (ValueError, MalformedBox) as exc:
-            warnings.append(f"Malformed element at {m.start()}: {exc}")
+        if not _PAYLOAD.fullmatch(payload):
+            warnings.append(f"Malformed element at {m.start()}: payload is not 44 bytes of base64")
             continue
         parts.append(line[pos : m.start()])
         parts.append(f"<PII#{len(fields)}>")
-        fields.append(ProtectedField(pii_type=pii_type, box=box))
+        fields.append(ProtectedField(pii_type=pii_type, box=base64.b64decode(payload)))
         pos = m.end()
     parts.append(line[pos:])
     return "".join(parts), fields, warnings
-
-
-def fill_template(template: str, fields: List[ProtectedField]) -> str:
-    """Inverse of parse_protected_line for round-trip checks."""
-    out = template
-    for i, field in enumerate(fields):
-        out = out.replace(f"<PII#{i}>", render_field(field), 1)
-    return out

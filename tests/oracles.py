@@ -9,8 +9,12 @@ RFC 7748 Montgomery ladder.
 The detection oracle is the plain detector: every one of the ten patterns
 scanned over every line, then overlaps resolved. privlog's `detect_pii`
 must return the same spans while skipping scans that cannot match.
+
+`fill_template` is the inverse of privlog's `parse_protected_line`, written
+from the element grammar in the README.
 """
 
+import base64
 import hashlib
 import re
 
@@ -172,3 +176,20 @@ def detect_pii(line: str) -> list:
             chosen.append(span)
     chosen.sort(key=lambda s: s[1])
     return chosen
+
+
+# --- protected-line template ---------------------------------------------
+
+
+def fill_template(template: str, fields: list) -> str:
+    """Put `<PII type="LABEL">BASE64</PII>` back for each `<PII#i>` placeholder.
+
+    `fields` are parsed fields: each has `.pii_type.value` (the label) and
+    `.box` (the sealed bytes).
+    """
+    out = template
+    for i, field in enumerate(fields):
+        payload = base64.b64encode(field.box).decode("ascii")
+        element = f'<PII type="{field.pii_type.value}">{payload}</PII>'
+        out = out.replace(f"<PII#{i}>", element, 1)
+    return out

@@ -47,7 +47,6 @@ from privlog.pii import (
     detect_pii,
     encode_protected_line,
     extract_date,
-    fill_template,
     parse_protected_line,
 )
 from privlog.server import WindowKeys, accept_grant, create_offer, keygen, recover_tokens
@@ -378,12 +377,10 @@ def test_criterion_8_property_suites():
             aad = rng(rng(1)[0] % 32)
             box = aead_seal(key, pt, aad)
             assert aead_open(key, box, aad) == pt
-            blob = bytearray(box.to_bytes())
+            blob = bytearray(box)
             blob[rng(1)[0] % len(blob)] ^= 1 + rng(1)[0] % 255
             try:
-                from privlog.crypto import AeadBox
-
-                aead_open(key, AeadBox.from_bytes(bytes(blob)), aad)
+                aead_open(key, bytes(blob), aad)
                 assert False, "mutated box authenticated"
             except AuthFailure:
                 pass
@@ -427,7 +424,7 @@ def test_criterion_8_property_suites():
             encoded = encode_protected_line(line, spans, fields)
             template, parsed, warnings = parse_protected_line(encoded)
             assert warnings == [] and parsed == fields
-            assert fill_template(template, parsed) == encoded
+            assert oracles.fill_template(template, parsed) == encoded
             residue = line
             for s in reversed(spans):
                 residue = residue[: s.start] + "\x00" + residue[s.end :]

@@ -517,6 +517,25 @@ def test_recover_bad_year_exits_6(ws):
         assert not (ws / "events.csv").exists()
 
 
+def test_recover_early_window_without_year_exits_6(ws):
+    """With no --year, the window's first year is checked like the flag."""
+    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    (ws / "one.log").write_text("05-01 10:00:00.000  1000  1000 I T: mail a@b.co\n")
+    assert _client(ws, "protect", "--in", str(ws / "one.log"), "--out", str(ws / "one.out")) == 0
+    key = base64.b64encode(b"\x01" * 32).decode()
+    (ws / "window.kv").write_text(f"v=1\ngrant_id=g-early\nkey.1960-01-01={key}\n")
+    assert server_main([
+        "recover", "--keys", str(ws / "window.kv"), "--in", str(ws / "one.out"),
+        "--out", str(ws / "events.csv"),
+    ]) == 6
+    assert not (ws / "events.csv").exists()
+
+
+def test_init_rejects_basic_format_today(ws):
+    assert _client(ws, "init", "--today", "20240501", "--seed", SEED_A) == 6
+    assert not (ws / "state.kv").exists()
+
+
 @pytest.mark.parametrize("config_year, argv", [
     ("abc", ["state"]),
     ("abc", ["protect", "--in", "one.log", "--out", "one.out"]),

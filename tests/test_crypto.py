@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from privlog.crypto import (
-    AeadBox,
     SecretKey32,
     aead_open,
     aead_seal,
@@ -194,9 +193,9 @@ def test_pseudonymize_is_truncated_hmac(key, msg):
 def test_aead_roundtrip_sizes():
     key = SecretKey32(os.urandom(32))
     box = aead_seal(key, b"\xaa" * 16, b"")
-    assert len(box.nonce) == 12
-    assert len(box.ct) == 32
-    assert len(box.to_bytes()) == 44
+    assert len(box[:12]) == 12
+    assert len(box[12:]) == 32
+    assert len(box) == 44
     assert aead_open(key, box, b"") == b"\xaa" * 16
 
 
@@ -204,8 +203,8 @@ def test_aead_fresh_nonces():
     key = SecretKey32(os.urandom(32))
     b1 = aead_seal(key, b"same plaintext")
     b2 = aead_seal(key, b"same plaintext")
-    assert b1.nonce != b2.nonce
-    assert b1.ct != b2.ct
+    assert b1[:12] != b2[:12]
+    assert b1[12:] != b2[12:]
 
 
 def test_aead_wrong_key():
@@ -227,11 +226,11 @@ def test_aead_truncated_ct():
     key = SecretKey32(os.urandom(32))
     box = aead_seal(key, b"token")
     with pytest.raises((AuthFailure, MalformedBox)):
-        aead_open(key, AeadBox(nonce=box.nonce, ct=box.ct[:-1]))
+        aead_open(key, box[:-1])
     with pytest.raises(MalformedBox):
-        AeadBox(nonce=box.nonce, ct=b"\x00" * 15)
+        aead_open(key, box[:12] + b"\x00" * 15)
     with pytest.raises(MalformedBox):
-        AeadBox.from_bytes(b"\x00" * 20)
+        aead_open(key, b"\x00" * 20)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -246,12 +245,12 @@ def test_aead_roundtrip_and_mutation(key, plaintext, aad, mutate_at):
     box = aead_seal(sk, plaintext, aad)
     assert aead_open(sk, box, aad) == plaintext
 
-    blob = bytearray(box.to_bytes() + aad)
+    blob = bytearray(box + aad)
     idx = mutate_at % len(blob)
     blob[idx] ^= 0x01
-    raw, mutated_aad = bytes(blob[: len(box.to_bytes())]), bytes(blob[len(box.to_bytes()) :])
+    raw, mutated_aad = bytes(blob[: len(box)]), bytes(blob[len(box) :])
     with pytest.raises(AuthFailure):
-        aead_open(sk, AeadBox.from_bytes(raw), mutated_aad)
+        aead_open(sk, raw, mutated_aad)
 
 
 # --- X25519 -------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Detection, date extraction, and the protected-line wire format."""
 
 import base64
+import itertools
 import os
 import re
+import string
 from datetime import date
 
 import pytest
@@ -10,11 +12,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from privlog.corpus import BenchConfig, generate_corpus
-from privlog.crypto import AeadBox
 from privlog.errors import InvalidSpans
 from privlog.pii import (
     PATTERNS,
     PRIORITY,
+    _PAYLOAD,
     PiiSpan,
     PiiType,
     ProtectedField,
@@ -22,7 +24,6 @@ from privlog.pii import (
     detect_pii,
     encode_protected_line,
     extract_date,
-    fill_template,
     parse_protected_line,
     render_field,
     roll_year,
@@ -251,7 +252,7 @@ def test_roll_year_reads_nearest_year(line, last, year, expected):
 def _random_field(pii_type=PiiType.EMAIL) -> ProtectedField:
     return ProtectedField(
         pii_type=pii_type,
-        box=AeadBox(nonce=os.urandom(12), ct=os.urandom(32)),
+        box=os.urandom(12) + os.urandom(32),
     )
 
 
@@ -319,12 +320,53 @@ def test_parse_unknown_label_is_warning():
     assert template == line
 
 
-def test_parse_short_payload_is_warning():
-    payload = base64.b64encode(os.urandom(10)).decode()
+@pytest.mark.parametrize("size", [10, 28, 43, 45])
+def test_parse_short_payload_is_warning(size):
+    """Canonical base64 of any length but 44 bytes is a malformed element."""
+    payload = base64.b64encode(os.urandom(size)).decode()
     line = f'<PII type="EMAIL">{payload}</PII>'
     template, fields, warnings = parse_protected_line(line)
     assert fields == []
     assert len(warnings) == 1
+    assert template == line
+
+
+_B64_ALPHABET = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/="
+
+
+def _canonical_44(payload: str) -> bool:
+    """The check `_PAYLOAD` replaces: strict decode to 44 bytes that re-encode to `payload`."""
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except ValueError:
+        return False
+    return len(raw) == 44 and base64.b64encode(raw).decode("ascii") == payload
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    raw=st.binary(min_size=44, max_size=44),
+    edits=st.lists(
+        st.tuples(st.integers(min_value=0), st.sampled_from(_B64_ALPHABET + "-_ \n\xe9")),
+        max_size=3,
+    ),
+    resize=st.integers(min_value=-4, max_value=4),
+    tail=st.text(alphabet=_B64_ALPHABET, min_size=4, max_size=4),
+)
+def test_payload_form_is_the_canonical_check(raw, edits, resize, tail):
+    chars = list(base64.b64encode(raw).decode("ascii"))
+    for i, c in edits:
+        chars[i % len(chars)] = c
+    payload = "".join(chars)
+    payload = payload[:resize] if resize < 0 else payload + tail[:resize]
+    assert bool(_PAYLOAD.fullmatch(payload)) == _canonical_44(payload)
+
+
+def test_payload_form_last_two_characters():
+    prefix = base64.b64encode(os.urandom(44)).decode("ascii")[:58]
+    for a, b in itertools.product(_B64_ALPHABET, repeat=2):
+        payload = prefix + a + b
+        assert bool(_PAYLOAD.fullmatch(payload)) == _canonical_44(payload), payload
 
 
 _SAFE_TEXT = st.text(
@@ -345,10 +387,8 @@ def test_wire_roundtrip_property(segments, payload):
     fields = [
         ProtectedField(
             pii_type=t,
-            box=AeadBox(
-                nonce=payload.draw(st.binary(min_size=12, max_size=12)),
-                ct=payload.draw(st.binary(min_size=32, max_size=32)),
-            ),
+            box=payload.draw(st.binary(min_size=12, max_size=12))
+            + payload.draw(st.binary(min_size=32, max_size=32)),
         )
         for t in types
     ]
@@ -369,7 +409,7 @@ def test_wire_roundtrip_property(segments, payload):
     template, parsed, warnings = parse_protected_line(encoded)
     assert warnings == []
     assert parsed == fields
-    assert fill_template(template, parsed) == encoded
+    assert oracles.fill_template(template, parsed) == encoded
 
     # Non-PII preservation: strip elements from the encoded line and span
     # texts from the raw line; the residues must be byte-identical.

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from privlog.client import GrantRequest, ProtectSession, advance_to, create_grant, init_client
-from privlog.crypto import AeadBox, SecretKey32, aead_seal, dh_shared, kdf
+from privlog.crypto import SecretKey32, aead_seal, dh_shared, kdf
 from privlog.errors import (
     AuthFailure,
     ContextMismatch,
@@ -149,9 +149,9 @@ def test_grant_context_tamper_always_auth_failure(field_idx, byte_seed):
         tampered = dataclasses.replace(tampered, grant_date=DAY1 + timedelta(days=1 + byte_seed % 30))
     else:
         box = grant.box
-        ct = bytearray(box.ct)
+        ct = bytearray(box[12:])
         ct[byte_seed % len(ct)] ^= 1 + byte_seed % 255
-        tampered = dataclasses.replace(grant, box=dataclasses.replace(box, ct=bytes(ct)))
+        tampered = dataclasses.replace(grant, box=box[:12] + bytes(ct))
 
     with pytest.raises(AuthFailure):
         accept_grant(sk, tampered, tampered.server_id, tampered.device_id,
@@ -272,6 +272,18 @@ def test_recover_malformed_element(identity, server_keys, client_state):
     events, skipped = recover_tokens(window, [line], 2024)
     assert events == []
     assert skipped["fields_malformed"] == 1
+    assert skipped["lines_no_pii"] == 1
+
+
+def test_recover_wrong_length_payload_is_malformed(identity, server_keys, client_state):
+    """Canonical base64 of 28 bytes is not a sealed field, so no open is tried."""
+    _, window, _ = _protected_corpus(identity, server_keys, client_state)
+    payload = base64.b64encode(b"\x05" * 28).decode()
+    line = logcat(D(3), f'short <PII type="EMAIL">{payload}</PII> marker')
+    events, skipped = recover_tokens(window, [line], 2024)
+    assert events == []
+    assert skipped["fields_malformed"] == 1
+    assert skipped["fields_auth_failed"] == 0
     assert skipped["lines_no_pii"] == 1
 
 
@@ -407,7 +419,7 @@ def test_events_csv_roundtrip(identity, server_keys, client_state):
 
 _KEY = base64.b64encode(b"\x01" * 32).decode()
 _GRANT = format_grant(Grant(
-    client_eph_pub=b"\x01" * 32, box=AeadBox(b"\x02" * 12, b"\x03" * 32), server_id="lab-server",
+    client_eph_pub=b"\x01" * 32, box=b"\x02" * 12 + b"\x03" * 32, server_id="lab-server",
     device_id="pixel-lab", attest_digest=b"\x04" * 32, grant_id="g", grant_date=DAY1,
 ))
 _EVENTS = "line_no,date,pii_type,token_b64,template\n"
@@ -426,7 +438,12 @@ _EVENTS = "line_no,date,pii_type,token_b64,template\n"
      CorruptState, "events csv"),
     (parse_grant, _GRANT.replace("grant_date=2024-05-01", "grant_date=2024-5-1"),
      CorruptState, "grant file"),
-], ids=["keystore-v99", "window-v99", "grant-v99", "window-date", "events-date", "grant-date"])
+    (load_window_keys, f"v=1\ngrant_id=g\nkey.20240501={_KEY}\n",
+     CorruptState, "window keys file"),
+    (parse_grant, _GRANT.replace("grant_date=2024-05-01", "grant_date=2024-W18-3"),
+     CorruptState, "grant file"),
+], ids=["keystore-v99", "window-v99", "grant-v99", "window-date", "events-date", "grant-date",
+        "window-date-basic", "grant-date-week"])
 def test_file_checks_reject_bad_version_and_date(load, text, exc, what):
     with pytest.raises(exc, match=what) as info:
         load(text)
