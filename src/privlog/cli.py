@@ -20,7 +20,7 @@ from typing import Iterator, List, Optional
 from . import client as client_mod
 from . import server as server_mod
 from .dice import DeviceIdentity, attestation_digest, parse_identity
-from .errors import CorruptState, PrivlogError, exit_code_for
+from .errors import CorruptState, OutOfOrderDate, PrivlogError, exit_code_for
 from .grant import format_grant, parse_grant
 from .kvfile import atomic_write, b64, b64_decode, format_kv, iso_date, parse_kv, require
 from .pii import YEAR_MAX, YEAR_MIN
@@ -151,10 +151,17 @@ def _cmd_protect(args) -> int:
     latencies: List[int] = []
     fields = 0
     skipped_pre_epoch = 0
-    for raw in _read_lines(args.infile, "input"):
+    for line_no, raw in enumerate(_read_lines(args.infile, "input"), start=1):
         line = raw.removesuffix("\n")
         t0 = perf_counter_ns()
-        protected, count = session.protect_line(line)
+        try:
+            protected, count = session.protect_line(line)
+        except OutOfOrderDate as exc:
+            hint = " (--mode batch takes lines out of order within one run)"
+            raise OutOfOrderDate(
+                f"input {args.infile!r} line {line_no}: {exc}"
+                + (hint if args.mode == client_mod.MODE_STREAM else "")
+            ) from exc
         latencies.append(perf_counter_ns() - t0)
         fields += count
         if protected is None:

@@ -57,6 +57,7 @@ EXIT_CODES = {
     ContextMismatch: 5,
     UnsupportedVersion: 6,
     CorruptState: 6,
+    MalformedBox: 6,
 }
 
 

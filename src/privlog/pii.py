@@ -6,11 +6,11 @@ pattern matches is protected, byte-for-byte in place, with all other
 bytes preserved.
 
 Each pattern has an exact precheck: a condition that every match of the
-pattern satisfies, tested with substring searches, character counts and
-at most three small regex searches. A pattern is scanned only when its
-precheck holds, so a line without '@', '://', 'SN-', enough ':' '-' '.'
-separators, a 15-digit run or a phone-shaped digit group costs no scan.
-Detection time therefore grows with how many separators a line carries.
+pattern satisfies. PHONE, the one pattern that can match a space, is
+scanned from just before the first phone-shaped digit group. Every other
+pattern is scanned only inside the ' '-separated pieces that pass its
+precheck, so a piece without '@', '://', 'SN-', enough ':' '-' '.'
+separators or a 15-digit run costs no scan.
 
 Wire grammar for a protected field, with no interior whitespace:
 
@@ -107,25 +107,19 @@ _PHONE_CORE = re.compile(r"\d\d\d\)?[ .-]\d\d\d[ .-]\d\d\d\d")
 _DIGIT_GATE = re.compile(r"\d\d\d(?:\d{12}|\)?[ .-]\d\d\d[ .-]\d\d\d\d)")
 
 
-def candidate_types(line: str) -> List[PiiType]:
-    """The types whose exact precheck holds on `line`, in priority order.
-
-    Every match of PATTERNS[t] satisfies t's precheck, so a type left out
-    has no match in `line`.
-    """
-    colons = line.count(":")
-    dashes = line.count("-")
-    digits = _DIGIT_GATE.search(line) is not None
-    digit_run = digits and _DIGIT_RUN.search(line) is not None
+def _token_types(piece: str) -> List[PiiType]:
+    """The space-free types whose exact precheck holds on `piece`."""
+    colons, dashes = piece.count(":"), piece.count("-")
+    digit_run = len(piece) >= 15 and _DIGIT_RUN.search(piece) is not None
     types = []
-    if "://" in line:
+    if "://" in piece:
         types.append(PiiType.URL)
-    if "@" in line:
+    if "@" in piece:
         types.append(PiiType.EMAIL)
     # Eight groups, or a compressed "...:" then ":".
-    if colons >= 7 or "::" in line:
+    if colons >= 7 or "::" in piece:
         types.append(PiiType.IPV6)
-    if line.count(".") >= 3:
+    if piece.count(".") >= 3:
         types.append(PiiType.IPV4)
     if colons + dashes >= 5:
         types.append(PiiType.MAC)
@@ -136,35 +130,41 @@ def candidate_types(line: str) -> List[PiiType]:
         types.append(PiiType.CREDIT_CARD)
     if dashes >= 2:
         types.append(PiiType.SSN)
-    if digits and _PHONE_CORE.search(line) is not None:
-        types.append(PiiType.PHONE)
-    if "SN-" in line:
+    if "SN-" in piece:
         types.append(PiiType.DEVICE_SERIAL)
     return types
 
 
 def detect_pii(line: str) -> List[PiiSpan]:
-    """Run every pattern whose precheck holds and resolve overlaps.
-
-    Longer spans win, then earlier starts, then the fixed priority order,
-    so e.g. a URL absorbs any address-like substrings inside it.
-    """
-    candidates = [
-        PiiSpan(pii_type, m.start(), m.end(), m.group())
-        for pii_type in candidate_types(line)
-        for m in PATTERNS[pii_type].finditer(line)
-    ]
-    if not candidates:
+    """Every match where its precheck holds, overlaps resolved: longer spans
+    win, then earlier starts, then the fixed priority order."""
+    if not ("@" in line or "://" in line or "SN-" in line or "::" in line
+            or line.count("-") >= 2 or line.count(":") + line.count("-") >= 5
+            or line.count(".") >= 3 or _DIGIT_GATE.search(line)):
         return []
-    candidates.sort(
-        key=lambda s: (-(s.end - s.start), s.start, _PRIORITY_INDEX[s.pii_type])
-    )
-    chosen: List[PiiSpan] = []
-    for span in candidates:
-        if all(span.end <= kept.start or span.start >= kept.end for kept in chosen):
-            chosen.append(span)
-    chosen.sort(key=lambda s: s.start)
-    return chosen
+    # "+dd (" puts at most 5 characters before a PHONE match's core.
+    core = _PHONE_CORE.search(line)
+    scans = [(PiiType.PHONE, max(0, core.start() - 5), len(line))] if core else []
+    pos = 0
+    for piece in line.split(" "):
+        stop = pos + len(piece)
+        # Every space-free match has three characters, one not a letter.
+        if stop - pos > 2 and not piece.isalpha():
+            scans += [(pii_type, pos, stop) for pii_type in _token_types(piece)]
+        pos = stop + 1
+    # A lookbehind or `\b` at `pos` sees the space before it, and `stop`
+    # reads as the end of the line, as the space after it would.
+    candidates = []  # (start - end, start, priority index, end)
+    for pii_type, pos, stop in scans:
+        for m in PATTERNS[pii_type].finditer(line, pos, stop):
+            start, end = m.span()
+            candidates.append((start - end, start, _PRIORITY_INDEX[pii_type], end))
+    candidates.sort()
+    chosen = []
+    for _, start, rank, end in candidates:
+        if all(end <= s or start >= e for s, e, _ in chosen):
+            chosen.append((start, end, rank))
+    return [PiiSpan(PRIORITY[rank], s, e, line[s:e]) for s, e, rank in sorted(chosen)]
 
 
 _ISO_PREFIX = re.compile(r"^(\d{4})-(\d{2})-(\d{2})\b")

@@ -161,14 +161,18 @@ def test_exit_code_invalid_window(ws):
     assert not (ws / "grant.kv").exists()
 
 
-def test_exit_code_out_of_order(ws):
+def test_exit_code_out_of_order(ws, capsys):
     assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
     raw = ws / "ooo.log"
     raw.write_text(
         "05-03 10:00:00.000  1000  1000 I T: mail a@b.co\n"
         "05-02 10:00:00.000  1000  1000 I T: mail c@d.co\n"
     )
+    capsys.readouterr()
     assert _client(ws, "protect", "--in", str(raw), "--out", str(ws / "ooo.out")) == 3
+    err = capsys.readouterr().err
+    assert "line 2" in err and "--mode batch" in err
+    assert not (ws / "ooo.out").exists()
     # batch mode succeeds on the same input
     assert _client(ws, "protect", "--in", str(raw), "--out", str(ws / "ooo.out"),
                    "--mode", "batch") == 0
@@ -194,6 +198,27 @@ def test_exit_code_auth_failure_on_tampered_grant(ws):
         "accept", "--keystore", str(ws / "server.kv"), "--grant", str(ws / "grant.kv"),
         "--expect-device", "pixel-lab", "--out", str(ws / "window.kv"),
     ]) == 4
+
+
+def test_exit_code_corrupt_on_short_grant_ciphertext(ws):
+    """A grant ciphertext too short for a tag is a corrupt file, not exit 1."""
+    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert server_main([
+        "offer", "--keystore", str(ws / "server.kv"),
+        "--grant-id", "g-short", "--out", str(ws / "offer.kv"), "--seed", SEED_C,
+    ]) == 0
+    assert _client(ws, "grant", "--server-offer", str(ws / "offer.kv"),
+                   "--start", DAY1.isoformat(), "--today", DAY1.isoformat(),
+                   "--out", str(ws / "grant.kv")) == 0
+    text = (ws / "grant.kv").read_text()
+    ct = parse_kv(text, "g")["ciphertext"]
+    short = base64.b64encode(base64.b64decode(ct)[:10]).decode()
+    (ws / "grant.kv").write_text(text.replace(ct, short))
+    assert server_main([
+        "accept", "--keystore", str(ws / "server.kv"), "--grant", str(ws / "grant.kv"),
+        "--expect-device", "pixel-lab", "--out", str(ws / "window.kv"),
+    ]) == 6
+    assert not (ws / "window.kv").exists()
 
 
 def test_exit_code_context_mismatch(ws):

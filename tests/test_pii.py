@@ -17,10 +17,11 @@ from privlog.pii import (
     PATTERNS,
     PRIORITY,
     _PAYLOAD,
+    _PHONE_CORE,
     PiiSpan,
     PiiType,
     ProtectedField,
-    candidate_types,
+    _token_types,
     detect_pii,
     encode_protected_line,
     extract_date,
@@ -69,10 +70,12 @@ def test_detect_all_ten_types_have_patterns():
     assert set(PATTERNS) == set(PiiType)
     assert len(PiiType) == 10
     assert set(PRIORITY) == set(PiiType)
-    # A line that meets every precheck: each type has one, so none is
+    # Pieces that meet every precheck: each type has one, so none is
     # skipped for want of a precheck.
-    every_shape = "a@b.co http://h SN- 1.2.3 1:2:3:4:5:6:7 1-2-3 352099001761481 555-867-5309"
-    assert set(candidate_types(every_shape)) == set(PiiType)
+    every_shape = "a@b.co http://h SN- 1.2.3.4 1:2:3:4:5:6:7:8 1-2-3 352099001761481 555-867-5309"
+    piece_types = {t for piece in every_shape.split(" ") for t in _token_types(piece)}
+    assert piece_types == set(PiiType) - {PiiType.PHONE}
+    assert _PHONE_CORE.search(every_shape)
 
 
 @pytest.mark.parametrize(
@@ -162,7 +165,7 @@ _SHAPES = st.one_of(
 _ADVERSARIAL = st.lists(
     st.one_of(
         _SHAPES,
-        st.sampled_from(list(_DIGIT + ":-.()+@ " + _HEX) + ["://", "SN-"]),
+        st.sampled_from(list(_DIGIT + ":-.()+@ \t\u00a0" + _HEX) + ["://", "SN-"]),
     ),
     max_size=12,
 ).map("".join)
@@ -173,6 +176,15 @@ _HARD_CASES = (
     "fe80::1 and 2001:db8::ff00:42:8329 via a4-6b-09-1f-00-ff",
     "4111-1111-1111-1111-1111 123-45-6789-0 4111111111111111",
     "https://h.example/x?imei=352099001761481&ip=10.0.0.5",
+    # Matches that start inside a logcat header, whitespace other than ' '
+    # inside a piece, and PHONE's 5-character prefix.
+    "05-01 00:00:45.123.4.5 x",
+    "05-01 00:00:00.123-45-6789 x",
+    "05-01 00:00:00.159 236 1234 x",
+    "x 1.2.3.4\t5.6.7.8 y",
+    "call +1 (555) 867-5309 now",
+    "call +44 (555) 867-5309 now",
+    "ip a::b up",  # the shortest piece that holds a match
 )
 
 
@@ -193,12 +205,22 @@ def test_detect_matches_reference_on_adversarial_lines(line):
 @given(line=_ADVERSARIAL)
 @_with_hard_cases
 def test_precheck_holds_for_every_match(line):
-    """A pattern that matches anywhere in a line must pass its precheck,
-    even where overlap resolution would discard the match."""
-    types = candidate_types(line)
+    """Every match of every pattern must be scanned, even where overlap
+    resolution would discard it. A space-free match lies in one ' '-piece,
+    which is not skipped and whose precheck lists the type; a PHONE match
+    starts at most 5 characters before the line's first phone core."""
+    core = _PHONE_CORE.search(line)
     for pii_type, pattern in PATTERNS.items():
-        if pattern.search(line):
-            assert pii_type in types, pii_type
+        for m in pattern.finditer(line):
+            if pii_type is PiiType.PHONE:
+                assert core is not None and core.start() <= m.start() + 5, m
+                continue
+            assert " " not in m.group(), (pii_type, m)
+            start = line.rfind(" ", 0, m.start()) + 1
+            end = line.find(" ", m.end())
+            piece = line[start:] if end < 0 else line[start:end]
+            assert len(piece) > 2 and not piece.isalpha(), (pii_type, piece)
+            assert pii_type in _token_types(piece), (pii_type, piece)
 
 
 # --- date extraction -----------------------------------------------------
