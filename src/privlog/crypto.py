@@ -11,14 +11,15 @@ Primitive choices, fixed for interoperability:
 * Key agreement: X25519; private scalars are derived from 32-byte seeds
   through the KDF and clamped.
 
-Everything in this module is a pure function or locally randomized, so
-concurrent callers need no locking.
+Every function in this module is pure or locally randomized. The one
+state is the cipher a `SecretKey32` builds on first use and keeps until
+`wipe`; building it twice is harmless, so concurrent callers need no
+locking.
 """
 
 from __future__ import annotations
 
 import hmac as _hmac
-import hashlib
 import os
 from dataclasses import dataclass
 from typing import Tuple, Union
@@ -48,10 +49,12 @@ class SecretKey32:
 
     Zeroization is best effort: the backing buffer is wiped on `wipe()`
     and on garbage collection, but copies handed out via `.bytes` are
-    ordinary immutable bytes.
+    ordinary immutable bytes. The cipher `aead()` keeps holds its own
+    copy of the key, which `wipe()` cannot zero; it drops the cipher, so
+    that copy lives no longer than this object's key does.
     """
 
-    __slots__ = ("_buf",)
+    __slots__ = ("_buf", "_aead")
 
     def __init__(self, data: Union[bytes, bytearray, "SecretKey32"]):
         if isinstance(data, SecretKey32):
@@ -59,12 +62,20 @@ class SecretKey32:
         if len(data) != KEY_LEN:
             raise InvalidLength(f"secret key must be {KEY_LEN} bytes, got {len(data)}")
         self._buf = bytearray(data)
+        self._aead = None
 
     @property
     def bytes(self) -> bytes:
         return bytes(self._buf)
 
+    def aead(self) -> ChaCha20Poly1305:
+        """This key's cipher, built on first use and kept until `wipe`."""
+        if self._aead is None:
+            self._aead = ChaCha20Poly1305(self.bytes)
+        return self._aead
+
     def wipe(self) -> None:
+        self._aead = None
         for i in range(len(self._buf)):
             self._buf[i] = 0
 
@@ -149,13 +160,13 @@ def pseudonymize(hash_key: SecretKey32, plaintext: bytes) -> bytes:
     """Stable 16-byte correlation token for a sensitive value."""
     if not plaintext:
         raise EmptyInput("cannot pseudonymize empty input")
-    return _hmac.new(hash_key.bytes, plaintext, hashlib.sha256).digest()[:TOKEN_LEN]
+    return _hmac.digest(hash_key.bytes, plaintext, "sha256")[:TOKEN_LEN]
 
 
 def aead_seal(key: SecretKey32, plaintext: bytes, aad: bytes = b"") -> bytes:
     """`nonce || ciphertext || tag`, under a fresh random nonce."""
     nonce = os.urandom(NONCE_LEN)
-    return nonce + ChaCha20Poly1305(key.bytes).encrypt(nonce, plaintext, aad)
+    return nonce + key.aead().encrypt(nonce, plaintext, aad)
 
 
 def aead_open(key: SecretKey32, sealed: bytes, aad: bytes = b"") -> bytes:
@@ -163,7 +174,7 @@ def aead_open(key: SecretKey32, sealed: bytes, aad: bytes = b"") -> bytes:
     if len(sealed) < NONCE_LEN + TAG_LEN:
         raise MalformedBox(f"sealed value too short: {len(sealed)} bytes")
     try:
-        return ChaCha20Poly1305(key.bytes).decrypt(sealed[:NONCE_LEN], sealed[NONCE_LEN:], aad)
+        return key.aead().decrypt(sealed[:NONCE_LEN], sealed[NONCE_LEN:], aad)
     except InvalidTag as exc:
         raise AuthFailure("AEAD authentication failed") from exc
 

@@ -26,9 +26,8 @@ from __future__ import annotations
 import base64
 import enum
 import re
-from dataclasses import dataclass
 from datetime import date
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import InvalidSpans
 
@@ -85,16 +84,14 @@ PRIORITY = (
 _PRIORITY_INDEX = {t: i for i, t in enumerate(PRIORITY)}
 
 
-@dataclass(frozen=True)
-class PiiSpan:
+class PiiSpan(NamedTuple):
     pii_type: PiiType
     start: int
     end: int
     text: str
 
 
-@dataclass(frozen=True)
-class ProtectedField:
+class ProtectedField(NamedTuple):
     pii_type: PiiType
     box: bytes  # nonce || ciphertext || tag, 44 bytes
 
@@ -272,7 +269,7 @@ def parse_protected_line(
             continue
         parts.append(line[pos : m.start()])
         parts.append(f"<PII#{len(fields)}>")
-        fields.append(ProtectedField(pii_type=pii_type, box=base64.b64decode(payload)))
+        fields.append(ProtectedField(pii_type, base64.b64decode(payload)))
         pos = m.end()
     parts.append(line[pos:])
     return "".join(parts), fields, warnings

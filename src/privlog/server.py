@@ -10,10 +10,11 @@ cannot reach any day before the window start.
 from __future__ import annotations
 
 import csv
+import functools
 import secrets
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .crypto import (
     DhKeyPair, SecretKey32, aead_open, dh_derive_keypair, dh_shared, kdf, ratchet_step,
@@ -118,8 +119,7 @@ def accept_grant(
     return WindowKeys(grant_id=grant.grant_id, days=days)
 
 
-@dataclass(frozen=True)
-class RecoveredEvent:
+class RecoveredEvent(NamedTuple):
     line_no: int
     date: date
     pii_type: PiiType
@@ -166,21 +166,13 @@ def recover_tokens(
         if key is None:
             skipped["lines_out_of_window"] += 1
             continue
-        for f in fields:
+        for pii_type, box in fields:
             try:
-                token = aead_open(key, f.box)
+                token = aead_open(key, box)
             except AuthFailure:
                 skipped["fields_auth_failed"] += 1
                 continue
-            events.append(
-                RecoveredEvent(
-                    line_no=line_no,
-                    date=day,
-                    pii_type=f.pii_type,
-                    token=token,
-                    template=template,
-                )
-            )
+            events.append(RecoveredEvent(line_no, day, pii_type, token, template))
     return events, skipped
 
 
@@ -200,21 +192,23 @@ class LinkageReport:
 
 
 def linkage_report(events: List[RecoveredEvent]) -> LinkageReport:
-    """Group events by token; most frequent first, token bytes break ties."""
-    by_token: Dict[bytes, List[RecoveredEvent]] = {}
-    for ev in events:
-        by_token.setdefault(ev.token, []).append(ev)
-    groups = []
-    for token, evs in by_token.items():
-        groups.append(
-            LinkageGroup(
-                token=token,
-                pii_type=evs[0].pii_type,
-                count=len(evs),
-                first_date=min(ev.date for ev in evs),
-                last_date=max(ev.date for ev in evs),
-            )
-        )
+    """Group events by token; most frequent first, token bytes break ties.
+
+    One pass: each token keeps [its first event's type, count, first
+    date, last date].
+    """
+    by_token: Dict[bytes, list] = {}
+    for _, day, pii_type, token, _ in events:
+        group = by_token.get(token)
+        if group is None:
+            by_token[token] = [pii_type, 1, day, day]
+            continue
+        group[1] += 1
+        if day < group[2]:
+            group[2] = day
+        elif day > group[3]:
+            group[3] = day
+    groups = [LinkageGroup(token, *group) for token, group in by_token.items()]
     groups.sort(key=lambda g: (-g.count, g.token))
     return LinkageReport(groups=groups, total_events=len(events))
 
@@ -285,12 +279,12 @@ def load_window_keys(text: str) -> WindowKeys:
 
 
 def write_events_csv(events: List[RecoveredEvent], fh) -> None:
+    """One row per event; each distinct day and token is formatted once."""
     writer = csv.writer(fh)
     writer.writerow(EVENTS_HEADER)
-    for ev in events:
-        writer.writerow(
-            [ev.line_no, ev.date.isoformat(), ev.pii_type.value, b64(ev.token), ev.template]
-        )
+    iso, encode = functools.cache(date.isoformat), functools.cache(b64)
+    for line_no, day, pii_type, token, template in events:
+        writer.writerow((line_no, iso(day), pii_type.value, encode(token), template))
 
 
 def read_events_csv(fh) -> List[RecoveredEvent]:
@@ -298,19 +292,16 @@ def read_events_csv(fh) -> List[RecoveredEvent]:
     header = next(reader, None)
     if header != EVENTS_HEADER:
         raise CorruptState(f"events csv: unexpected header {header!r}")
+    # Each distinct date, type and token string is checked and decoded once.
+    day_of = functools.cache(lambda text: iso_date(text, "events csv: date"))
+    type_of = functools.cache(PiiType)
+    token_of = functools.cache(lambda text: b64_decode(text, "events csv: token"))
     events = []
     try:
-        for row in reader:
-            line_no, day, pii_type, token_b64, template = row
-            events.append(
-                RecoveredEvent(
-                    line_no=int(line_no),
-                    date=iso_date(day, "events csv: date"),
-                    pii_type=PiiType(pii_type),
-                    token=b64_decode(token_b64, "events csv: token"),
-                    template=template,
-                )
-            )
+        for line_no, day, pii_type, token_b64, template in reader:
+            events.append(RecoveredEvent(
+                int(line_no), day_of(day), type_of(pii_type), token_of(token_b64), template
+            ))
     except (ValueError, KeyError) as exc:
         raise CorruptState(f"events csv: bad row: {exc}") from exc
     return events

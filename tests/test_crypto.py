@@ -320,3 +320,17 @@ def test_secret_key_wipe():
     key = SecretKey32(b"\x55" * 32)
     key.wipe()
     assert key.bytes == b"\x00" * 32
+
+
+def test_wipe_drops_the_cached_cipher():
+    """A cipher built before `wipe` must not keep sealing under the old key."""
+    raw = b"\x55" * 32
+    key = SecretKey32(raw)
+    before = aead_seal(key, b"token")
+    key.wipe()
+    after = aead_seal(key, b"token")
+    with pytest.raises(AuthFailure):
+        aead_open(SecretKey32(raw), after)
+    with pytest.raises(AuthFailure):
+        aead_open(key, before)
+    assert aead_open(SecretKey32(b"\x00" * 32), after) == b"token"

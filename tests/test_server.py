@@ -1,6 +1,7 @@
 """Server side: grant ingestion, window enforcement, recovery, reports."""
 
 import base64
+import csv
 import dataclasses
 import io
 from datetime import date, timedelta
@@ -415,6 +416,43 @@ def test_events_csv_roundtrip(identity, server_keys, client_state):
     write_events_csv(events, buf)
     buf.seek(0)
     assert read_events_csv(buf) == events
+
+
+def _csv_events():
+    """Three days, all ten types, four tokens reused, templates that need quoting."""
+    tokens = [bytes([i]) * 16 for i in range(4)]
+    templates = ["plain <PII#0>", "a, comma", 'a "quote"', 'both, "and" <PII#0>']
+    return [
+        _event(n, D(1 + n % 3), tokens[n % 4], pii=pii, template=templates[n % 4])
+        for n, pii in enumerate(list(PiiType) * 2, start=1)
+    ]
+
+
+def test_events_csv_bytes_match_per_row_reference():
+    events = _csv_events()
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["line_no", "date", "pii_type", "token_b64", "template"])
+    for ev in events:
+        writer.writerow([ev.line_no, ev.date.isoformat(), ev.pii_type.value,
+                         base64.b64encode(ev.token).decode(), ev.template])
+    got = io.StringIO()
+    write_events_csv(events, got)
+    assert got.getvalue() == expected.getvalue()
+    assert '"a ""quote"""' in got.getvalue()
+    assert read_events_csv(io.StringIO(got.getvalue())) == events
+
+
+@pytest.mark.parametrize("bad", [
+    "2024-05-32,EMAIL,AQEBAQEBAQEBAQEBAQEBAQ==",
+    "2024-05-01,EMAIL,not base64!",
+    "2024-05-01,NAME,AQEBAQEBAQEBAQEBAQEBAQ==",
+], ids=["date", "token", "type"])
+def test_events_csv_bad_row_after_good_rows(bad):
+    buf = io.StringIO()
+    write_events_csv(_csv_events(), buf)
+    with pytest.raises(CorruptState, match="events csv"):
+        read_events_csv(io.StringIO(buf.getvalue() + f"99,{bad},t\r\n"))
 
 
 _KEY = base64.b64encode(b"\x01" * 32).decode()
