@@ -13,8 +13,9 @@ Primitive choices, fixed for interoperability:
 
 Every function in this module is pure or locally randomized. The one
 state is the cipher a `SecretKey32` builds on first use and keeps until
-`wipe`; building it twice is harmless, so concurrent callers need no
-locking.
+`wipe`. Building it twice is harmless, so concurrent users of a key need
+no locking; but `wipe` must not run while any other thread uses the key,
+or a cipher under the old bytes can be kept after it.
 """
 
 from __future__ import annotations

@@ -279,12 +279,12 @@ def load_window_keys(text: str) -> WindowKeys:
 
 
 def write_events_csv(events: List[RecoveredEvent], fh) -> None:
-    """One row per event; each distinct day and token is formatted once."""
+    """One row per event; each distinct day is formatted once."""
     writer = csv.writer(fh)
     writer.writerow(EVENTS_HEADER)
-    iso, encode = functools.cache(date.isoformat), functools.cache(b64)
+    iso = functools.cache(date.isoformat)
     for line_no, day, pii_type, token, template in events:
-        writer.writerow((line_no, iso(day), pii_type.value, encode(token), template))
+        writer.writerow((line_no, iso(day), pii_type.value, b64(token), template))
 
 
 def read_events_csv(fh) -> List[RecoveredEvent]:
@@ -292,15 +292,16 @@ def read_events_csv(fh) -> List[RecoveredEvent]:
     header = next(reader, None)
     if header != EVENTS_HEADER:
         raise CorruptState(f"events csv: unexpected header {header!r}")
-    # Each distinct date, type and token string is checked and decoded once.
+    # A window has few days and there are ten types: each distinct date and
+    # type string is checked once. Tokens need not repeat, so each is decoded.
     day_of = functools.cache(lambda text: iso_date(text, "events csv: date"))
     type_of = functools.cache(PiiType)
-    token_of = functools.cache(lambda text: b64_decode(text, "events csv: token"))
     events = []
     try:
         for line_no, day, pii_type, token_b64, template in reader:
             events.append(RecoveredEvent(
-                int(line_no), day_of(day), type_of(pii_type), token_of(token_b64), template
+                int(line_no), day_of(day), type_of(pii_type),
+                b64_decode(token_b64, "events csv: token"), template,
             ))
     except (ValueError, KeyError) as exc:
         raise CorruptState(f"events csv: bad row: {exc}") from exc
