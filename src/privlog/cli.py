@@ -22,7 +22,9 @@ from . import server as server_mod
 from .dice import DeviceIdentity, attestation_digest, parse_identity
 from .errors import CorruptState, OutOfOrderDate, PrivlogError, exit_code_for
 from .grant import format_grant, parse_grant
-from .kvfile import atomic_write, b64, b64_decode, format_kv, iso_date, parse_kv, require
+from .kvfile import (
+    atomic_write, atomic_writer, b64, b64_decode, format_kv, iso_date, parse_kv, require,
+)
 from .pii import YEAR_MAX, YEAR_MIN
 
 
@@ -147,31 +149,31 @@ def _cmd_protect(args) -> int:
     session = client_mod.ProtectSession(
         cfg.load_state(), args.mode, cfg.assumed_year or today.year, near
     )
-    out_lines: List[str] = []
     latencies: List[int] = []
     fields = 0
     skipped_pre_epoch = 0
-    for line_no, raw in enumerate(_read_lines(args.infile, "input"), start=1):
-        line = raw.removesuffix("\n")
-        t0 = perf_counter_ns()
-        try:
-            protected, count = session.protect_line(line)
-        except OutOfOrderDate as exc:
-            hint = " (--mode batch takes lines out of order within one run)"
-            raise OutOfOrderDate(
-                f"input {args.infile!r} line {line_no}: {exc}"
-                + (hint if args.mode == client_mod.MODE_STREAM else "")
-            ) from exc
-        latencies.append(perf_counter_ns() - t0)
-        fields += count
-        if protected is None:
-            skipped_pre_epoch += 1
-        else:
-            out_lines.append(protected + raw[len(line):])
-    atomic_write(args.outfile, "".join(out_lines))
+    with atomic_writer(args.outfile) as out:
+        for line_no, raw in enumerate(_read_lines(args.infile, "input"), start=1):
+            line = raw.removesuffix("\n")
+            t0 = perf_counter_ns()
+            try:
+                protected, count = session.protect_line(line)
+            except OutOfOrderDate as exc:
+                hint = " (--mode batch takes lines out of order within one run)"
+                raise OutOfOrderDate(
+                    f"input {args.infile!r} line {line_no}: {exc}"
+                    + (hint if args.mode == client_mod.MODE_STREAM else "")
+                ) from exc
+            latencies.append(perf_counter_ns() - t0)
+            fields += count
+            if protected is None:
+                skipped_pre_epoch += 1
+            else:
+                out.write(protected + raw[len(line):])
     cfg.save_state(session.state)
 
-    print(f"protected {len(out_lines)} lines ({fields} fields) -> {args.outfile}")
+    print(f"protected {len(latencies) - skipped_pre_epoch} lines ({fields} fields) "
+          f"-> {args.outfile}")
     if skipped_pre_epoch:
         print(f"skipped {skipped_pre_epoch} pre-epoch lines")
     if latencies:
@@ -215,7 +217,6 @@ def _cmd_state(args) -> int:
     print(f"device_id={cfg.identity.device_id}")
     print(f"epoch_date={state.epoch_date.isoformat()}")
     print(f"chain_date={state.chain_date.isoformat()}")
-    print(f"dh_pub={b64(state.dh_pair.public)}")
     print(f"attest_digest={b64(attestation_digest(cfg.identity))}")
     return 0
 
@@ -320,7 +321,7 @@ def _cmd_recover(args) -> int:
     default = str((first or date.today()).year)
     year = _parse_year(args.year, "--year") or _parse_year(default, "window start year")
     events, skipped = server_mod.recover_tokens(window, _read_lines(args.infile, "input"), year)
-    with open(args.outfile, "w", encoding="utf-8", newline="") as fh:
+    with atomic_writer(args.outfile) as fh:
         server_mod.write_events_csv(events, fh)
     print(f"recovered {len(events)} tokens -> {args.outfile}")
     for reason, count in skipped.items():
@@ -338,13 +339,13 @@ def _cmd_report(args) -> int:
         if not args.outfile:
             server_mod.write_timeline_csv(rows, sys.stdout)
         else:
-            with open(args.outfile, "w", encoding="utf-8", newline="") as fh:
+            with atomic_writer(args.outfile) as fh:
                 server_mod.write_timeline_csv(rows, fh)
         return 0
     if not args.outfile:
         raise CorruptState("report needs --out (or --timeline TOKEN)")
     report = server_mod.linkage_report(events)
-    with open(args.outfile, "w", encoding="utf-8", newline="") as fh:
+    with atomic_writer(args.outfile) as fh:
         server_mod.write_linkage_csv(report, fh)
     print(f"{len(report.groups)} token groups over {report.total_events} events -> {args.outfile}")
     return 0

@@ -2,15 +2,16 @@
 
 State model: `chain_key` is the chain key for `chain_date`, so stepping it
 yields that day's message key and the next day's chain key. Advancing
-discards the chain keys of the days it passes; once a day is behind the
-chain position its message key exists only in the in-memory day-key cache
-(never on disk), which is what makes compromise of the persisted state
-useless against earlier days.
+discards the chain keys of the days it passes, but `root_key` still
+re-derives every day key since `epoch_date` (a grant does exactly that),
+so compromise of the persisted state exposes the current epoch. Earlier
+epochs are out of its reach.
 
 Creating a grant is the one deliberate disclosure of chain material. It
 is immediately followed by a root rotation that mixes the grant's fresh
 DH secret into the new root, moves the epoch to the day after the grant,
-and drops the old root, chain key and DH private key. Only the long-term
+and drops the old root, the chain key and the grant's DH private key;
+nothing kept can re-derive the grant's export key. Only the long-term
 pseudonym hash key survives rotations, which is what keeps tokens for the
 same plaintext stable across grants.
 """
@@ -23,7 +24,6 @@ from datetime import date, timedelta
 from typing import Dict, Optional, Tuple
 
 from .crypto import (
-    DhKeyPair,
     SecretKey32,
     aead_seal,
     dh_derive_keypair,
@@ -48,17 +48,13 @@ MODE_BATCH = "batch"
 class ClientState:
     root_key: SecretKey32
     hash_key: SecretKey32
-    dh_pair: DhKeyPair
     chain_key: SecretKey32
     chain_date: date
     epoch_date: date
-    init_nonce: bytes
 
     def __post_init__(self):
         if self.chain_date < self.epoch_date:
             raise CorruptState("chain_date precedes epoch_date")
-        if len(self.init_nonce) != 32:
-            raise InvalidLength("init_nonce must be 32 bytes")
 
 
 @dataclass(frozen=True)
@@ -93,20 +89,15 @@ def init_client(
     """
     cdi = derive_cdi(identity)
     hash_key = SecretKey32(kdf(None, cdi, b"hmac-key", 32))
-    init_nonce = rng_seed if rng_seed is not None else secrets.token_bytes(32)
-    if len(init_nonce) != 32:
-        raise InvalidLength("rng_seed must be 32 bytes")
-    dh_pair = dh_derive_keypair(init_nonce, b"dh-init")
-    z = dh_shared(dh_pair.private, server_longterm_pub)
+    seed = rng_seed if rng_seed is not None else secrets.token_bytes(32)
+    z = dh_shared(dh_derive_keypair(seed, b"dh-init").private, server_longterm_pub)
     root_key = SecretKey32(kdf(cdi, z, b"root-key", 32))
     return ClientState(
         root_key=root_key,
         hash_key=hash_key,
-        dh_pair=dh_pair,
         chain_key=_chain_key_for(root_key, today),
         chain_date=today,
         epoch_date=today,
-        init_nonce=init_nonce,
     )
 
 
@@ -242,11 +233,9 @@ def create_grant(
     z = dh_shared(eph_pair.private, req.server_pub)
     k_exp = SecretKey32(kdf(None, z, b"export-kdf", 32))
 
-    ck = _chain_key_for(state.root_key, state.epoch_date)
-    day = state.epoch_date
-    while day < req.start_date:
-        ck, _ = ratchet_step(ck)
-        day += timedelta(days=1)
+    at_epoch = replace(state, chain_key=_chain_key_for(state.root_key, state.epoch_date),
+                       chain_date=state.epoch_date)
+    ck = advance_to(at_epoch, req.start_date)[0].chain_key
 
     aad = canonical_aad(
         req.server_id,
@@ -271,11 +260,9 @@ def create_grant(
     rotated = ClientState(
         root_key=new_root,
         hash_key=state.hash_key,
-        dh_pair=eph_pair,
         chain_key=_chain_key_for(new_root, new_epoch),
         chain_date=new_epoch,
         epoch_date=new_epoch,
-        init_nonce=state.init_nonce,
     )
     return grant, rotated
 
@@ -286,27 +273,21 @@ def save_state(state: ClientState) -> str:
             ("v", STATE_VERSION),
             ("root_key", b64(state.root_key.bytes)),
             ("hash_key", b64(state.hash_key.bytes)),
-            ("dh_priv", b64(state.dh_pair.private)),
-            ("dh_pub", b64(state.dh_pair.public)),
             ("chain_key", b64(state.chain_key.bytes)),
             ("chain_date", state.chain_date.isoformat()),
             ("epoch_date", state.epoch_date.isoformat()),
-            ("init_nonce", b64(state.init_nonce)),
         ]
     )
 
 
 def load_state(text: str) -> ClientState:
+    """Read a state file; keys it does not read (such as the `dh_priv=`,
+    `dh_pub=` and `init_nonce=` of earlier writers) are ignored."""
     fields = parse_versioned(text, "state file", STATE_VERSION)
     return ClientState(
         root_key=SecretKey32(b64_field(fields, "root_key", "state file", 32)),
         hash_key=SecretKey32(b64_field(fields, "hash_key", "state file", 32)),
-        dh_pair=DhKeyPair(
-            private=b64_field(fields, "dh_priv", "state file", 32),
-            public=b64_field(fields, "dh_pub", "state file", 32),
-        ),
         chain_key=SecretKey32(b64_field(fields, "chain_key", "state file", 32)),
         chain_date=date_field(fields, "chain_date", "state file"),
         epoch_date=date_field(fields, "epoch_date", "state file"),
-        init_nonce=b64_field(fields, "init_nonce", "state file", 32),
     )

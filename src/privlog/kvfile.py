@@ -1,9 +1,9 @@
 """Line-oriented key=value files used for state, grants, offers and keys.
 
-All on-disk secrets are base64; dates are ISO YYYY-MM-DD. Writers that
-replace an existing file go through `atomic_write` (uniquely named temp
-file, fsync, rename, directory fsync) so a crash never leaves a
-half-written file in place and concurrent writers never share a temp file.
+All on-disk secrets are base64; dates are ISO YYYY-MM-DD. Every file the
+CLIs write goes through `atomic_writer` (uniquely named temp file, fsync,
+rename, directory fsync) so a crash never leaves a half-written file in
+place and concurrent writers never share a temp file.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import re
 import tempfile
 from datetime import date
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Iterator, TextIO, Union
 
 from .errors import CorruptState, UnsupportedVersion
 
@@ -88,12 +88,15 @@ def b64(raw: bytes) -> str:
     return base64.b64encode(raw).decode("ascii")
 
 
-def atomic_write(path: Union[str, Path], text: str) -> None:
+@contextlib.contextmanager
+def atomic_writer(path: Union[str, Path]) -> Iterator[TextIO]:
+    """A UTF-8 text file streaming into a temp file that replaces `path`
+    only if the block ends without an exception."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -107,3 +110,8 @@ def atomic_write(path: Union[str, Path], text: str) -> None:
         os.fsync(dir_fd)
     finally:
         os.close(dir_fd)
+
+
+def atomic_write(path: Union[str, Path], text: str) -> None:
+    with atomic_writer(path) as fh:
+        fh.write(text)

@@ -14,9 +14,10 @@ import pytest
 
 from privlog.cli import client_main, server_main
 from privlog.corpus import BenchConfig, write_corpus
+from privlog.crypto import dh_derive_keypair
 from privlog.dice import DeviceIdentity, format_identity
 from privlog.errors import CorruptState
-from privlog.kvfile import parse_kv
+from privlog.kvfile import b64, parse_kv
 from privlog.pii import PiiType
 from privlog.server import RecoveredEvent, load_server_keys, write_events_csv
 
@@ -24,6 +25,7 @@ DAY1 = date(2024, 5, 1)
 SEED_A = "07" * 32
 SEED_B = "21" * 32
 SEED_C = "33" * 32
+STATE_KEYS = {"v", "root_key", "hash_key", "chain_key", "chain_date", "epoch_date"}
 
 
 def D(n: int) -> date:
@@ -142,10 +144,28 @@ def test_state_subcommand_shows_no_secrets(ws, capsys):
     assert _client(ws, "state") == 0
     out = capsys.readouterr().out
     state_fields = parse_kv((ws / "state.kv").read_text(), "state")
-    for secret_field in ("root_key", "hash_key", "chain_key", "dh_priv", "init_nonce"):
+    assert set(state_fields) == STATE_KEYS
+    for secret_field in ("root_key", "hash_key", "chain_key"):
         assert state_fields[secret_field] not in out
     assert "chain_date=2024-05-01" in out
     assert "epoch_date=2024-05-01" in out
+
+
+def test_state_file_with_dh_pair_and_init_nonce_loads_and_drops_them(ws):
+    """A state file that still carries `dh_priv=`, `dh_pub=` and
+    `init_nonce=` loads and protects; the next save leaves them out."""
+    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    lines = (ws / "state.kv").read_text().splitlines(keepends=True)
+    seed = bytes.fromhex(SEED_A)
+    pair = dh_derive_keypair(seed, b"dh-init")
+    (ws / "state.kv").write_text("".join([
+        *lines[:3], f"dh_priv={b64(pair.private)}\n", f"dh_pub={b64(pair.public)}\n",
+        *lines[3:], f"init_nonce={b64(seed)}\n",
+    ]))
+    (ws / "raw.log").write_text("05-01 10:00:00.000  1000  1000 I T: mail a@b.co\n")
+    assert _client(ws, "protect", "--in", str(ws / "raw.log"), "--out", str(ws / "out.log")) == 0
+    assert '<PII type="EMAIL">' in (ws / "out.log").read_text()
+    assert set(parse_kv((ws / "state.kv").read_text(), "state")) == STATE_KEYS
 
 
 def test_exit_code_invalid_window(ws):
@@ -345,6 +365,28 @@ def test_atomic_write_leaves_no_partial_file(ws, monkeypatch):
     with pytest.raises(OSError):
         kv.atomic_write(target, "replacement")
     assert target.read_text() == "original"
+    assert set(ws.iterdir()) == files_before, "temp file left behind"
+
+
+def test_report_crash_mid_write_keeps_previous_output(ws, monkeypatch):
+    """An output CSV streams into a temp file: a writer that raises part
+    way leaves the previous file byte-identical and no temp file behind."""
+    import privlog.server as server_mod
+
+    with open(ws / "events.csv", "w", encoding="utf-8", newline="") as fh:
+        write_events_csv([], fh)
+    target = ws / "linkage.csv"
+    target.write_bytes(b"token_b64,pii_type\r\nprevious,run\r\n")
+    files_before = set(ws.iterdir())
+
+    def crashing(report, fh):
+        fh.write("token_b64,pii_type,count,first_date,last_date\r\n")
+        raise OSError("injected crash")
+
+    monkeypatch.setattr(server_mod, "write_linkage_csv", crashing)
+    with pytest.raises(OSError):
+        server_main(["report", "--events", str(ws / "events.csv"), "--out", str(target)])
+    assert target.read_bytes() == b"token_b64,pii_type\r\nprevious,run\r\n"
     assert set(ws.iterdir()) == files_before, "temp file left behind"
 
 

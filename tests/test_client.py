@@ -1,6 +1,7 @@
 """Client engine: bootstrap, chain advance, protection, grants, state io."""
 
 import base64
+import contextlib
 from datetime import date, timedelta
 
 import pytest
@@ -17,9 +18,24 @@ from privlog.client import (
     load_state,
     save_state,
 )
-from privlog.crypto import aead_open, pseudonymize
+from privlog.crypto import (
+    SecretKey32,
+    aead_open,
+    dh_derive_keypair,
+    dh_shared,
+    kdf,
+    pseudonymize,
+)
 from privlog.dice import DeviceIdentity
-from privlog.errors import CorruptState, InvalidWindow, OutOfOrderDate, UnsupportedVersion
+from privlog.errors import (
+    AuthFailure,
+    CorruptState,
+    InvalidWindow,
+    OutOfOrderDate,
+    UnsupportedVersion,
+)
+from privlog.grant import canonical_aad
+from privlog.kvfile import parse_kv
 from privlog.pii import parse_protected_line
 
 DAY1 = date(2024, 5, 1)
@@ -56,8 +72,9 @@ def test_init_golden_state(golden):
         rng_seed=bytes.fromhex(vec["init_nonce"]),
     )
     assert state.hash_key.bytes.hex() == vec["hash_key"]
-    assert state.dh_pair.private.hex() == vec["dh_priv"]
-    assert state.dh_pair.public.hex() == vec["dh_pub"]
+    dh_pair = dh_derive_keypair(bytes.fromhex(vec["init_nonce"]), b"dh-init")
+    assert dh_pair.private.hex() == vec["dh_priv"]
+    assert dh_pair.public.hex() == vec["dh_pub"]
     assert state.root_key.bytes.hex() == vec["root_key"]
     assert state.chain_key.bytes.hex() == vec["chain_key"]
     assert state.chain_date == state.epoch_date == date.fromisoformat(vec["today"])
@@ -76,7 +93,6 @@ def test_init_measurement_changes_keys(identity, server_keys):
 def test_init_random_nonce_differs(identity, server_keys):
     s1 = init_client(identity, server_keys.longterm.public, DAY1)
     s2 = init_client(identity, server_keys.longterm.public, DAY1)
-    assert s1.init_nonce != s2.init_nonce
     assert s1.root_key != s2.root_key
     assert s1.hash_key == s2.hash_key  # depends only on the CDI
 
@@ -268,12 +284,50 @@ def test_grant_rotates_epoch_and_skips_grant_day(identity, server_keys, client_s
     assert rotated.root_key != state.root_key
     assert rotated.chain_key != state.chain_key
     assert rotated.hash_key == state.hash_key
-    assert rotated.dh_pair.public == grant.client_eph_pub
 
     session = ProtectSession(rotated, assumed_year=2024)
     assert session.protect_line(logcat(D(4), "post grant mail heidi@test.org")) == (None, 0)
     out, count = session.protect_line(logcat(D(5), "new epoch mail heidi@test.org"))
     assert out is not None and count == 1
+
+
+def test_rotated_state_cannot_reopen_its_grant(identity, server_keys, client_state):
+    """Rotation cuts off the window the grant disclosed: no 32-byte value
+    in the saved state, used as the grant's X25519 private key with the
+    offer's public key, yields an export key that opens the grant."""
+    from privlog.server import create_offer
+
+    state, _ = advance_to(client_state, D(4))
+    offer_pub = create_offer(server_keys, "g-fs", seed=b"\x31" * 32)
+    grant_seed = b"\x32" * 32
+    grant, rotated = create_grant(
+        state, GrantRequest(offer_pub, D(2), "lab-server", "g-fs"), identity, D(4),
+        rng_seed=grant_seed,
+    )
+    aad = canonical_aad(grant.server_id, grant.device_id, grant.attest_digest,
+                        grant.grant_id, grant.grant_date)
+
+    def opens_grant(private: bytes) -> bool:
+        k_exp = SecretKey32(kdf(None, dh_shared(private, offer_pub), b"export-kdf", 32))
+        try:
+            aead_open(k_exp, grant.box, aad)
+        except AuthFailure:
+            return False
+        return True
+
+    # The attack itself: the grant's own ephemeral private key opens it.
+    assert opens_grant(dh_derive_keypair(grant_seed, b"export-keygen").private)
+
+    fields = parse_kv(save_state(load_state(save_state(rotated))), "state file")
+    assert "dh_priv" not in fields
+    candidates = []
+    for value in fields.values():
+        with contextlib.suppress(ValueError):
+            raw = base64.b64decode(value, validate=True)
+            if len(raw) == 32:
+                candidates.append(raw)
+    assert candidates
+    assert not any(opens_grant(raw) for raw in candidates)
 
 
 def test_grant_window_bounds(identity, server_keys, client_state):
