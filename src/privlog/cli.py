@@ -40,11 +40,19 @@ def _read(path: str, what: str) -> str:
         raise CorruptState(f"cannot read {what} {path!r}: {exc}") from exc
 
 
+def _open(path: str, what: str, **kwargs):
+    """`open(path, **kwargs)` for reading; an OSError is CorruptState naming `what`."""
+    try:
+        return open(path, **kwargs)
+    except OSError as exc:
+        raise CorruptState(f"cannot read {what} {path!r}: {exc}") from exc
+
+
 def _read_lines(path: str, what: str) -> Iterator[str]:
     """Lines of a UTF-8 file, split at "\n" only and untranslated, each with
     its "\n" if it has one. A byte that is not UTF-8 is CorruptState."""
     # UTF-8 never encodes a newline inside a character: lines decode alone.
-    with open(path, "rb") as fh:
+    with _open(path, what, mode="rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
                 yield raw.decode("utf-8")
@@ -331,7 +339,7 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.events, encoding="utf-8", newline="") as fh:
+    with _open(args.events, "events csv", encoding="utf-8", newline="") as fh:
         events = server_mod.read_events_csv(fh)
     if args.timeline:
         token = b64_decode(args.timeline, "--timeline token")

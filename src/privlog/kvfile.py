@@ -13,6 +13,7 @@ import contextlib
 import os
 import re
 import tempfile
+from binascii import b2a_base64
 from datetime import date
 from pathlib import Path
 from typing import Dict, Iterator, TextIO, Union
@@ -85,7 +86,7 @@ def date_field(fields: Dict[str, str], key: str, what: str) -> date:
 
 
 def b64(raw: bytes) -> str:
-    return base64.b64encode(raw).decode("ascii")
+    return b2a_base64(raw, newline=False).decode("ascii")
 
 
 @contextlib.contextmanager
@@ -93,7 +94,10 @@ def atomic_writer(path: Union[str, Path]) -> Iterator[TextIO]:
     """A UTF-8 text file streaming into a temp file that replaces `path`
     only if the block ends without an exception."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    except OSError as exc:  # its message names the temp file, not `path`
+        raise CorruptState(f"cannot write {str(path)!r}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh

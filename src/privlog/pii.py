@@ -26,6 +26,7 @@ from __future__ import annotations
 import base64
 import enum
 import re
+from binascii import a2b_base64
 from datetime import date
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -238,11 +239,19 @@ def encode_protected_line(
     return "".join(parts)
 
 
-_ELEMENT = re.compile(r'<PII type="([^"]*)">([^<]*)</PII>')
 # Exactly the canonical base64 of 44 bytes: the last data character's two
 # low bits are padding and must be zero.
 _PAYLOAD = re.compile(r"[A-Za-z0-9+/]{58}[AEIMQUYcgkosw048]=")
 _LABELS = {t.value: t for t in PiiType}
+# One scan: the first branch is a valid element (a known label and a
+# `_PAYLOAD`), the second any other element, which is malformed. The label
+# runs to the first '"' and the payload to the first '<' in both, so at any
+# start both branches end in the same place and the scan finds the same
+# elements as the second branch alone.
+_ELEMENT = re.compile(
+    rf'<PII type="({"|".join(_LABELS)})">({_PAYLOAD.pattern})</PII>'
+    r'|<PII type="([^"]*)">[^<]*</PII>'
+)
 
 
 def parse_protected_line(
@@ -259,17 +268,16 @@ def parse_protected_line(
     parts = []
     pos = 0
     for m in _ELEMENT.finditer(line):
-        label, payload = m.group(1), m.group(2)
-        pii_type = _LABELS.get(label)
-        if pii_type is None:
-            warnings.append(f"Malformed element at {m.start()}: unknown type {label!r}")
+        label, payload, bad_label = m.groups()
+        if label is None:
+            problem = (f"unknown type {bad_label!r}" if bad_label not in _LABELS
+                       else "payload is not 44 bytes of base64")
+            warnings.append(f"Malformed element at {m.start()}: {problem}")
             continue
-        if not _PAYLOAD.fullmatch(payload):
-            warnings.append(f"Malformed element at {m.start()}: payload is not 44 bytes of base64")
-            continue
-        parts.append(line[pos : m.start()])
+        start, end = m.span()
+        parts.append(line[pos:start])
         parts.append(f"<PII#{len(fields)}>")
-        fields.append(ProtectedField(pii_type, base64.b64decode(payload)))
-        pos = m.end()
+        fields.append(ProtectedField(_LABELS[label], a2b_base64(payload)))
+        pos = end
     parts.append(line[pos:])
     return "".join(parts), fields, warnings

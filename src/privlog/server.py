@@ -278,13 +278,25 @@ def load_window_keys(text: str) -> WindowKeys:
     return WindowKeys(grant_id=require(fields, "grant_id", "window keys file"), days=days)
 
 
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer's default dialect writes it in a row of several
+    fields: quoted only if it holds ',', '"', '\r' or '\n', quotes doubled."""
+    if '"' in text or "," in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_events_csv(events: List[RecoveredEvent], fh) -> None:
-    """One row per event; each distinct day is formatted once."""
-    writer = csv.writer(fh)
-    writer.writerow(EVENTS_HEADER)
+    """One row per event, as csv.writer writes it. Each distinct day is
+    formatted once, and each line's template is quoted once for all of its
+    events, which `recover_tokens` emits one after another."""
+    fh.write(",".join(EVENTS_HEADER) + "\r\n")
     iso = functools.cache(date.isoformat)
-    for line_no, day, pii_type, token, template in events:
-        writer.writerow((line_no, iso(day), pii_type.value, b64(token), template))
+    template, tail = None, ""
+    for line_no, day, pii_type, token, text in events:
+        if text != template:
+            template, tail = text, _csv_field(text) + "\r\n"
+        fh.write(f"{line_no},{iso(day)},{pii_type.value},{b64(token)},{tail}")
 
 
 def read_events_csv(fh) -> List[RecoveredEvent]:

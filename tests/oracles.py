@@ -10,8 +10,12 @@ The detection oracle is the plain detector: every one of the ten patterns
 scanned over every line, then overlaps resolved. privlog's `detect_pii`
 must return the same spans while skipping scans that cannot match.
 
-`fill_template` is the inverse of privlog's `parse_protected_line`, written
-from the element grammar in the README.
+`parse_protected_line` is the reference element parser, written from the
+element grammar in the README: it finds each element with one loose
+pattern, then checks the label and the payload separately, the payload by
+a strict base64 decode to 44 bytes that re-encodes to the same text.
+privlog's parser must give the same template, fields and warnings from a
+single scan. `fill_template` is the inverse of both.
 """
 
 import base64
@@ -179,6 +183,33 @@ def detect_pii(line: str) -> list:
 
 
 # --- protected-line template ---------------------------------------------
+
+
+_ELEMENT = re.compile(r'<PII type="([^"]*)">([^<]*)</PII>')
+
+
+def parse_protected_line(line: str) -> tuple:
+    """(template, [(label, box), ...], warnings) for one protected line."""
+    fields, warnings, parts = [], [], []
+    pos = 0
+    for m in _ELEMENT.finditer(line):
+        label, payload = m.group(1), m.group(2)
+        if label not in PII_PRIORITY:
+            warnings.append(f"Malformed element at {m.start()}: unknown type {label!r}")
+            continue
+        try:
+            box = base64.b64decode(payload, validate=True)
+        except ValueError:
+            box = b""
+        if len(box) != 44 or base64.b64encode(box).decode("ascii") != payload:
+            warnings.append(f"Malformed element at {m.start()}: payload is not 44 bytes of base64")
+            continue
+        parts.append(line[pos : m.start()])
+        parts.append(f"<PII#{len(fields)}>")
+        fields.append((label, box))
+        pos = m.end()
+    parts.append(line[pos:])
+    return "".join(parts), fields, warnings
 
 
 def fill_template(template: str, fields: list) -> str:

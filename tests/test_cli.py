@@ -443,6 +443,50 @@ def test_recover_rejects_invalid_utf8(ws, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def _protected_one_line(ws):
+    """init, then protect one line to one.out; returns the events CSV of an empty window."""
+    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    (ws / "one.log").write_text("05-01 10:00:00.000  1000  1000 I T: mail a@b.co\n")
+    assert _client(ws, "protect", "--in", str(ws / "one.log"), "--out", str(ws / "one.out")) == 0
+    (ws / "window.kv").write_text("v=1\ngrant_id=g-files\n")
+    with open(ws / "events.csv", "w", encoding="utf-8", newline="") as fh:
+        write_events_csv([], fh)
+
+
+_FILE_CASES = {
+    "protect-in": lambda ws, p: _client(ws, "protect", "--in", p, "--out", str(ws / "x.out")),
+    "recover-in": lambda ws, p: server_main([
+        "recover", "--keys", str(ws / "window.kv"), "--in", p, "--out", str(ws / "x.csv")]),
+    "report-events": lambda ws, p: server_main(
+        ["report", "--events", p, "--out", str(ws / "x.csv")]),
+    "timeline-events": lambda ws, p: server_main(
+        ["report", "--events", p, "--timeline", "AAAA"]),
+    "protect-out": lambda ws, p: _client(
+        ws, "protect", "--in", str(ws / "one.log"), "--out", p),
+    "recover-out": lambda ws, p: server_main([
+        "recover", "--keys", str(ws / "window.kv"), "--in", str(ws / "one.out"), "--out", p]),
+    "report-out": lambda ws, p: server_main(
+        ["report", "--events", str(ws / "events.csv"), "--out", p]),
+    "timeline-out": lambda ws, p: server_main(
+        ["report", "--events", str(ws / "events.csv"), "--timeline", "AAAA", "--out", p]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FILE_CASES))
+def test_missing_file_or_directory_exits_6(ws, capsys, case):
+    """An input that does not exist, or an output in a directory that does
+    not, is CorruptState naming the path given, not a traceback."""
+    _protected_one_line(ws)
+    path = str(ws / "nodir" / "file")
+    capsys.readouterr()
+    assert _FILE_CASES[case](ws, path) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error CorruptState: ") and repr(path) in err
+    assert ".tmp" not in err
+    assert not (ws / "nodir").exists()
+    assert not list(ws.glob(".x.*.tmp"))
+
+
 def test_exit_code_bad_expect_attest(ws):
     assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
     assert server_main([

@@ -391,6 +391,52 @@ def test_payload_form_last_two_characters():
         assert bool(_PAYLOAD.fullmatch(payload)) == _canonical_44(payload), payload
 
 
+_KNOWN_LABELS = st.sampled_from([t.value for t in PiiType])
+_ODD_LABELS = st.sampled_from(["", "NOPE", "email", "EMAIL ", "IPV4X", "PII"]) | st.text(
+    alphabet='AEZ_<"> ', max_size=6)
+
+
+@st.composite
+def _payloads(draw):
+    """Base64 of 43, 44 or 45 bytes, as encoded or with one character
+    changed: a non-canonical last character, a stray '<' or '"', or any."""
+    raw = draw(st.binary(min_size=43, max_size=45))
+    chars = list(base64.b64encode(raw).decode("ascii"))
+    edit = draw(st.sampled_from(["none", "last", "stray", "any"]))
+    if edit == "last" and len(raw) == 44:
+        chars[58] = draw(st.sampled_from(string.ascii_letters + string.digits + "+/"))
+    elif edit in ("stray", "any"):
+        i = draw(st.integers(min_value=0, max_value=len(chars)))
+        chars.insert(i, draw(st.sampled_from('<"' if edit == "stray" else _B64_ALPHABET)))
+    return "".join(chars)
+
+
+def _element(label, payload):
+    return st.tuples(label, payload).map(lambda lp: f'<PII type="{lp[0]}">{lp[1]}</PII>')
+
+
+_VALID_ELEMENT = _element(
+    _KNOWN_LABELS, st.binary(min_size=44, max_size=44).map(lambda b: base64.b64encode(b).decode()))
+_ANY_ELEMENT = _element(_KNOWN_LABELS | _ODD_LABELS, _payloads())
+# Text between elements may hold the grammar's own characters and pieces of it.
+_ELEMENT_GAPS = st.text(alphabet='ab <>"/=PIé', max_size=8) | st.sampled_from(
+    ['<PII type="', '">', "</PII>", "<", '"', '<PII type="EMAIL">'])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_VALID_ELEMENT | _ANY_ELEMENT | _ELEMENT_GAPS, max_size=8))
+@example(["x", f'<PII type="EMAIL">{base64.b64encode(bytes(44)).decode()}</PII>'] * 2)
+def test_parse_matches_reference_parser(pieces):
+    """Template, fields and warnings (text and position) equal the two-step
+    reference's, on valid, unknown-label, wrong-length, non-canonical and
+    stray-character elements, adjacent or not."""
+    line = "".join(pieces)
+    template, fields, warnings = parse_protected_line(line)
+    assert (template, [(f.pii_type.value, f.box) for f in fields], warnings) == (
+        oracles.parse_protected_line(line)
+    )
+
+
 _SAFE_TEXT = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters="<"),
     max_size=40,

@@ -428,8 +428,21 @@ def _csv_events():
     ]
 
 
-def test_events_csv_bytes_match_per_row_reference():
+# Templates with every character csv quoting turns on, non-ASCII text and
+# leading or trailing spaces.
+_CSV_TEMPLATE = st.text(alphabet=',"\r\n \tab<#0>é€\u2028', max_size=12) | st.sampled_from(
+    [" lead", "trail ", " both ", "a,b", '"', '""', "\r\n", "é, \"€\"", ""])
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.tuples(_CSV_TEMPLATE, st.integers(1, 3)), max_size=8))
+def test_events_csv_bytes_match_per_row_reference(lines):
+    """Rows byte-identical to csv.writer's, on fixed templates then one to
+    three events per drawn line sharing its template, as recover emits."""
     events = _csv_events()
+    for line_no, (template, count) in enumerate(lines, start=100):
+        events += [_event(line_no, D(1 + line_no % 3), bytes([line_no, k]) * 8,
+                          pii=list(PiiType)[k], template=template) for k in range(count)]
     expected = io.StringIO()
     writer = csv.writer(expected)
     writer.writerow(["line_no", "date", "pii_type", "token_b64", "template"])
