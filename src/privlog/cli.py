@@ -12,6 +12,7 @@ import argparse
 import os
 import statistics
 import sys
+from contextlib import nullcontext
 from datetime import date
 from pathlib import Path
 from time import perf_counter_ns
@@ -19,6 +20,7 @@ from typing import Iterator, List, Optional
 
 from . import client as client_mod
 from . import server as server_mod
+from .crypto import TOKEN_LEN
 from .dice import DeviceIdentity, attestation_digest, parse_identity
 from .errors import CorruptState, OutOfOrderDate, PrivlogError, exit_code_for
 from .grant import format_grant, parse_grant
@@ -33,31 +35,28 @@ def _fail(exc: PrivlogError) -> int:
     return exit_code_for(exc)
 
 
-def _read(path: str, what: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorruptState(f"cannot read {what} {path!r}: {exc}") from exc
-
-
-def _open(path: str, what: str, **kwargs):
-    """`open(path, **kwargs)` for reading; an OSError is CorruptState naming `what`."""
-    try:
-        return open(path, **kwargs)
-    except OSError as exc:
-        raise CorruptState(f"cannot read {what} {path!r}: {exc}") from exc
-
-
 def _read_lines(path: str, what: str) -> Iterator[str]:
     """Lines of a UTF-8 file, split at "\n" only and untranslated, each with
-    its "\n" if it has one. A byte that is not UTF-8 is CorruptState."""
+    its "\n" if it has one. A file that cannot be read, or a byte that is
+    not UTF-8, is CorruptState naming `what`, the path and the line."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise CorruptState(f"cannot read {what} {path!r}: {exc}") from exc
+    line_no = 0
     # UTF-8 never encodes a newline inside a character: lines decode alone.
-    with _open(path, what, mode="rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
+    try:
+        with fh:
+            for line_no, raw in enumerate(fh, start=1):
                 yield raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorruptState(f"{what} {path!r} line {line_no} is not valid UTF-8") from exc
+    except UnicodeDecodeError as exc:
+        raise CorruptState(f"{what} {path!r} line {line_no} is not valid UTF-8") from exc
+    except OSError as exc:  # raised reading the line after the last one yielded
+        raise CorruptState(f"cannot read {what} {path!r} line {line_no + 1}: {exc}") from exc
+
+
+def _read(path: str, what: str) -> str:
+    return "".join(_read_lines(path, what))
 
 
 def _parse_year(value: Optional[str], what: str) -> Optional[int]:
@@ -339,23 +338,20 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with _open(args.events, "events csv", encoding="utf-8", newline="") as fh:
-        events = server_mod.read_events_csv(fh)
+    events = server_mod.read_events_csv(_read_lines(args.events, "events csv"))
     if args.timeline:
-        token = b64_decode(args.timeline, "--timeline token")
+        token = b64_decode(args.timeline, "--timeline token", TOKEN_LEN)
         rows = server_mod.timeline(events, token)
-        if not args.outfile:
-            server_mod.write_timeline_csv(rows, sys.stdout)
-        else:
-            with atomic_writer(args.outfile) as fh:
-                server_mod.write_timeline_csv(rows, fh)
+        out = atomic_writer(args.outfile) if args.outfile else nullcontext(sys.stdout)
+        with out as fh:
+            server_mod.write_timeline_csv(rows, fh)
         return 0
     if not args.outfile:
         raise CorruptState("report needs --out (or --timeline TOKEN)")
-    report = server_mod.linkage_report(events)
+    groups = server_mod.linkage_report(events)
     with atomic_writer(args.outfile) as fh:
-        server_mod.write_linkage_csv(report, fh)
-    print(f"{len(report.groups)} token groups over {report.total_events} events -> {args.outfile}")
+        server_mod.write_linkage_csv(groups, fh)
+    print(f"{len(groups)} token groups over {len(events)} events -> {args.outfile}")
     return 0
 
 

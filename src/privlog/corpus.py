@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import List, Tuple, Union
 
 from .errors import CorruptState
+from .kvfile import csv_field
 from .pii import PiiType
 
 DENSITY_MEAN = {"low": 0.1, "medium": 1.0, "high": 3.0}
@@ -179,10 +180,9 @@ def write_corpus(
     lines, truth = generate_corpus(cfg)
     Path(log_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     with open(truth_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRUTH_HEADER)
+        fh.write(",".join(TRUTH_HEADER) + "\r\n")
         for p in truth:
-            writer.writerow([p.line_no, p.start, p.end, p.pii_type.value, p.text])
+            fh.write(f"{p.line_no},{p.start},{p.end},{p.pii_type.value},{csv_field(p.text)}\r\n")
     return len(lines), len(truth)
 
 

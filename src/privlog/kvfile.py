@@ -1,4 +1,5 @@
-"""Line-oriented key=value files used for state, grants, offers and keys.
+"""Line-oriented key=value files used for state, grants, offers and keys,
+and the one CSV field rule every CSV writer uses.
 
 All on-disk secrets are base64; dates are ISO YYYY-MM-DD. Every file the
 CLIs write goes through `atomic_writer` (uniquely named temp file, fsync,
@@ -53,21 +54,20 @@ def require(fields: Dict[str, str], key: str, what: str) -> str:
     return fields[key]
 
 
-def b64_decode(text: str, what: str) -> bytes:
-    """Strict base64 (no stray characters); CorruptState names `what`."""
+def b64_decode(text: str, what: str, length: int = 0) -> bytes:
+    """Strict base64 (no stray characters) of `length` bytes if `length` is
+    set; CorruptState names `what`."""
     try:
-        return base64.b64decode(text, validate=True)
+        decoded = base64.b64decode(text, validate=True)
     except ValueError as exc:  # binascii.Error, or non-ASCII text
         raise CorruptState(f"{what} is not valid base64") from exc
+    if length and len(decoded) != length:
+        raise CorruptState(f"{what} has {len(decoded)} bytes, expected {length}")
+    return decoded
 
 
 def b64_field(fields: Dict[str, str], key: str, what: str, length: int = 0) -> bytes:
-    decoded = b64_decode(require(fields, key, what), f"{what}: field {key!r}")
-    if length and len(decoded) != length:
-        raise CorruptState(
-            f"{what}: field {key!r} has {len(decoded)} bytes, expected {length}"
-        )
-    return decoded
+    return b64_decode(require(fields, key, what), f"{what}: field {key!r}", length)
 
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
@@ -87,6 +87,14 @@ def date_field(fields: Dict[str, str], key: str, what: str) -> date:
 
 def b64(raw: bytes) -> str:
     return b2a_base64(raw, newline=False).decode("ascii")
+
+
+def csv_field(text: str) -> str:
+    """`text` as csv.writer's default dialect writes it in a row of several
+    fields: quoted only if it holds ',', '"', '\r' or '\n', quotes doubled."""
+    if '"' in text or "," in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 @contextlib.contextmanager

@@ -17,11 +17,14 @@ from datetime import date, timedelta
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .crypto import (
-    DhKeyPair, SecretKey32, aead_open, dh_derive_keypair, dh_shared, kdf, ratchet_step,
+    TOKEN_LEN, DhKeyPair, SecretKey32, aead_open, dh_derive_keypair, dh_shared, kdf,
+    ratchet_step,
 )
 from .errors import AuthFailure, ContextMismatch, CorruptState, InvalidLength, InvalidWindow
 from .grant import Grant, grant_aad, unpack_window_payload
-from .kvfile import b64, b64_decode, b64_field, format_kv, iso_date, parse_versioned, require
+from .kvfile import (
+    b64, b64_decode, b64_field, csv_field, format_kv, iso_date, parse_versioned, require,
+)
 from .pii import PiiType, extract_date, parse_protected_line, roll_year
 
 KEYSTORE_VERSION = "1"
@@ -185,13 +188,7 @@ class LinkageGroup:
     last_date: date
 
 
-@dataclass
-class LinkageReport:
-    groups: List[LinkageGroup]
-    total_events: int
-
-
-def linkage_report(events: List[RecoveredEvent]) -> LinkageReport:
+def linkage_report(events: List[RecoveredEvent]) -> List[LinkageGroup]:
     """Group events by token; most frequent first, token bytes break ties.
 
     One pass: each token keeps [its first event's type, count, first
@@ -210,7 +207,7 @@ def linkage_report(events: List[RecoveredEvent]) -> LinkageReport:
             group[3] = day
     groups = [LinkageGroup(token, *group) for token, group in by_token.items()]
     groups.sort(key=lambda g: (-g.count, g.token))
-    return LinkageReport(groups=groups, total_events=len(events))
+    return groups
 
 
 def timeline(
@@ -278,14 +275,6 @@ def load_window_keys(text: str) -> WindowKeys:
     return WindowKeys(grant_id=require(fields, "grant_id", "window keys file"), days=days)
 
 
-def _csv_field(text: str) -> str:
-    """`text` as csv.writer's default dialect writes it in a row of several
-    fields: quoted only if it holds ',', '"', '\r' or '\n', quotes doubled."""
-    if '"' in text or "," in text or "\n" in text or "\r" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def write_events_csv(events: List[RecoveredEvent], fh) -> None:
     """One row per event, as csv.writer writes it. Each distinct day is
     formatted once, and each line's template is quoted once for all of its
@@ -295,48 +284,48 @@ def write_events_csv(events: List[RecoveredEvent], fh) -> None:
     template, tail = None, ""
     for line_no, day, pii_type, token, text in events:
         if text != template:
-            template, tail = text, _csv_field(text) + "\r\n"
+            template, tail = text, csv_field(text) + "\r\n"
         fh.write(f"{line_no},{iso(day)},{pii_type.value},{b64(token)},{tail}")
 
 
-def read_events_csv(fh) -> List[RecoveredEvent]:
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header != EVENTS_HEADER:
-        raise CorruptState(f"events csv: unexpected header {header!r}")
+def read_events_csv(lines: Iterable[str]) -> List[RecoveredEvent]:
+    """Events from the lines of a CSV as `write_events_csv` writes it, each
+    line with its "\n". A row that does not parse, a token that is not
+    16 bytes, or a file that ends inside a quoted field is CorruptState."""
+    # A template is a whole protected line, which may be longer than the
+    # csv module's default field limit of 128 KiB; 2**31 - 1 fits a C long
+    # on every platform.
+    csv.field_size_limit(2**31 - 1)
+    reader = csv.reader(lines, strict=True)
     # A window has few days and there are ten types: each distinct date and
     # type string is checked once. Tokens need not repeat, so each is decoded.
     day_of = functools.cache(lambda text: iso_date(text, "events csv: date"))
     type_of = functools.cache(PiiType)
     events = []
     try:
+        header = next(reader, None)
+        if header != EVENTS_HEADER:
+            raise CorruptState(f"events csv: unexpected header {header!r}")
         for line_no, day, pii_type, token_b64, template in reader:
             events.append(RecoveredEvent(
                 int(line_no), day_of(day), type_of(pii_type),
-                b64_decode(token_b64, "events csv: token"), template,
+                b64_decode(token_b64, "events csv: token", TOKEN_LEN), template,
             ))
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, csv.Error) as exc:
         raise CorruptState(f"events csv: bad row: {exc}") from exc
     return events
 
 
-def write_linkage_csv(report: LinkageReport, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(LINKAGE_HEADER)
-    for g in report.groups:
-        writer.writerow(
-            [
-                b64(g.token),
-                g.pii_type.value,
-                g.count,
-                g.first_date.isoformat(),
-                g.last_date.isoformat(),
-            ]
-        )
+def write_linkage_csv(groups: List[LinkageGroup], fh) -> None:
+    """Rows as csv.writer writes them; no field can need quoting."""
+    fh.write(",".join(LINKAGE_HEADER) + "\r\n")
+    for g in groups:
+        fh.write(f"{b64(g.token)},{g.pii_type.value},{g.count},"
+                 f"{g.first_date.isoformat()},{g.last_date.isoformat()}\r\n")
 
 
 def write_timeline_csv(rows: List[Tuple[date, int, str]], fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(TIMELINE_HEADER)
+    """Rows as csv.writer writes them."""
+    fh.write(",".join(TIMELINE_HEADER) + "\r\n")
     for day, line_no, template in rows:
-        writer.writerow([day.isoformat(), line_no, template])
+        fh.write(f"{day.isoformat()},{line_no},{csv_field(template)}\r\n")

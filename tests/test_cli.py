@@ -453,6 +453,8 @@ def _protected_one_line(ws):
         write_events_csv([], fh)
 
 
+_TOKEN = base64.b64encode(b"\x07" * 16).decode()
+
 _FILE_CASES = {
     "protect-in": lambda ws, p: _client(ws, "protect", "--in", p, "--out", str(ws / "x.out")),
     "recover-in": lambda ws, p: server_main([
@@ -460,7 +462,7 @@ _FILE_CASES = {
     "report-events": lambda ws, p: server_main(
         ["report", "--events", p, "--out", str(ws / "x.csv")]),
     "timeline-events": lambda ws, p: server_main(
-        ["report", "--events", p, "--timeline", "AAAA"]),
+        ["report", "--events", p, "--timeline", _TOKEN]),
     "protect-out": lambda ws, p: _client(
         ws, "protect", "--in", str(ws / "one.log"), "--out", p),
     "recover-out": lambda ws, p: server_main([
@@ -468,7 +470,7 @@ _FILE_CASES = {
     "report-out": lambda ws, p: server_main(
         ["report", "--events", str(ws / "events.csv"), "--out", p]),
     "timeline-out": lambda ws, p: server_main(
-        ["report", "--events", str(ws / "events.csv"), "--timeline", "AAAA", "--out", p]),
+        ["report", "--events", str(ws / "events.csv"), "--timeline", _TOKEN, "--out", p]),
 }
 
 
@@ -485,6 +487,110 @@ def test_missing_file_or_directory_exits_6(ws, capsys, case):
     assert ".tmp" not in err
     assert not (ws / "nodir").exists()
     assert not list(ws.glob(".x.*.tmp"))
+
+
+# The CLI chain from init to report, one step a line; a word with a file
+# suffix names a file in the workspace.
+_CHAIN = [
+    ("client", f"init --today 2024-05-01 --seed {SEED_A}"),
+    ("client", "protect --in raw.log --out prot.log"),
+    ("server", f"offer --keystore server.kv --grant-id g-chain --out offer.kv --seed {SEED_C}"),
+    ("client", "grant --server-offer offer.kv --start 2024-05-01 --today 2024-05-02 --out grant.kv"),
+    ("server", "accept --keystore server.kv --grant grant.kv --expect-device pixel-lab --out window.kv"),
+    ("server", "recover --keys window.kv --in prot.log --out events.csv"),
+    ("server", "report --events events.csv --out linkage.csv"),
+]
+_RAW_LOG = (
+    "05-01 10:00:00.000  1000  1000 I T: mail a@b.co\n"
+    "05-02 10:00:00.000  1000  1000 I T: mail c@d.co\n"
+)
+
+
+def _step(ws, n: int) -> int:
+    side, command = _CHAIN[n]
+    argv = [str(ws / w) if re.fullmatch(r"\w+\.(cfg|kv|log|csv)", w) else w for w in command.split()]
+    return _client(ws, *argv) if side == "client" else server_main(argv)
+
+
+_INPUTS = {  # input kind: (its file, the chain step that reads it)
+    "config": ("client.cfg", 1),
+    "identity": ("identity.kv", 1),
+    "state": ("state.kv", 1),
+    "raw-log": ("raw.log", 1),
+    "keystore": ("server.kv", 2),
+    "offer": ("offer.kv", 3),
+    "grant": ("grant.kv", 4),
+    "window-keys": ("window.kv", 5),
+    "protected-log": ("prot.log", 5),
+    "events-csv": ("events.csv", 6),
+}
+
+
+@pytest.mark.parametrize("kind", list(_INPUTS))
+def test_input_not_utf8_exits_6(ws, capsys, kind):
+    """A byte that is not UTF-8 in any input file is CorruptState naming the
+    file and the line: no traceback, no output, no state or keystore change."""
+    name, step = _INPUTS[kind]
+    words = _CHAIN[step][1].split()
+    out = ws / words[words.index("--out") + 1]
+    (ws / "raw.log").write_text(_RAW_LOG)
+    for n in range(step):
+        assert _step(ws, n) == 0
+    path = ws / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = b"\xe9" + lines[1]
+    path.write_bytes(b"".join(lines))
+    kept = {f: (ws / f).read_bytes() for f in ("state.kv", "server.kv")}
+    capsys.readouterr()
+    assert _step(ws, step) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error CorruptState: ")
+    assert repr(str(path)) in err and "line 2 " in err
+    assert not out.exists()
+    assert not list(ws.glob(".*.tmp"))
+    assert {f: (ws / f).read_bytes() for f in kept} == kept
+
+
+def test_report_reads_back_a_140k_character_line(ws):
+    """`recover` writes a template of any length, and `report` and
+    `--timeline` read it back: the csv module's default field limit is 128 KiB."""
+    filler = " ".join(["word"] * 28_000)
+    (ws / "raw.log").write_text(_RAW_LOG.replace("a@b.co", f"a@b.co {filler}"))
+    for n in range(len(_CHAIN)):
+        assert _step(ws, n) == 0
+    assert len((ws / "prot.log").read_text().splitlines()[0]) > 140_000
+    assert (ws / "linkage.csv").read_text().count("\n") == 3  # header and two tokens
+    token = (ws / "events.csv").read_text().split("\n")[1].split(",")[3]  # line 1's
+    assert server_main(["report", "--events", str(ws / "events.csv"), "--timeline", token,
+                        "--out", str(ws / "timeline.csv")]) == 0
+    assert filler in (ws / "timeline.csv").read_text()
+
+
+@pytest.mark.skipif(not Path("/proc/self/mem").exists(), reason="needs Linux /proc")
+def test_input_read_error_names_the_line(ws, capsys):
+    """An input that opens but cannot be read is CorruptState naming the line:
+    reading /proc/self/mem at offset 0 fails with EIO."""
+    (ws / "window.kv").write_text("v=1\ngrant_id=g-eio\n")
+    assert server_main(["recover", "--keys", str(ws / "window.kv"), "--in", "/proc/self/mem",
+                        "--out", str(ws / "x.csv"), "--year", "2024"]) == 6
+    assert "cannot read input '/proc/self/mem' line 1: " in capsys.readouterr().err
+    assert not (ws / "x.csv").exists()
+
+
+@pytest.mark.parametrize("timeline", [[], ["--timeline", _TOKEN]], ids=["linkage", "timeline"])
+def test_report_cut_inside_quoted_template_exits_6(ws, capsys, timeline):
+    """An events CSV that ends inside a quoted template is CorruptState, not
+    a row with a shorter template."""
+    with open(ws / "events.csv", "w", encoding="utf-8", newline="") as fh:
+        write_events_csv([RecoveredEvent(1, DAY1, PiiType.EMAIL, b"\x07" * 16,
+                                         'uid=1000, msg "hi" <PII#0>')], fh)
+    text = (ws / "events.csv").read_bytes()
+    (ws / "cut.csv").write_bytes(text[:text.index(b"msg")])
+    capsys.readouterr()
+    assert server_main(["report", "--events", str(ws / "cut.csv"),
+                        "--out", str(ws / "x.csv"), *timeline]) == 6
+    assert "events csv" in capsys.readouterr().err
+    assert not (ws / "x.csv").exists()
 
 
 def test_exit_code_bad_expect_attest(ws):
@@ -504,13 +610,17 @@ def test_exit_code_bad_expect_attest(ws):
     assert not (ws / "window.kv").exists()
 
 
-def test_exit_code_bad_timeline_token(ws):
+def test_exit_code_bad_timeline_token(ws, capsys):
     (ws / "events.csv").write_text("line_no,date,pii_type,token_b64,template\n")
-    # Non-ASCII text makes b64decode raise a plain ValueError, not binascii.Error.
-    for token in ("not*base64", "töken"):
+    # Non-ASCII text makes b64decode raise a plain ValueError, not binascii.Error;
+    # "AAAA" is base64 of 3 bytes, and a token is 16.
+    for token in ("not*base64", "töken", "AAAA"):
+        capsys.readouterr()
         assert server_main([
             "report", "--events", str(ws / "events.csv"), "--timeline", token,
         ]) == 6
+        out, err = capsys.readouterr()
+        assert out == "" and "--timeline token" in err
 
 
 def test_protect_preserves_line_endings(ws, capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from privlog.client import GrantRequest, ProtectSession, advance_to, create_grant, init_client
-from privlog.crypto import SecretKey32, aead_seal, dh_shared, kdf
+from privlog.crypto import SecretKey32, aead_open, aead_seal, dh_shared, kdf
 from privlog.errors import (
     AuthFailure,
     ContextMismatch,
@@ -36,6 +36,7 @@ from privlog.server import (
     timeline,
     write_events_csv,
     write_linkage_csv,
+    write_timeline_csv,
 )
 
 DAY1 = date(2024, 5, 1)
@@ -212,8 +213,17 @@ def test_recover_window_enforcement(identity, server_keys, client_state):
 
 
 def test_recover_no_date_line(identity, server_keys, client_state):
+    """A continuation line with no date prefix is sealed under the client's
+    chain-date key; recover cannot date it, so it counts and drops it."""
     _, window, _ = _protected_corpus(identity, server_keys, client_state)
-    session_lines = ['<PII type="EMAIL">' + "A" * 59 + "=</PII> no timestamp"]
+    session = ProtectSession(client_state, assumed_year=2024)
+    session_lines = [session.protect_line(raw)[0] for raw in (
+        f"{D(4).isoformat()} 12:00:00.000 E Mailer: send failed",
+        "    at com.example.Mailer.send(user9@test.org)",
+        f"{D(4).isoformat()} 12:00:01.000 I Mailer: retry queued",
+    )]
+    (_, box), = parse_protected_line(session_lines[1])[1]
+    assert aead_open(window.days[D(4)], box)
     events, skipped = recover_tokens(window, session_lines, 2024)
     assert events == []
     assert skipped["lines_no_date"] == 1
@@ -360,19 +370,17 @@ def test_linkage_groups_and_sorting():
         _event(3, D(4), tok_a),
         _event(4, D(2), tok_b),
     ]
-    report = linkage_report(events)
-    assert report.total_events == 4
-    assert [g.token for g in report.groups] == [tok_a, tok_b]
-    g = report.groups[0]
+    groups = linkage_report(events)
+    assert [g.token for g in groups] == [tok_a, tok_b]
+    g = groups[0]
     assert (g.count, g.first_date, g.last_date) == (3, D(1), D(4))
-    assert sum(g.count for g in report.groups) == report.total_events
+    assert sum(g.count for g in groups) == len(events) == 4
 
 
 def test_linkage_tie_broken_by_token_bytes():
     tok_a, tok_b = b"\xff" * 16, b"\x00" * 16
     events = [_event(1, D(1), tok_a), _event(2, D(1), tok_b)]
-    report = linkage_report(events)
-    assert [g.token for g in report.groups] == [tok_b, tok_a]
+    assert [g.token for g in linkage_report(events)] == [tok_b, tok_a]
 
 
 def test_timeline_order_and_unknown_token():
@@ -460,7 +468,8 @@ def test_events_csv_bytes_match_per_row_reference(lines):
     "2024-05-32,EMAIL,AQEBAQEBAQEBAQEBAQEBAQ==",
     "2024-05-01,EMAIL,not base64!",
     "2024-05-01,NAME,AQEBAQEBAQEBAQEBAQEBAQ==",
-], ids=["date", "token", "type"])
+    "2024-05-01,EMAIL,AQEBAQEBAQEBAQEBAQEBAQE=",
+], ids=["date", "token", "type", "token-length"])
 def test_events_csv_bad_row_after_good_rows(bad):
     buf = io.StringIO()
     write_events_csv(_csv_events(), buf)
@@ -502,9 +511,31 @@ def test_file_checks_reject_bad_version_and_date(load, text, exc, what):
 
 
 def test_linkage_csv_shape():
-    events = [_event(1, D(1), b"\x01" * 16), _event(2, D(2), b"\x01" * 16)]
+    """Rows as csv.writer writes them, most frequent token first."""
+    events = [_event(1, D(1), b"\x01" * 16), _event(2, D(2), b"\x01" * 16),
+              _event(3, D(3), b"\x02" * 16, pii=PiiType.PHONE)]
     buf = io.StringIO()
     write_linkage_csv(linkage_report(events), buf)
     rows = buf.getvalue().strip().splitlines()
     assert rows[0] == "token_b64,pii_type,count,first_date,last_date"
     assert rows[1].endswith("EMAIL,2,2024-05-01,2024-05-02")
+    expected = io.StringIO()
+    csv.writer(expected).writerows([
+        ["token_b64", "pii_type", "count", "first_date", "last_date"],
+        [base64.b64encode(b"\x01" * 16).decode(), "EMAIL", 2, "2024-05-01", "2024-05-02"],
+        [base64.b64encode(b"\x02" * 16).decode(), "PHONE", 1, "2024-05-03", "2024-05-03"],
+    ])
+    assert buf.getvalue() == expected.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(templates=st.lists(_CSV_TEMPLATE, max_size=6))
+def test_timeline_csv_bytes_match_csv_writer(templates):
+    rows = [(D(1 + n % 3), n, template) for n, template in enumerate(templates, start=1)]
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["date", "line_no", "template"])
+    writer.writerows([day.isoformat(), line_no, template] for day, line_no, template in rows)
+    got = io.StringIO()
+    write_timeline_csv(rows, got)
+    assert got.getvalue() == expected.getvalue()
