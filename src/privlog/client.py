@@ -194,11 +194,9 @@ class ProtectSession:
         spans = detect_pii(line)
         if not spans:
             return line, 0
-        tokens = [pseudonymize(self._state.hash_key, s.text.encode("utf-8")) for s in spans]
-        fields = [
-            ProtectedField(span.pii_type, aead_seal(key, token))
-            for span, token in zip(spans, tokens)
-        ]
+        hash_key = self._state.hash_key
+        fields = [ProtectedField(pii_type, aead_seal(key, pseudonymize(hash_key, text.encode())))
+                  for pii_type, _, _, text in spans]
         return encode_protected_line(line, spans, fields), len(spans)
 
 

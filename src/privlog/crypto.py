@@ -11,11 +11,11 @@ Primitive choices, fixed for interoperability:
 * Key agreement: X25519; private scalars are derived from 32-byte seeds
   through the KDF and clamped.
 
-Every function in this module is pure or locally randomized. The one
-state is the cipher a `SecretKey32` builds on first use and keeps until
-`wipe`. Building it twice is harmless, so concurrent users of a key need
-no locking; but `wipe` must not run while any other thread uses the key,
-or a cipher under the old bytes can be kept after it.
+Every function in this module is pure or locally randomized. The only
+state is the cipher and the keyed HMAC state a `SecretKey32` builds on
+first use and keeps until `wipe`. Building either twice is harmless, so
+concurrent users of a key need no locking; but `wipe` must not run while
+any other thread uses the key, or a state under the old bytes can be kept.
 """
 
 from __future__ import annotations
@@ -50,12 +50,12 @@ class SecretKey32:
 
     Zeroization is best effort: the backing buffer is wiped on `wipe()`
     and on garbage collection, but copies handed out via `.bytes` are
-    ordinary immutable bytes. The cipher `aead()` keeps holds its own
-    copy of the key, which `wipe()` cannot zero; it drops the cipher, so
-    that copy lives no longer than this object's key does.
+    ordinary immutable bytes. The cipher `aead()` keeps holds a copy of the
+    key and the state `hmac()` keeps holds pads derived from it. `wipe()`
+    cannot zero those, but drops both, so they live no longer than this key.
     """
 
-    __slots__ = ("_buf", "_aead")
+    __slots__ = ("_buf", "_aead", "_hmac")
 
     def __init__(self, data: Union[bytes, bytearray, "SecretKey32"]):
         if isinstance(data, SecretKey32):
@@ -63,7 +63,7 @@ class SecretKey32:
         if len(data) != KEY_LEN:
             raise InvalidLength(f"secret key must be {KEY_LEN} bytes, got {len(data)}")
         self._buf = bytearray(data)
-        self._aead = None
+        self._aead = self._hmac = None
 
     @property
     def bytes(self) -> bytes:
@@ -75,8 +75,14 @@ class SecretKey32:
             self._aead = ChaCha20Poly1305(self.bytes)
         return self._aead
 
+    def hmac(self) -> _hmac.HMAC:
+        """This key's HMAC-SHA256 state, keyed on first use and kept until `wipe`."""
+        if self._hmac is None:
+            self._hmac = _hmac.new(self.bytes, digestmod="sha256")
+        return self._hmac
+
     def wipe(self) -> None:
-        self._aead = None
+        self._aead = self._hmac = None
         for i in range(len(self._buf)):
             self._buf[i] = 0
 
@@ -161,7 +167,9 @@ def pseudonymize(hash_key: SecretKey32, plaintext: bytes) -> bytes:
     """Stable 16-byte correlation token for a sensitive value."""
     if not plaintext:
         raise EmptyInput("cannot pseudonymize empty input")
-    return _hmac.digest(hash_key.bytes, plaintext, "sha256")[:TOKEN_LEN]
+    state = hash_key.hmac().copy()
+    state.update(plaintext)
+    return state.digest()[:TOKEN_LEN]
 
 
 def aead_seal(key: SecretKey32, plaintext: bytes, aad: bytes = b"") -> bytes:

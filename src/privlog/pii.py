@@ -23,10 +23,9 @@ padded encoding of the 44 bytes nonce || ciphertext || tag that seal a
 
 from __future__ import annotations
 
-import base64
 import enum
 import re
-from binascii import a2b_base64
+from binascii import a2b_base64, b2a_base64
 from datetime import date
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -103,6 +102,10 @@ class ProtectedField(NamedTuple):
 _DIGIT_RUN = re.compile(r"\d{15}")
 _PHONE_CORE = re.compile(r"\d\d\d\)?[ .-]\d\d\d[ .-]\d\d\d\d")
 _DIGIT_GATE = re.compile(r"\d\d\d(?:\d{12}|\)?[ .-]\d\d\d[ .-]\d\d\d\d)")
+# A logcat header `MM-DD HH:MM:SS.mmm`, a pid and a tid, up to the space after it.
+_HEADER = re.compile(r"\d\d-\d\d \d\d:\d\d:\d\d\.\d\d\d(?: +\d{1,14}){0,2}(?= )")
+# Each type's bound scan and priority index.
+_SCANS = {t: (PATTERNS[t].finditer, _PRIORITY_INDEX[t]) for t in PiiType}
 
 
 def _token_types(piece: str) -> List[PiiType]:
@@ -140,27 +143,36 @@ def detect_pii(line: str) -> List[PiiSpan]:
             or line.count("-") >= 2 or line.count(":") + line.count("-") >= 5
             or line.count(".") >= 3 or _DIGIT_GATE.search(line)):
         return []
+    candidates = []  # (start - end, start, priority index, end)
     # "+dd (" puts at most 5 characters before a PHONE match's core.
     core = _PHONE_CORE.search(line)
-    scans = [(PiiType.PHONE, max(0, core.start() - 5), len(line))] if core else []
-    pos = 0
-    for piece in line.split(" "):
+    if core:
+        finditer, rank = _SCANS[PiiType.PHONE]
+        for m in finditer(line, max(0, core.start() - 5)):
+            start, end = m.span()
+            candidates.append((start - end, start, rank, end))
+    # No piece of a logcat header passes a precheck (README): skip them.
+    header = _HEADER.match(line)
+    pos = header.end() + 1 if header else 0
+    # A lookbehind or `\b` at `pos` sees the space before it, and `stop`
+    # reads as the end of the line, as the space after it would.
+    for piece in line[pos:].split(" "):
         stop = pos + len(piece)
         # Every space-free match has three characters, one not a letter.
         if stop - pos > 2 and not piece.isalpha():
-            scans += [(pii_type, pos, stop) for pii_type in _token_types(piece)]
+            for pii_type in _token_types(piece):
+                finditer, rank = _SCANS[pii_type]
+                for m in finditer(line, pos, stop):
+                    start, end = m.span()
+                    candidates.append((start - end, start, rank, end))
         pos = stop + 1
-    # A lookbehind or `\b` at `pos` sees the space before it, and `stop`
-    # reads as the end of the line, as the space after it would.
-    candidates = []  # (start - end, start, priority index, end)
-    for pii_type, pos, stop in scans:
-        for m in PATTERNS[pii_type].finditer(line, pos, stop):
-            start, end = m.span()
-            candidates.append((start - end, start, _PRIORITY_INDEX[pii_type], end))
     candidates.sort()
     chosen = []
     for _, start, rank, end in candidates:
-        if all(end <= s or start >= e for s, e, _ in chosen):
+        for s, e, _ in chosen:
+            if start < e and s < end:
+                break
+        else:
             chosen.append((start, end, rank))
     return [PiiSpan(PRIORITY[rank], s, e, line[s:e]) for s, e, rank in sorted(chosen)]
 
@@ -214,7 +226,7 @@ def roll_year(line: str, day: date, year: int, last: date) -> Tuple[date, int]:
 
 
 def render_field(field: ProtectedField) -> str:
-    payload = base64.b64encode(field.box).decode("ascii")
+    payload = b2a_base64(field.box, newline=False).decode("ascii")
     return f'<PII type="{field.pii_type.value}">{payload}</PII>'
 
 
@@ -224,7 +236,9 @@ def encode_protected_line(
     """Replace each span with its protected element; other bytes unchanged."""
     if len(spans) != len(fields):
         raise InvalidSpans(f"{len(spans)} spans but {len(fields)} fields")
-    pairs = sorted(zip(spans, fields), key=lambda p: p[0].start)
+    pairs = zip(spans, fields)
+    if any(a.start > b.start for a, b in zip(spans, spans[1:])):
+        pairs = sorted(pairs, key=lambda p: p[0].start)
     pos = 0
     parts = []
     for span, field in pairs:

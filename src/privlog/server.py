@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import secrets
+from collections import deque
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
@@ -291,12 +292,14 @@ def write_events_csv(events: List[RecoveredEvent], fh) -> None:
 def read_events_csv(lines: Iterable[str]) -> List[RecoveredEvent]:
     """Events from the lines of a CSV as `write_events_csv` writes it, each
     line with its "\n". A row that does not parse, a token that is not
-    16 bytes, or a file that ends inside a quoted field is CorruptState."""
+    16 bytes, or a file cut short (inside a quoted field, or anywhere a row
+    still parses: its last line has no "\n") is CorruptState."""
     # A template is a whole protected line, which may be longer than the
     # csv module's default field limit of 128 KiB; 2**31 - 1 fits a C long
     # on every platform.
     csv.field_size_limit(2**31 - 1)
-    reader = csv.reader(lines, strict=True)
+    last = deque([""], maxlen=1)
+    reader = csv.reader(map(lambda line: last.append(line) or line, lines), strict=True)
     # A window has few days and there are ten types: each distinct date and
     # type string is checked once. Tokens need not repeat, so each is decoded.
     day_of = functools.cache(lambda text: iso_date(text, "events csv: date"))
@@ -313,6 +316,8 @@ def read_events_csv(lines: Iterable[str]) -> List[RecoveredEvent]:
             ))
     except (ValueError, KeyError, csv.Error) as exc:
         raise CorruptState(f"events csv: bad row: {exc}") from exc
+    if not last[0].endswith("\n"):
+        raise CorruptState("events csv: the last line has no newline: the file was cut")
     return events
 
 

@@ -593,6 +593,24 @@ def test_report_cut_inside_quoted_template_exits_6(ws, capsys, timeline):
     assert not (ws / "x.csv").exists()
 
 
+@pytest.mark.parametrize("timeline", [[], ["--timeline", _TOKEN]], ids=["linkage", "timeline"])
+def test_report_cut_inside_unquoted_template_exits_6(ws, capsys, timeline):
+    """An events CSV whose last line has no newline was cut, even where the
+    cut leaves a row that parses: it is CorruptState, not a shorter template."""
+    with open(ws / "events.csv", "w", encoding="utf-8", newline="") as fh:
+        write_events_csv([RecoveredEvent(1, DAY1, PiiType.EMAIL, b"\x07" * 16,
+                                         "mail <PII#0> sent to the relay")], fh)
+    text = (ws / "events.csv").read_bytes()
+    (ws / "cut.csv").write_bytes(text[:text.index(b"sent")])
+    capsys.readouterr()
+    assert server_main(["report", "--events", str(ws / "cut.csv"),
+                        "--out", str(ws / "x.csv"), *timeline]) == 6
+    out, err = capsys.readouterr()
+    assert "events csv" in err and "newline" in err
+    assert out == ""
+    assert not (ws / "x.csv").exists()
+
+
 def test_exit_code_bad_expect_attest(ws):
     assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
     assert server_main([

@@ -334,3 +334,16 @@ def test_wipe_drops_the_cached_cipher():
     with pytest.raises(AuthFailure):
         aead_open(key, before)
     assert aead_open(SecretKey32(b"\x00" * 32), after) == b"token"
+
+
+def test_wipe_drops_the_cached_hmac():
+    """An HMAC state keyed before `wipe` must not keep hashing under the old
+    key, and no two keys share one, even keys with the same bytes."""
+    raw, msg = b"\x55" * 32, b"alice@example.com"
+    key, twin = SecretKey32(raw), SecretKey32(raw)
+    assert pseudonymize(key, msg) == pseudonymize(key, msg) == oracles.hmac_trunc16(raw, msg)
+    assert pseudonymize(twin, msg) == oracles.hmac_trunc16(raw, msg)
+    assert key.hmac() is not twin.hmac()
+    key.wipe()
+    assert pseudonymize(key, msg) == oracles.hmac_trunc16(b"\x00" * 32, msg)
+    assert pseudonymize(twin, msg) == oracles.hmac_trunc16(raw, msg)

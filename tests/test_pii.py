@@ -16,6 +16,7 @@ from privlog.errors import InvalidSpans
 from privlog.pii import (
     PATTERNS,
     PRIORITY,
+    _HEADER,
     _PAYLOAD,
     _PHONE_CORE,
     PiiSpan,
@@ -122,6 +123,7 @@ def test_detect_matches_reference_on_corpus(density):
         BenchConfig(line_count=2000, pii_density=density, day_span=5, seed=17)
     )
     for line in lines:
+        assert _HEADER.match(line), line  # every line takes the header skip
         assert _as_tuples(detect_pii(line)) == oracles.detect_pii(line)
 
 
@@ -180,12 +182,27 @@ _HARD_CASES = (
     # inside a piece, and PHONE's 5-character prefix.
     "05-01 00:00:45.123.4.5 x",
     "05-01 00:00:00.123-45-6789 x",
+    "05-01 00:00:00.123 1234 352099001761481 x",  # a 15-digit tid is an IMEI
     "05-01 00:00:00.159 236 1234 x",
     "x 1.2.3.4\t5.6.7.8 y",
     "call +1 (555) 867-5309 now",
     "call +44 (555) 867-5309 now",
     "ip a::b up",  # the shortest piece that holds a match
 )
+
+
+# A logcat header and its near misses: Unicode digits, runs of spaces, pids
+# of 15 digits or more or in the shape of a value, a time piece that runs
+# on, and no space after it.
+_LOGCAT_HEADER = _cat(
+    _run(_DIGIT, 2, 2), "-", _run(_DIGIT, 2, 2), " ",
+    _run(_DIGIT, 2, 2), ":", _run(_DIGIT, 2, 2), ":", _run(_DIGIT, 2, 2), ".", _run(_DIGIT, 3, 3),
+    st.sampled_from(["", "", ".4.5", "-45-6789", "5", ":00", "-"]),
+    st.lists(_cat(st.sampled_from([" ", "  ", "   "]), _run(_DIGIT, 1, 17) | _SHAPES),
+             max_size=3).map("".join),
+    st.sampled_from([" ", " ", "  ", ""]),
+)
+_HEADED = _cat(_LOGCAT_HEADER, _ADVERSARIAL)
 
 
 def _with_hard_cases(test):
@@ -202,20 +219,29 @@ def test_detect_matches_reference_on_adversarial_lines(line):
 
 
 @settings(max_examples=1000, deadline=None)
-@given(line=_ADVERSARIAL)
+@given(line=_HEADED)
+def test_detect_matches_reference_after_a_logcat_header(line):
+    assert _as_tuples(detect_pii(line)) == oracles.detect_pii(line)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(line=_ADVERSARIAL | _HEADED)
 @_with_hard_cases
 def test_precheck_holds_for_every_match(line):
     """Every match of every pattern must be scanned, even where overlap
     resolution would discard it. A space-free match lies in one ' '-piece,
-    which is not skipped and whose precheck lists the type; a PHONE match
-    starts at most 5 characters before the line's first phone core."""
+    which is not skipped, lies after any logcat header and has a precheck
+    that lists the type; a PHONE match starts at most 5 characters before
+    the line's first phone core."""
     core = _PHONE_CORE.search(line)
+    header = _HEADER.match(line)
     for pii_type, pattern in PATTERNS.items():
         for m in pattern.finditer(line):
             if pii_type is PiiType.PHONE:
                 assert core is not None and core.start() <= m.start() + 5, m
                 continue
             assert " " not in m.group(), (pii_type, m)
+            assert header is None or m.start() > header.end(), (pii_type, m, header)
             start = line.rfind(" ", 0, m.start()) + 1
             end = line.find(" ", m.end())
             piece = line[start:] if end < 0 else line[start:end]

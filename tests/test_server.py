@@ -477,6 +477,18 @@ def test_events_csv_bad_row_after_good_rows(bad):
         read_events_csv(io.StringIO(buf.getvalue() + f"99,{bad},t\r\n"))
 
 
+def test_events_csv_cut_inside_its_last_row():
+    """A file cut anywhere inside its last row is CorruptState, also where
+    the cut leaves a row that parses."""
+    buf = io.StringIO()
+    write_events_csv(_csv_events(), buf)
+    text = buf.getvalue()
+    row_start = text.rindex("\n", 0, len(text) - 1) + 1
+    for cut in range(row_start + 1, len(text)):
+        with pytest.raises(CorruptState, match="events csv"):
+            read_events_csv(io.StringIO(text[:cut]))
+
+
 _KEY = base64.b64encode(b"\x01" * 32).decode()
 _GRANT = format_grant(Grant(
     client_eph_pub=b"\x01" * 32, box=b"\x02" * 12 + b"\x03" * 32, server_id="lab-server",
