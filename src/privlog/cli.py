@@ -327,10 +327,19 @@ def _cmd_recover(args) -> int:
     first, _ = window.span()
     default = str((first or date.today()).year)
     year = _parse_year(args.year, "--year") or _parse_year(default, "window start year")
-    events, skipped = server_mod.recover_tokens(window, _read_lines(args.infile, "input"), year)
+    recovered = 0
     with atomic_writer(args.outfile) as fh:
-        server_mod.write_events_csv(events, fh)
-    print(f"recovered {len(events)} tokens -> {args.outfile}")
+        fh.write(server_mod.EVENTS_HEADER_LINE)
+
+        def emit(line_events):
+            nonlocal recovered
+            recovered += len(line_events)
+            server_mod.write_events_csv(line_events, fh)
+
+        _, skipped = server_mod.recover_tokens(
+            window, _read_lines(args.infile, "input"), year, emit
+        )
+    print(f"recovered {recovered} tokens -> {args.outfile}")
     for reason, count in skipped.items():
         if count:
             print(f"  skipped {reason}: {count}")
@@ -338,20 +347,25 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    events = server_mod.read_events_csv(_read_lines(args.events, "events csv"))
+    # Arguments are checked before the events file is read, and that file
+    # is read to its end before any output is opened.
+    token = None
     if args.timeline:
         token = b64_decode(args.timeline, "--timeline token", TOKEN_LEN)
+    elif not args.outfile:
+        raise CorruptState("report needs --out (or --timeline TOKEN)")
+    events = server_mod.read_events_csv(_read_lines(args.events, "events csv"))
+    if token is not None:
         rows = server_mod.timeline(events, token)
         out = atomic_writer(args.outfile) if args.outfile else nullcontext(sys.stdout)
         with out as fh:
             server_mod.write_timeline_csv(rows, fh)
         return 0
-    if not args.outfile:
-        raise CorruptState("report needs --out (or --timeline TOKEN)")
     groups = server_mod.linkage_report(events)
     with atomic_writer(args.outfile) as fh:
         server_mod.write_linkage_csv(groups, fh)
-    print(f"{len(groups)} token groups over {len(events)} events -> {args.outfile}")
+    total = sum(g.count for g in groups)
+    print(f"{len(groups)} token groups over {total} events -> {args.outfile}")
     return 0
 
 

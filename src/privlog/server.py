@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import csv
 import functools
+import heapq
+import marshal
+import operator
 import secrets
+import tempfile
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .crypto import (
     TOKEN_LEN, DhKeyPair, SecretKey32, aead_open, dh_derive_keypair, dh_shared, kdf,
@@ -32,6 +36,7 @@ KEYSTORE_VERSION = "1"
 WINDOW_VERSION = "1"
 
 EVENTS_HEADER = ["line_no", "date", "pii_type", "token_b64", "template"]
+EVENTS_HEADER_LINE = ",".join(EVENTS_HEADER) + "\r\n"
 LINKAGE_HEADER = ["token_b64", "pii_type", "count", "first_date", "last_date"]
 TIMELINE_HEADER = ["date", "line_no", "template"]
 
@@ -132,7 +137,10 @@ class RecoveredEvent(NamedTuple):
 
 
 def recover_tokens(
-    window: WindowKeys, lines: Iterable[str], assumed_year: int
+    window: WindowKeys,
+    lines: Iterable[str],
+    assumed_year: int,
+    emit: Optional[Callable[[List[RecoveredEvent]], object]] = None,
 ) -> Tuple[List[RecoveredEvent], Dict[str, int]]:
     """Decrypt every in-window protected field; tally everything else.
 
@@ -141,8 +149,14 @@ def recover_tokens(
     epochs, and those must not abort recovery of the rest. Year-less
     dates are read as in `ProtectSession`, the first nearest the window's
     first day. Templates exclude a trailing "\n" or "\r\n".
+
+    Each line's events go to `emit` as soon as the line is done, and the
+    returned list stays empty; with no `emit` they are collected into it.
+    The counters are complete when the call returns.
     """
     events: List[RecoveredEvent] = []
+    if emit is None:
+        emit = events.extend
     skipped = {
         "lines_no_pii": 0,
         "lines_no_date": 0,
@@ -170,13 +184,16 @@ def recover_tokens(
         if key is None:
             skipped["lines_out_of_window"] += 1
             continue
+        opened = []
         for pii_type, box in fields:
             try:
                 token = aead_open(key, box)
             except AuthFailure:
                 skipped["fields_auth_failed"] += 1
                 continue
-            events.append(RecoveredEvent(line_no, day, pii_type, token, template))
+            opened.append(RecoveredEvent(line_no, day, pii_type, token, template))
+        if opened:
+            emit(opened)
     return events, skipped
 
 
@@ -189,11 +206,11 @@ class LinkageGroup:
     last_date: date
 
 
-def linkage_report(events: List[RecoveredEvent]) -> List[LinkageGroup]:
+def linkage_report(events: Iterable[RecoveredEvent]) -> List[LinkageGroup]:
     """Group events by token; most frequent first, token bytes break ties.
 
-    One pass: each token keeps [its first event's type, count, first
-    date, last date].
+    One pass that holds no event: each token keeps [its first event's
+    type, count, first date, last date].
     """
     by_token: Dict[bytes, list] = {}
     for _, day, pii_type, token, _ in events:
@@ -211,12 +228,49 @@ def linkage_report(events: List[RecoveredEvent]) -> List[LinkageGroup]:
     return groups
 
 
+# Hits of one token held in memory at once; past this many, each sorted
+# run of hits moves to one temporary file and the runs are merged as read.
+TIMELINE_RUN_ROWS = 4096
+_when = operator.itemgetter(0, 1)
+
+
 def timeline(
-    events: List[RecoveredEvent], token: bytes
-) -> List[Tuple[date, int, str]]:
-    hits = [(ev.date, ev.line_no, ev.template) for ev in events if ev.token == token]
-    hits.sort(key=lambda t: (t[0], t[1]))
-    return hits
+    events: Iterable[RecoveredEvent], token: bytes
+) -> Iterable[Tuple[date, int, str]]:
+    """The date, line number and template of each event of `token`, by
+    date then line number, ties in event order. One pass that keeps only
+    those, and at most TIMELINE_RUN_ROWS of them in memory."""
+    run_rows, spill, starts, hits = TIMELINE_RUN_ROWS, None, [], []
+    for ev in events:
+        if ev.token == token:
+            hits.append((ev.date, ev.line_no, ev.template))
+            if len(hits) == run_rows:
+                if spill is None:
+                    spill = tempfile.TemporaryFile()
+                starts.append(spill.tell())
+                hits.sort(key=_when)
+                for day, line_no, template in hits:
+                    marshal.dump((day.toordinal(), line_no, template), spill)
+                hits = []
+    hits.sort(key=_when)
+    return _merged(spill, starts, run_rows, hits) if starts else hits
+
+
+def _merged(
+    spill, starts: List[int], run_rows: int, hits: list
+) -> Iterator[Tuple[date, int, str]]:
+    """The spilled runs, each `run_rows` hits from its start in `spill`,
+    merged with the last `hits`; each run keeps its own place in the file."""
+
+    def run(pos: int) -> Iterator[Tuple[date, int, str]]:
+        for _ in range(run_rows):
+            spill.seek(pos)
+            ordinal, line_no, template = marshal.load(spill)
+            pos = spill.tell()
+            yield date.fromordinal(ordinal), line_no, template
+
+    with spill:
+        yield from heapq.merge(*map(run, starts), hits, key=_when)
 
 
 # --- persistence -------------------------------------------------------
@@ -276,24 +330,29 @@ def load_window_keys(text: str) -> WindowKeys:
     return WindowKeys(grant_id=require(fields, "grant_id", "window keys file"), days=days)
 
 
-def write_events_csv(events: List[RecoveredEvent], fh) -> None:
-    """One row per event, as csv.writer writes it. Each distinct day is
-    formatted once, and each line's template is quoted once for all of its
-    events, which `recover_tokens` emits one after another."""
-    fh.write(",".join(EVENTS_HEADER) + "\r\n")
-    iso = functools.cache(date.isoformat)
+# Recovery writes one line's events per call; a window has few days.
+_iso = functools.cache(date.isoformat)
+
+
+def write_events_csv(events: Iterable[RecoveredEvent], fh) -> None:
+    """One row per event, as csv.writer writes it, without the header:
+    write EVENTS_HEADER_LINE once where the file is opened. Each line's
+    template is quoted once for all of its events, which `recover_tokens`
+    emits one after another."""
     template, tail = None, ""
     for line_no, day, pii_type, token, text in events:
         if text != template:
             template, tail = text, csv_field(text) + "\r\n"
-        fh.write(f"{line_no},{iso(day)},{pii_type.value},{b64(token)},{tail}")
+        fh.write(f"{line_no},{_iso(day)},{pii_type.value},{b64(token)},{tail}")
 
 
-def read_events_csv(lines: Iterable[str]) -> List[RecoveredEvent]:
+def read_events_csv(lines: Iterable[str]) -> Iterator[RecoveredEvent]:
     """Events from the lines of a CSV as `write_events_csv` writes it, each
-    line with its "\n". A row that does not parse, a token that is not
-    16 bytes, or a file cut short (inside a quoted field, or anywhere a row
-    still parses: its last line has no "\n") is CorruptState."""
+    line with its "\n", yielded as they are read. A row that does not
+    parse, a token that is not 16 bytes, or a file cut short (inside a
+    quoted field, or anywhere a row still parses: its last line has no
+    "\n") raises CorruptState when the reader reaches it, so a caller
+    that must refuse a bad file reads it to the end before it writes."""
     # A template is a whole protected line, which may be longer than the
     # csv module's default field limit of 128 KiB; 2**31 - 1 fits a C long
     # on every platform.
@@ -304,21 +363,19 @@ def read_events_csv(lines: Iterable[str]) -> List[RecoveredEvent]:
     # type string is checked once. Tokens need not repeat, so each is decoded.
     day_of = functools.cache(lambda text: iso_date(text, "events csv: date"))
     type_of = functools.cache(PiiType)
-    events = []
     try:
         header = next(reader, None)
         if header != EVENTS_HEADER:
             raise CorruptState(f"events csv: unexpected header {header!r}")
         for line_no, day, pii_type, token_b64, template in reader:
-            events.append(RecoveredEvent(
+            yield RecoveredEvent(
                 int(line_no), day_of(day), type_of(pii_type),
                 b64_decode(token_b64, "events csv: token", TOKEN_LEN), template,
-            ))
+            )
     except (ValueError, KeyError, csv.Error) as exc:
         raise CorruptState(f"events csv: bad row: {exc}") from exc
     if not last[0].endswith("\n"):
         raise CorruptState("events csv: the last line has no newline: the file was cut")
-    return events
 
 
 def write_linkage_csv(groups: List[LinkageGroup], fh) -> None:
@@ -329,7 +386,7 @@ def write_linkage_csv(groups: List[LinkageGroup], fh) -> None:
                  f"{g.first_date.isoformat()},{g.last_date.isoformat()}\r\n")
 
 
-def write_timeline_csv(rows: List[Tuple[date, int, str]], fh) -> None:
+def write_timeline_csv(rows: Iterable[Tuple[date, int, str]], fh) -> None:
     """Rows as csv.writer writes them."""
     fh.write(",".join(TIMELINE_HEADER) + "\r\n")
     for day, line_no, template in rows:

@@ -6,6 +6,7 @@ import csv
 import importlib
 import io
 import re
+import tracemalloc
 from collections import Counter
 from datetime import date, timedelta
 from pathlib import Path
@@ -19,7 +20,7 @@ from privlog.dice import DeviceIdentity, format_identity
 from privlog.errors import CorruptState
 from privlog.kvfile import b64, parse_kv
 from privlog.pii import PiiType
-from privlog.server import RecoveredEvent, load_server_keys, write_events_csv
+from privlog.server import EVENTS_HEADER_LINE, RecoveredEvent, load_server_keys, write_events_csv
 
 DAY1 = date(2024, 5, 1)
 SEED_A = "07" * 32
@@ -374,6 +375,7 @@ def test_report_crash_mid_write_keeps_previous_output(ws, monkeypatch):
     import privlog.server as server_mod
 
     with open(ws / "events.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write(EVENTS_HEADER_LINE)
         write_events_csv([], fh)
     target = ws / "linkage.csv"
     target.write_bytes(b"token_b64,pii_type\r\nprevious,run\r\n")
@@ -450,6 +452,7 @@ def _protected_one_line(ws):
     assert _client(ws, "protect", "--in", str(ws / "one.log"), "--out", str(ws / "one.out")) == 0
     (ws / "window.kv").write_text("v=1\ngrant_id=g-files\n")
     with open(ws / "events.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write(EVENTS_HEADER_LINE)
         write_events_csv([], fh)
 
 
@@ -582,6 +585,7 @@ def test_report_cut_inside_quoted_template_exits_6(ws, capsys, timeline):
     """An events CSV that ends inside a quoted template is CorruptState, not
     a row with a shorter template."""
     with open(ws / "events.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write(EVENTS_HEADER_LINE)
         write_events_csv([RecoveredEvent(1, DAY1, PiiType.EMAIL, b"\x07" * 16,
                                          'uid=1000, msg "hi" <PII#0>')], fh)
     text = (ws / "events.csv").read_bytes()
@@ -598,6 +602,7 @@ def test_report_cut_inside_unquoted_template_exits_6(ws, capsys, timeline):
     """An events CSV whose last line has no newline was cut, even where the
     cut leaves a row that parses: it is CorruptState, not a shorter template."""
     with open(ws / "events.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write(EVENTS_HEADER_LINE)
         write_events_csv([RecoveredEvent(1, DAY1, PiiType.EMAIL, b"\x07" * 16,
                                          "mail <PII#0> sent to the relay")], fh)
     text = (ws / "events.csv").read_bytes()
@@ -731,6 +736,7 @@ def test_timeline_is_valid_csv(ws, capsys, to_file):
     template = 'uid=1000, msg "hi" <PII#0>'
     token = b"\x07" * 16
     with open(ws / "events.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write(EVENTS_HEADER_LINE)
         write_events_csv([RecoveredEvent(1, DAY1, PiiType.EMAIL, token, template)], fh)
     argv = ["report", "--events", str(ws / "events.csv"), "--timeline", base64.b64encode(token).decode()]
     if to_file:
@@ -834,3 +840,148 @@ def test_every_trace_target_is_called(ws, monkeypatch):
     assert server_main(["report", "--events", str(ws / "events.csv"), "--timeline", token]) == 0
 
     assert {f"{t}.{a}" for t, a, _ in _trace_targets()} - set(calls) == set()
+
+
+# --- the read side streams ------------------------------------------------
+
+
+def _investigate(ws, raw: str, start: date, today: date) -> None:
+    """init on DAY1, protect `raw` to prot.log, then a grant for
+    [start, today] accepted into window.kv."""
+    (ws / "raw.log").write_text(raw)
+    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "protect", "--in", str(ws / "raw.log"), "--out", str(ws / "prot.log")) == 0
+    assert server_main(["offer", "--keystore", str(ws / "server.kv"), "--grant-id", "g-read",
+                        "--out", str(ws / "offer.kv"), "--seed", SEED_C]) == 0
+    assert _client(ws, "grant", "--server-offer", str(ws / "offer.kv"), "--start", start.isoformat(),
+                   "--today", today.isoformat(), "--out", str(ws / "grant.kv")) == 0
+    assert server_main(["accept", "--keystore", str(ws / "server.kv"), "--grant", str(ws / "grant.kv"),
+                        "--expect-device", "pixel-lab", "--out", str(ws / "window.kv")]) == 0
+
+
+def _dense_investigation(ws) -> None:
+    write_corpus(BenchConfig(line_count=300, pii_density="high", day_span=3, seed=13),
+                 ws / "corpus.log", ws / "corpus.truth.csv")
+    _investigate(ws, (ws / "corpus.log").read_text(), DAY1, D(3))
+
+
+def _recover(ws, infile: str, out: str) -> int:
+    return server_main(["recover", "--keys", str(ws / "window.kv"), "--in", str(ws / infile),
+                        "--out", str(ws / out), "--year", "2024"])
+
+
+def _peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        assert run() == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_recover_and_report_memory_stays_flat(ws):
+    """`recover` holds one line's events and `report` one group per distinct
+    token: on the same log repeated 8 times, neither peak grows by half."""
+    _dense_investigation(ws)
+    (ws / "prot8.log").write_bytes((ws / "prot.log").read_bytes() * 8)
+    assert _recover(ws, "prot.log", "warm.csv") == 0  # first-call caches out of the figures
+    peaks = {}
+    for name in ("prot", "prot8"):
+        peaks[f"recover-{name}"] = _peak_bytes(lambda: _recover(ws, f"{name}.log", f"{name}.csv"))
+        peaks[f"report-{name}"] = _peak_bytes(lambda: server_main(
+            ["report", "--events", str(ws / f"{name}.csv"), "--out", str(ws / f"{name}.linkage.csv")]))
+    assert (ws / "prot8.csv").stat().st_size > 7 * (ws / "prot.csv").stat().st_size
+    for step in ("recover", "report"):
+        assert peaks[f"{step}-prot8"] < 1.5 * peaks[f"{step}-prot"], peaks
+
+
+def _no_trace_of_the_run(ws, capsys, target, before: bytes) -> str:
+    """Asserts a failed run left no output and no temp file; returns stderr."""
+    out, err = capsys.readouterr()
+    assert err.startswith("error CorruptState: ")
+    assert out == ""
+    assert target.read_bytes() == before
+    assert not list(ws.glob(".*.tmp"))
+    return err
+
+
+def test_recover_late_bad_byte_keeps_previous_events(ws, capsys):
+    """A byte that is not UTF-8 on the last input line, after many rows went
+    out: exit 6, the previous events CSV as it was, no temp file, no summary."""
+    _dense_investigation(ws)
+    prot = (ws / "prot.log").read_bytes()
+    (ws / "late.log").write_bytes(prot + b"05-03 10:00:00.000  1000  1000 I T: caf\xe9\n")
+    target = ws / "events.csv"
+    target.write_bytes(b"line_no,date\r\nprevious,run\r\n")
+    capsys.readouterr()
+    assert _recover(ws, "late.log", "events.csv") == 6
+    err = _no_trace_of_the_run(ws, capsys, target, b"line_no,date\r\nprevious,run\r\n")
+    assert f"line {len(prot.splitlines()) + 1} is not valid UTF-8" in err
+    assert _recover(ws, "prot.log", "whole.csv") == 0
+    assert (ws / "whole.csv").stat().st_size > 64 * 1024  # past any write buffer
+
+
+@pytest.mark.parametrize("timeline", [[], ["--timeline"], ["--timeline", "--out"]],
+                         ids=["linkage", "timeline-stdout", "timeline-out"])
+def test_report_late_corrupt_row_keeps_previous_output(ws, capsys, timeline):
+    """A corrupt last row of a long events CSV: exit 6 before any output,
+    the previous output as it was, no temp file, nothing on stdout."""
+    _dense_investigation(ws)
+    assert _recover(ws, "prot.log", "events.csv") == 0
+    events = (ws / "events.csv").read_text(encoding="utf-8")
+    rows = events.splitlines()
+    token = rows[1].split(",")[3]
+    (ws / "late.csv").write_text(events + f"9999,2024-05-32,EMAIL,{token},t\r\n", encoding="utf-8")
+    target = ws / "linkage.csv"
+    target.write_bytes(b"token_b64\r\nprevious\r\n")
+    argv = ["report", "--events", str(ws / "late.csv")]
+    if timeline:
+        argv += ["--timeline", token]
+    if timeline != ["--timeline"]:
+        argv += ["--out", str(target)]
+    capsys.readouterr()
+    assert server_main(argv) == 6
+    _no_trace_of_the_run(ws, capsys, target, b"token_b64\r\nprevious\r\n")
+    assert len(rows) > 500
+
+
+def test_recover_summary_matches_library_counts(ws, capsys):
+    """The CLI's summary counts what `recover_tokens` counts, on a log with
+    lines out of the window, undated, tampered, malformed and PII-free."""
+    raw = "".join(
+        f"05-0{day} 10:00:0{n}.000  1000  1000 I T: mail u{day}{n}@b.co and 10.0.0.{n}\n"
+        for day in (1, 2, 3) for n in range(3)
+    ) + "    at com.example.Mailer.send(user9@test.org)\n" \
+        "05-03 11:00:00.000  1000  1000 I T: nothing to see\n"
+    _investigate(ws, raw, D(2), D(3))
+    lines = (ws / "prot.log").read_text().splitlines(keepends=True)
+    payload = re.search(r'<PII type="EMAIL">([^<]{60})</PII>', lines[4]).group(1)
+    flipped = payload[:20] + ("A" if payload[20] != "A" else "B") + payload[21:]
+    lines[4] = lines[4].replace(payload, flipped)
+    lines[5] = lines[5].replace("mail ", 'mail <PII type="EMAIL">short</PII> ', 1)
+    (ws / "mixed.log").write_text("".join(lines))
+
+    from privlog.server import load_window_keys, recover_tokens
+
+    window = load_window_keys((ws / "window.kv").read_text())
+    with open(ws / "mixed.log", encoding="utf-8", newline="") as fh:
+        events, skipped = recover_tokens(window, fh, 2024)
+    assert all(skipped.values()), skipped  # every reason occurs
+    capsys.readouterr()
+    assert _recover(ws, "mixed.log", "events.csv") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"recovered {len(events)} tokens -> {ws / 'events.csv'}"
+    assert out[1:] == [f"  skipped {reason}: {count}" for reason, count in skipped.items()]
+    assert (ws / "events.csv").read_text().count("\n") == len(events) + 1
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["--timeline", "AAAA"], "--timeline token"),
+    ([], "--out"),
+], ids=["short-token", "no-out"])
+def test_report_checks_arguments_before_reading(ws, capsys, argv, what):
+    """A bad --timeline token or a missing --out is named before the events
+    file is opened: here that file does not exist."""
+    assert server_main(["report", "--events", str(ws / "missing.csv"), *argv]) == 6
+    out, err = capsys.readouterr()
+    assert out == "" and what in err and "missing.csv" not in err

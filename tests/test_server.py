@@ -21,6 +21,7 @@ from privlog.errors import (
 from privlog.grant import Grant, canonical_aad, format_grant, pack_window_payload, parse_grant
 from privlog.pii import PiiType, parse_protected_line
 from privlog.server import (
+    EVENTS_HEADER_LINE,
     RecoveredEvent,
     WindowKeys,
     accept_grant,
@@ -395,6 +396,26 @@ def test_timeline_order_and_unknown_token():
     assert timeline(events, b"\x05" * 16) == []
 
 
+
+@settings(max_examples=200, deadline=None)
+@given(hits=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4), st.sampled_from(["a", 'b, "c"', "é\n"]),
+                               st.booleans()), max_size=40),
+       run_rows=st.integers(1, 6))
+def test_timeline_spilled_runs_match_one_sort(hits, run_rows):
+    """Past TIMELINE_RUN_ROWS hits, sorted runs go to a temporary file and
+    are merged: the rows are those of one stable sort of every hit."""
+    import privlog.server as server_mod
+
+    tok = b"\x03" * 16
+    events = [_event(line_no, D(day), tok if mine else b"\x04" * 16, template=template)
+              for day, line_no, template, mine in hits]
+    expected = sorted(((e.date, e.line_no, e.template) for e in events if e.token == tok),
+                      key=lambda row: row[:2])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(server_mod, "TIMELINE_RUN_ROWS", run_rows)
+        assert list(timeline(iter(events), tok)) == expected
+
+
 # --- persistence --------------------------------------------------------------
 
 
@@ -421,9 +442,10 @@ def test_events_csv_roundtrip(identity, server_keys, client_state):
     lines, window, _ = _protected_corpus(identity, server_keys, client_state)
     events, _ = recover_tokens(window, lines, 2024)
     buf = io.StringIO()
+    buf.write(EVENTS_HEADER_LINE)
     write_events_csv(events, buf)
     buf.seek(0)
-    assert read_events_csv(buf) == events
+    assert list(read_events_csv(buf)) == events
 
 
 def _csv_events():
@@ -458,10 +480,11 @@ def test_events_csv_bytes_match_per_row_reference(lines):
         writer.writerow([ev.line_no, ev.date.isoformat(), ev.pii_type.value,
                          base64.b64encode(ev.token).decode(), ev.template])
     got = io.StringIO()
+    got.write(EVENTS_HEADER_LINE)
     write_events_csv(events, got)
     assert got.getvalue() == expected.getvalue()
     assert '"a ""quote"""' in got.getvalue()
-    assert read_events_csv(io.StringIO(got.getvalue())) == events
+    assert list(read_events_csv(io.StringIO(got.getvalue()))) == events
 
 
 @pytest.mark.parametrize("bad", [
@@ -472,21 +495,23 @@ def test_events_csv_bytes_match_per_row_reference(lines):
 ], ids=["date", "token", "type", "token-length"])
 def test_events_csv_bad_row_after_good_rows(bad):
     buf = io.StringIO()
+    buf.write(EVENTS_HEADER_LINE)
     write_events_csv(_csv_events(), buf)
     with pytest.raises(CorruptState, match="events csv"):
-        read_events_csv(io.StringIO(buf.getvalue() + f"99,{bad},t\r\n"))
+        list(read_events_csv(io.StringIO(buf.getvalue() + f"99,{bad},t\r\n")))
 
 
 def test_events_csv_cut_inside_its_last_row():
     """A file cut anywhere inside its last row is CorruptState, also where
     the cut leaves a row that parses."""
     buf = io.StringIO()
+    buf.write(EVENTS_HEADER_LINE)
     write_events_csv(_csv_events(), buf)
     text = buf.getvalue()
     row_start = text.rindex("\n", 0, len(text) - 1) + 1
     for cut in range(row_start + 1, len(text)):
         with pytest.raises(CorruptState, match="events csv"):
-            read_events_csv(io.StringIO(text[:cut]))
+            list(read_events_csv(io.StringIO(text[:cut])))
 
 
 _KEY = base64.b64encode(b"\x01" * 32).decode()
@@ -505,7 +530,7 @@ _EVENTS = "line_no,date,pii_type,token_b64,template\n"
     (parse_grant, _GRANT.replace("v=1\n", "v=99\n", 1), UnsupportedVersion, "grant file"),
     (load_window_keys, f"v=1\ngrant_id=g\nkey.2024-13-01={_KEY}\n",
      CorruptState, "window keys file"),
-    (lambda text: read_events_csv(io.StringIO(text)),
+    (lambda text: list(read_events_csv(io.StringIO(text))),
      _EVENTS + f"1,2024-05-32,EMAIL,{base64.b64encode(bytes(16)).decode()},t\n",
      CorruptState, "events csv"),
     (parse_grant, _GRANT.replace("grant_date=2024-05-01", "grant_date=2024-5-1"),
