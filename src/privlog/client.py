@@ -19,9 +19,8 @@ same plaintext stable across grants.
 from __future__ import annotations
 
 import secrets
-from dataclasses import dataclass, replace
 from datetime import date, timedelta
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .crypto import (
     SecretKey32,
@@ -44,31 +43,43 @@ MODE_STREAM = "stream"
 MODE_BATCH = "batch"
 
 
-@dataclass(frozen=True)
-class ClientState:
+class _ClientStateFields(NamedTuple):
     root_key: SecretKey32
     hash_key: SecretKey32
     chain_key: SecretKey32
     chain_date: date
     epoch_date: date
 
-    def __post_init__(self):
-        if self.chain_date < self.epoch_date:
+
+class ClientState(_ClientStateFields):
+    """The device's persisted keys; each key's repr is redacted. `_replace`
+    skips the constructor's check: use it only to move the chain forward."""
+
+    __slots__ = ()
+
+    def __new__(cls, root_key: SecretKey32, hash_key: SecretKey32, chain_key: SecretKey32,
+                chain_date: date, epoch_date: date):
+        if chain_date < epoch_date:
             raise CorruptState("chain_date precedes epoch_date")
+        return super().__new__(cls, root_key, hash_key, chain_key, chain_date, epoch_date)
 
 
-@dataclass(frozen=True)
-class GrantRequest:
+class _GrantRequestFields(NamedTuple):
     server_pub: bytes
     start_date: date
     server_id: str
     grant_id: str
 
-    def __post_init__(self):
-        if len(self.server_pub) != 32:
+
+class GrantRequest(_GrantRequestFields):
+    __slots__ = ()
+
+    def __new__(cls, server_pub: bytes, start_date: date, server_id: str, grant_id: str):
+        if len(server_pub) != 32:
             raise InvalidLength("server ephemeral public key must be 32 bytes")
-        if not self.server_id or not self.grant_id:
+        if not server_id or not grant_id:
             raise InvalidWindow("server_id and grant_id must be non-empty")
+        return super().__new__(cls, server_pub, start_date, server_id, grant_id)
 
 
 def _chain_key_for(root_key: SecretKey32, epoch: date) -> SecretKey32:
@@ -124,7 +135,7 @@ def advance_to(
             break
         ck = ck_next
         day += timedelta(days=1)
-    return replace(state, chain_key=ck, chain_date=day), keys
+    return state._replace(chain_key=ck, chain_date=day), keys
 
 
 class ProtectSession:
@@ -231,8 +242,8 @@ def create_grant(
     z = dh_shared(eph_pair.private, req.server_pub)
     k_exp = SecretKey32(kdf(None, z, b"export-kdf", 32))
 
-    at_epoch = replace(state, chain_key=_chain_key_for(state.root_key, state.epoch_date),
-                       chain_date=state.epoch_date)
+    at_epoch = state._replace(chain_key=_chain_key_for(state.root_key, state.epoch_date),
+                              chain_date=state.epoch_date)
     ck = advance_to(at_epoch, req.start_date)[0].chain_key
 
     aad = canonical_aad(

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import hmac as _hmac
 import os
-from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
@@ -103,16 +102,20 @@ class SecretKey32:
     __str__ = __repr__
 
 
-@dataclass(frozen=True)
-class DhKeyPair:
-    """X25519 keypair; `private` is the clamped scalar."""
-
+class _DhKeyPairFields(NamedTuple):
     private: bytes
     public: bytes
 
-    def __post_init__(self):
-        if len(self.private) != 32 or len(self.public) != 32:
+
+class DhKeyPair(_DhKeyPairFields):
+    """X25519 keypair; `private` is the clamped scalar."""
+
+    __slots__ = ()
+
+    def __new__(cls, private: bytes, public: bytes):
+        if len(private) != 32 or len(public) != 32:
             raise InvalidLength("X25519 keys must be 32 bytes")
+        return super().__new__(cls, private, public)
 
     def __repr__(self) -> str:
         return f"DhKeyPair(public={self.public.hex()}, private=<redacted>)"
@@ -201,11 +204,7 @@ def dh_derive_keypair(seed: bytes, label: Union[bytes, str]) -> DhKeyPair:
     if len(seed) != 32:
         raise InvalidLength("keypair seed must be 32 bytes")
     private = clamp_scalar(kdf(None, seed, label, 32))
-    public = (
-        X25519PrivateKey.from_private_bytes(private)
-        .public_key()
-        .public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
-    )
+    public = X25519PrivateKey.from_private_bytes(private).public_key().public_bytes_raw()
     return DhKeyPair(private=private, public=public)
 
 

@@ -9,7 +9,7 @@ both outputs, which is what ties derived keys to measured device state.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .crypto import SecretKey32, kdf, length_prefixed
 from .errors import CorruptState, InvalidLength
@@ -18,19 +18,23 @@ from .kvfile import b64, b64_field, format_kv, parse_kv, require
 MAX_DEVICE_ID_LEN = 64
 
 
-@dataclass(frozen=True)
-class DeviceIdentity:
+class _DeviceIdentityFields(NamedTuple):
     uds: bytes
     measurement: bytes
     device_id: str
 
-    def __post_init__(self):
-        if len(self.uds) != 32 or len(self.measurement) != 32:
+
+class DeviceIdentity(_DeviceIdentityFields):
+    __slots__ = ()
+
+    def __new__(cls, uds: bytes, measurement: bytes, device_id: str):
+        if len(uds) != 32 or len(measurement) != 32:
             raise InvalidLength("uds and measurement must be 32 bytes")
-        if not self.device_id or len(self.device_id) > MAX_DEVICE_ID_LEN:
+        if not device_id or len(device_id) > MAX_DEVICE_ID_LEN:
             raise InvalidLength("device_id must be 1..64 characters")
-        if not self.device_id.isascii() or not self.device_id.isprintable():
+        if not device_id.isascii() or not device_id.isprintable():
             raise InvalidLength("device_id must be printable ASCII")
+        return super().__new__(cls, uds, measurement, device_id)
 
     def __repr__(self) -> str:
         return f"DeviceIdentity(device_id={self.device_id!r}, uds=<redacted>)"

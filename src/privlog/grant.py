@@ -8,8 +8,8 @@ as an authentication failure on the receiving side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date
+from typing import NamedTuple
 
 from .crypto import NONCE_LEN, SecretKey32, length_prefixed
 from .errors import CorruptState
@@ -19,8 +19,7 @@ GRANT_VERSION = "1"
 _PAYLOAD_LEN = 32 + 10  # chain key || ISO date
 
 
-@dataclass(frozen=True)
-class Grant:
+class Grant(NamedTuple):
     client_eph_pub: bytes
     box: bytes  # nonce || ciphertext || tag
     server_id: str

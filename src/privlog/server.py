@@ -17,7 +17,6 @@ import operator
 import secrets
 import tempfile
 from collections import deque
-from dataclasses import dataclass, field
 from datetime import date, timedelta
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -41,11 +40,14 @@ LINKAGE_HEADER = ["token_b64", "pii_type", "count", "first_date", "last_date"]
 TIMELINE_HEADER = ["date", "line_no", "template"]
 
 
-@dataclass
 class ServerKeys:
-    server_id: str
-    longterm: DhKeyPair
-    ephemeral: Dict[str, DhKeyPair] = field(default_factory=dict)
+    """The long-term keypair and each outstanding offer's ephemeral keypair,
+    by grant id."""
+
+    def __init__(self, server_id: str, longterm: DhKeyPair):
+        self.server_id = server_id
+        self.longterm = longterm
+        self.ephemeral: Dict[str, DhKeyPair] = {}
 
 
 def keygen(server_id: str, seed: Optional[bytes] = None) -> ServerKeys:
@@ -68,10 +70,12 @@ def create_offer(keys: ServerKeys, grant_id: str, seed: Optional[bytes] = None) 
     return pair.public
 
 
-@dataclass
 class WindowKeys:
-    grant_id: str
-    days: Dict[date, SecretKey32]
+    """One day key per day of a granted window."""
+
+    def __init__(self, grant_id: str, days: Dict[date, SecretKey32]):
+        self.grant_id = grant_id
+        self.days = days
 
     def span(self) -> Tuple[Optional[date], Optional[date]]:
         if not self.days:
@@ -150,6 +154,16 @@ def recover_tokens(
     dates are read as in `ProtectSession`, the first nearest the window's
     first day. Templates exclude a trailing "\n" or "\r\n".
 
+    Each line is counted under the first rule that stops it:
+    - `lines_no_pii`: no "<PII" in the line, which every element starts
+      with. The line is neither parsed nor read for its date;
+    - `lines_no_date`: no date. `lines_out_of_window`: a date with no
+      window key; like every dated line from here on, it moves the
+      running year. Neither kind is parsed, so `fields_malformed` counts
+      only elements on dated lines inside the window;
+    - `lines_no_pii` again: a dated line in the window with no valid
+      element. `fields_auth_failed`: each field that does not open.
+
     Each line's events go to `emit` as soon as the line is done, and the
     returned list stays empty; with no `emit` they are collected into it.
     The counters are complete when the call returns.
@@ -167,12 +181,10 @@ def recover_tokens(
     year = assumed_year
     last_date = min(window.days, default=date.min)
     for line_no, line in enumerate(lines, start=1):
-        line = line.removesuffix("\n").removesuffix("\r")
-        template, fields, warnings = parse_protected_line(line)
-        skipped["fields_malformed"] += len(warnings)
-        if not fields:
+        if "<PII" not in line:
             skipped["lines_no_pii"] += 1
             continue
+        line = line.removesuffix("\n").removesuffix("\r")
         day = extract_date(line, year)
         if day is None:
             skipped["lines_no_date"] += 1
@@ -183,6 +195,11 @@ def recover_tokens(
         key = window.days.get(day)
         if key is None:
             skipped["lines_out_of_window"] += 1
+            continue
+        template, fields, warnings = parse_protected_line(line)
+        skipped["fields_malformed"] += len(warnings)
+        if not fields:
+            skipped["lines_no_pii"] += 1
             continue
         opened = []
         for pii_type, box in fields:
@@ -197,8 +214,7 @@ def recover_tokens(
     return events, skipped
 
 
-@dataclass
-class LinkageGroup:
+class LinkageGroup(NamedTuple):
     token: bytes
     pii_type: PiiType
     count: int

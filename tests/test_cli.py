@@ -5,15 +5,21 @@ import base64
 import csv
 import importlib
 import io
+import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from privlog.cli import client_main, server_main
+import privlog
+from privlog.cli import _BUCKETS, _bucket, _percentiles, client_main, server_main
 from privlog.corpus import BenchConfig, write_corpus
 from privlog.crypto import dh_derive_keypair
 from privlog.dice import DeviceIdentity, format_identity
@@ -672,6 +678,21 @@ def test_protect_one_line_prints_equal_percentiles(ws, capsys):
     assert m and m.group(1) == m.group(2) == m.group(3)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**40) | st.integers(min_value=0, max_value=200),
+                min_size=1, max_size=50))
+def test_latency_percentiles_within_a_sixty_fourth(samples):
+    """Each percentile is within 1/64 of the sample of its nearest rank."""
+    counts = [0] * _BUCKETS
+    for ns in samples:
+        counts[_bucket(ns)] += 1
+    ordered = sorted(samples)
+    percents = (50, 95, 99)
+    for p, value in zip(percents, _percentiles(counts, percents)):
+        exact = ordered[max(1, math.ceil(len(samples) * p / 100)) - 1]
+        assert abs(value - exact) <= exact / 64
+
+
 def test_protect_without_year_reads_dates_nearest_today(ws):
     """A device idle for 300 days protects today's year-less lines as today's."""
     cfg = ws / "client.cfg"
@@ -985,3 +1006,15 @@ def test_report_checks_arguments_before_reading(ws, capsys, argv, what):
     assert server_main(["report", "--events", str(ws / "missing.csv"), *argv]) == 6
     out, err = capsys.readouterr()
     assert out == "" and what in err and "missing.csv" not in err
+
+
+def test_cli_imports_no_dataclasses_or_serialization():
+    """Both CLIs start without the `dataclasses` import chain (`inspect`,
+    `ast`, `dis`, `tokenize`) and without `cryptography`'s serialization
+    package, which reaches it through its `ssh` module."""
+    env = dict(os.environ, PYTHONPATH=str(Path(privlog.__file__).parents[1]))
+    unwanted = ["dataclasses", "cryptography.hazmat.primitives.serialization", "statistics"]
+    code = f"import privlog.cli, sys; print([m for m in {unwanted!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.strip() == "[]"

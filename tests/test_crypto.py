@@ -1,7 +1,9 @@
 """Primitive-level tests against independent oracles and RFC vectors."""
 
+import base64
 import os
 import secrets
+from datetime import date
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from privlog.crypto import (
     ratchet_step,
 )
 from privlog.errors import AuthFailure, EmptyInput, InvalidLength, MalformedBox, WeakKey
+from privlog.server import WindowKeys, create_offer
 
 # --- oracle self-checks (published vectors) -----------------------------
 
@@ -301,12 +304,34 @@ def test_dh_rejects_low_order_peer():
 # --- SecretKey32 hygiene ------------------------------------------------
 
 
+def _renderings_hide(secret: bytes, *records):
+    for record in records:
+        for rendering in (repr(record), str(record)):
+            for form in (secret.hex(), base64.b64encode(secret).decode(), repr(secret)):
+                assert form not in rendering, type(record).__name__
+
+
 def test_secret_key_never_prints_material():
     raw = os.urandom(32)
     key = SecretKey32(raw)
     for rendering in (repr(key), str(key)):
         assert raw.hex() not in rendering
         assert "redacted" in rendering
+
+
+def test_records_never_print_private_keys(identity, server_keys, client_state):
+    """Every record that holds a private key or secret key renders without it."""
+    pair = dh_derive_keypair(os.urandom(32), b"t")
+    assert "redacted" in repr(pair) and pair.public.hex() in repr(pair)
+    _renderings_hide(pair.private, pair)
+    create_offer(server_keys, "g-print", seed=b"\x51" * 32)
+    _renderings_hide(server_keys.longterm.private, server_keys, server_keys.longterm)
+    _renderings_hide(server_keys.ephemeral["g-print"].private, server_keys)
+    for key in client_state[:3]:
+        _renderings_hide(key.bytes, client_state)
+    day_key = SecretKey32(os.urandom(32))
+    window = WindowKeys(grant_id="g-print", days={date(2024, 5, 1): day_key})
+    _renderings_hide(day_key.bytes, window)
 
 
 def test_secret_key_length_enforced():

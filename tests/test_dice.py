@@ -1,5 +1,6 @@
 """Simulated DICE provider: determinism, sensitivity, file format."""
 
+import base64
 import os
 
 import pytest
@@ -60,8 +61,13 @@ def test_identity_constraints():
         DeviceIdentity(uds=b"\x01" * 32, measurement=b"\x02" * 32, device_id="naïve")
 
 
-def test_identity_repr_hides_uds(identity):
-    assert identity.uds.hex() not in repr(identity)
+def test_identity_repr_hides_uds():
+    uds = os.urandom(32)
+    identity = DeviceIdentity(uds=uds, measurement=b"\x02" * 32, device_id="golden-device")
+    for rendering in (repr(identity), str(identity)):
+        for form in (uds.hex(), base64.b64encode(uds).decode(), repr(uds)):
+            assert form not in rendering
+        assert "redacted" in rendering
 
 
 def test_identity_file_roundtrip(identity):

@@ -8,7 +8,7 @@ import string
 from datetime import date
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from privlog.corpus import BenchConfig, generate_corpus
@@ -461,6 +461,23 @@ def test_parse_matches_reference_parser(pieces):
     assert (template, [(f.pii_type.value, f.box) for f in fields], warnings) == (
         oracles.parse_protected_line(line)
     )
+
+
+# Near misses of an element's opening, each one character from "<PII".
+_NEAR_MISSES = st.sampled_from(["<PI", "<pii", "<Pii", "< PII", "<PIl", "PII type=", "</PII>",
+                                '">', "<", "PII"])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_NEAR_MISSES | _ELEMENT_GAPS.filter(lambda g: "<PII" not in g)
+                | _VALID_ELEMENT.map(lambda e: e[:1] + e[2:])
+                | _VALID_ELEMENT.map(lambda e: e.replace("<PII", "<pII")), max_size=8))
+def test_parse_without_element_opening_is_identity(pieces):
+    """Every element starts with "<PII": a line without it parses to itself
+    with no field and no warning, so recovery may skip its parse."""
+    line = "".join(pieces)
+    assume("<PII" not in line)
+    assert parse_protected_line(line) == (line, [], [])
 
 
 _SAFE_TEXT = st.text(

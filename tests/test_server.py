@@ -2,7 +2,6 @@
 
 import base64
 import csv
-import dataclasses
 import io
 from datetime import date, timedelta
 
@@ -111,7 +110,7 @@ def test_accept_wrong_expected_attest(identity, server_keys, interop):
 
 def test_accept_unknown_grant_id(identity, server_keys, interop):
     _, grant, _ = interop
-    stranger = dataclasses.replace(grant, grant_id="never-offered")
+    stranger = grant._replace(grant_id="never-offered")
     with pytest.raises(ContextMismatch):
         accept_grant(server_keys, stranger, "lab-server", identity.device_id)
 
@@ -140,21 +139,21 @@ def test_grant_context_tamper_always_auth_failure(field_idx, byte_seed):
     )
 
     if field_idx == 0:
-        tampered = dataclasses.replace(grant, server_id="lab-serveR")
+        tampered = grant._replace(server_id="lab-serveR")
     elif field_idx == 1:
-        tampered = dataclasses.replace(grant, device_id="golden-devicf")
+        tampered = grant._replace(device_id="golden-devicf")
     elif field_idx == 2:
         digest = bytearray(grant.attest_digest)
         digest[byte_seed % 32] ^= 1 + byte_seed % 255
-        tampered = dataclasses.replace(grant, attest_digest=bytes(digest))
+        tampered = grant._replace(attest_digest=bytes(digest))
     elif field_idx == 3:
-        tampered = dataclasses.replace(grant, grant_id="g-tamper")  # same id, flip date below
-        tampered = dataclasses.replace(tampered, grant_date=DAY1 + timedelta(days=1 + byte_seed % 30))
+        tampered = grant._replace(grant_id="g-tamper")  # same id, flip date below
+        tampered = tampered._replace(grant_date=DAY1 + timedelta(days=1 + byte_seed % 30))
     else:
         box = grant.box
         ct = bytearray(box[12:])
         ct[byte_seed % len(ct)] ^= 1 + byte_seed % 255
-        tampered = dataclasses.replace(grant, box=box[:12] + bytes(ct))
+        tampered = grant._replace(box=box[:12] + bytes(ct))
 
     with pytest.raises(AuthFailure):
         accept_grant(sk, tampered, tampered.server_id, tampered.device_id,
@@ -285,6 +284,39 @@ def test_recover_malformed_element(identity, server_keys, client_state):
     assert events == []
     assert skipped["fields_malformed"] == 1
     assert skipped["lines_no_pii"] == 1
+
+
+def test_recover_out_of_window_malformed_line_is_not_parsed(identity, server_keys, client_state):
+    """A line is read for its date before it is parsed: outside the window,
+    its malformed element is never seen."""
+    _, window, _ = _protected_corpus(identity, server_keys, client_state)
+    line = logcat(D(1), 'broken <PII type="EMAIL">!!</PII> marker')
+    events, skipped = recover_tokens(window, [line], 2024)
+    assert events == []
+    assert skipped["lines_out_of_window"] == 1
+    assert skipped["fields_malformed"] == 0
+    assert skipped["lines_no_pii"] == 0
+
+
+def test_recover_parses_only_dated_lines_in_window(identity, server_keys, client_state,
+                                                   monkeypatch):
+    import privlog.server as server_mod
+
+    lines, window, _ = _protected_corpus(identity, server_keys, client_state)
+    parsed = []
+
+    def counting_parse(line):
+        parsed.append(line)
+        return parse_protected_line(line)
+
+    monkeypatch.setattr(server_mod, "parse_protected_line", counting_parse)
+    undated = lines[4][lines[4].index(" I ") :]
+    plain = [logcat(D(5), "no fields here"), "no date and no fields"]
+    events, skipped = recover_tokens(window, [*plain, undated, *lines], 2024)
+    assert parsed == lines[2:]  # days 3-7
+    assert len(events) == 5
+    assert skipped == {"lines_no_pii": 2, "lines_no_date": 1, "lines_out_of_window": 2,
+                       "fields_auth_failed": 0, "fields_malformed": 0}
 
 
 def test_recover_wrong_length_payload_is_malformed(identity, server_keys, client_state):
