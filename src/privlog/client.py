@@ -18,7 +18,7 @@ same plaintext stable across grants.
 
 from __future__ import annotations
 
-import secrets
+import os
 from datetime import date, timedelta
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -100,7 +100,7 @@ def init_client(
     """
     cdi = derive_cdi(identity)
     hash_key = SecretKey32(kdf(None, cdi, b"hmac-key", 32))
-    seed = rng_seed if rng_seed is not None else secrets.token_bytes(32)
+    seed = rng_seed if rng_seed is not None else os.urandom(32)
     z = dh_shared(dh_derive_keypair(seed, b"dh-init").private, server_longterm_pub)
     root_key = SecretKey32(kdf(cdi, z, b"root-key", 32))
     return ClientState(
@@ -237,7 +237,7 @@ def create_grant(
             f"start {req.start_date}"
         )
 
-    seed = rng_seed if rng_seed is not None else secrets.token_bytes(32)
+    seed = rng_seed if rng_seed is not None else os.urandom(32)
     eph_pair = dh_derive_keypair(seed, b"export-keygen")
     z = dh_shared(eph_pair.private, req.server_pub)
     k_exp = SecretKey32(kdf(None, z, b"export-kdf", 32))

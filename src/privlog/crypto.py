@@ -11,16 +11,16 @@ Primitive choices, fixed for interoperability:
 * Key agreement: X25519; private scalars are derived from 32-byte seeds
   through the KDF and clamped.
 
-Every function in this module is pure or locally randomized. The only
-state is the cipher and the keyed HMAC state a `SecretKey32` builds on
-first use and keeps until `wipe`. Building either twice is harmless, so
-concurrent users of a key need no locking; but `wipe` must not run while
-any other thread uses the key, or a state under the old bytes can be kept.
+Every primitive comes from `cryptography`, so a process maps one OpenSSL (stdlib
+`hashlib` and `hmac` would load a second). Every function here is pure or locally
+randomized. The only state is the cipher and the HMAC context a `SecretKey32`
+builds on first use and keeps until `wipe`. Building either twice is harmless, so
+concurrent users of a key need no locking; but `wipe` must not run while any other
+thread uses the key, or a state under the old bytes can be kept.
 """
 
 from __future__ import annotations
 
-import hmac as _hmac
 import os
 from typing import NamedTuple, Tuple, Union
 
@@ -31,6 +31,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PublicKey,
 )
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+from cryptography.hazmat.primitives.hmac import HMAC
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .errors import AuthFailure, EmptyInput, InvalidLength, MalformedBox, WeakKey
@@ -50,8 +51,9 @@ class SecretKey32:
     Zeroization is best effort: the backing buffer is wiped on `wipe()`
     and on garbage collection, but copies handed out via `.bytes` are
     ordinary immutable bytes. The cipher `aead()` keeps holds a copy of the
-    key and the state `hmac()` keeps holds pads derived from it. `wipe()`
-    cannot zero those, but drops both, so they live no longer than this key.
+    key and the `cryptography` HMAC context `hmac()` keeps holds pads derived
+    from it. `wipe()` cannot zero those, but drops both, so they live no longer
+    than this key.
     """
 
     __slots__ = ("_buf", "_aead", "_hmac")
@@ -74,10 +76,10 @@ class SecretKey32:
             self._aead = ChaCha20Poly1305(self.bytes)
         return self._aead
 
-    def hmac(self) -> _hmac.HMAC:
-        """This key's HMAC-SHA256 state, keyed on first use and kept until `wipe`."""
+    def hmac(self) -> HMAC:
+        """This key's HMAC-SHA256 context, keyed on first use and kept until `wipe`."""
         if self._hmac is None:
-            self._hmac = _hmac.new(self.bytes, digestmod="sha256")
+            self._hmac = HMAC(self.bytes, hashes.SHA256())
         return self._hmac
 
     def wipe(self) -> None:
@@ -93,7 +95,8 @@ class SecretKey32:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SecretKey32):
-            return _hmac.compare_digest(self.bytes, other.bytes)
+            from hmac import compare_digest  # lazy: loads a second OpenSSL; no CLI compares keys
+            return compare_digest(self.bytes, other.bytes)
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -129,10 +132,6 @@ def _as_bytes(value: Union[bytes, bytearray, SecretKey32, None]) -> bytes:
     return bytes(value)
 
 
-def _as_info(label: Union[bytes, str]) -> bytes:
-    return label.encode("utf-8") if isinstance(label, str) else bytes(label)
-
-
 def kdf(
     salt_key: Union[bytes, SecretKey32, None],
     ikm: Union[bytes, SecretKey32],
@@ -144,12 +143,11 @@ def kdf(
         raise InvalidLength(
             f"kdf output length {out_len} outside [{KDF_MIN_LEN}, {KDF_MAX_LEN}]"
         )
-    salt = _as_bytes(salt_key)
     return HKDF(
         algorithm=hashes.SHA256(),
         length=out_len,
-        salt=salt or None,
-        info=_as_info(info),
+        salt=_as_bytes(salt_key) or None,
+        info=info.encode("utf-8") if isinstance(info, str) else bytes(info),
     ).derive(_as_bytes(ikm))
 
 
@@ -172,7 +170,7 @@ def pseudonymize(hash_key: SecretKey32, plaintext: bytes) -> bytes:
         raise EmptyInput("cannot pseudonymize empty input")
     state = hash_key.hmac().copy()
     state.update(plaintext)
-    return state.digest()[:TOKEN_LEN]
+    return state.finalize()[:TOKEN_LEN]
 
 
 def aead_seal(key: SecretKey32, plaintext: bytes, aad: bytes = b"") -> bytes:

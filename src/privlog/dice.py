@@ -8,8 +8,9 @@ both outputs, which is what ties derived keys to measured device state.
 
 from __future__ import annotations
 
-import hashlib
 from typing import NamedTuple
+
+from cryptography.hazmat.primitives import hashes
 
 from .crypto import SecretKey32, kdf, length_prefixed
 from .errors import CorruptState, InvalidLength
@@ -51,9 +52,10 @@ def attestation_digest(identity: DeviceIdentity) -> bytes:
     Length prefixes keep distinct (id, measurement) pairs from colliding
     by concatenation. A verifier holding the same inputs recomputes it.
     """
-    return hashlib.sha256(
-        length_prefixed(identity.device_id.encode()) + length_prefixed(identity.measurement)
-    ).digest()
+    digest = hashes.Hash(hashes.SHA256())
+    digest.update(length_prefixed(identity.device_id.encode()))
+    digest.update(length_prefixed(identity.measurement))
+    return digest.finalize()
 
 
 def parse_identity(text: str) -> DeviceIdentity:

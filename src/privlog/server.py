@@ -14,7 +14,7 @@ import functools
 import heapq
 import marshal
 import operator
-import secrets
+import os
 import tempfile
 from collections import deque
 from datetime import date, timedelta
@@ -51,7 +51,7 @@ class ServerKeys:
 
 
 def keygen(server_id: str, seed: Optional[bytes] = None) -> ServerKeys:
-    seed = seed if seed is not None else secrets.token_bytes(32)
+    seed = seed if seed is not None else os.urandom(32)
     return ServerKeys(
         server_id=server_id,
         longterm=dh_derive_keypair(seed, b"server-longterm"),
@@ -64,7 +64,7 @@ def create_offer(keys: ServerKeys, grant_id: str, seed: Optional[bytes] = None) 
         raise InvalidWindow(f"grant_id {grant_id!r} must be [A-Za-z0-9._-]+")
     if grant_id in keys.ephemeral:
         raise InvalidWindow(f"grant_id {grant_id!r} already has an outstanding offer")
-    seed = seed if seed is not None else secrets.token_bytes(32)
+    seed = seed if seed is not None else os.urandom(32)
     pair = dh_derive_keypair(seed, b"server-ephemeral")
     keys.ephemeral[grant_id] = pair
     return pair.public

@@ -2,7 +2,7 @@
 
 The crypto oracles are built from hashlib.sha256 and Python integers only,
 so their results do not share a code path with the library under test
-(which uses the `cryptography` package and stdlib hmac). HKDF follows
+(which hashes only through the `cryptography` package). HKDF follows
 RFC 5869, HMAC is the raw ipad/opad construction, and x25519 is the
 RFC 7748 Montgomery ladder.
 

@@ -1008,13 +1008,61 @@ def test_report_checks_arguments_before_reading(ws, capsys, argv, what):
     assert out == "" and what in err and "missing.csv" not in err
 
 
+# Stdlib hashing maps a second OpenSSL beside the one in `cryptography`.
+STDLIB_HASHING = ["_hashlib", "hashlib", "hmac", "secrets"]
+
+
 def test_cli_imports_no_dataclasses_or_serialization():
     """Both CLIs start without the `dataclasses` import chain (`inspect`,
-    `ast`, `dis`, `tokenize`) and without `cryptography`'s serialization
-    package, which reaches it through its `ssh` module."""
+    `ast`, `dis`, `tokenize`), without `cryptography`'s serialization
+    package, which reaches it through its `ssh` module, and without stdlib
+    hashing."""
     env = dict(os.environ, PYTHONPATH=str(Path(privlog.__file__).parents[1]))
-    unwanted = ["dataclasses", "cryptography.hazmat.primitives.serialization", "statistics"]
+    unwanted = ["dataclasses", "cryptography.hazmat.primitives.serialization", "statistics",
+                *STDLIB_HASHING]
     code = f"import privlog.cli, sys; print([m for m in {unwanted!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_commands_load_no_stdlib_hashing(ws):
+    """Every command runs in one child without loading stdlib hashing or
+    `secrets`; an import-only check misses a module a command loads late.
+    No --seed is given, so keys and nonces come from the system's randomness."""
+    write_corpus(BenchConfig(line_count=60, pii_density="high", day_span=3, seed=5),
+                 ws / "raw.log", ws / "raw.truth.csv")
+    cfg, ks = ["--config", str(ws / "client.cfg")], ["--keystore", str(ws / "server.kv")]
+    p = {name: str(ws / name) for name in
+         ("raw.log", "protected.log", "offer.kv", "grant.kv", "window.kv", "events.csv",
+          "linkage.csv", "other.kv")}
+    commands = [
+        ("client", [*cfg, "init", "--today", D(1).isoformat()]),
+        ("client", [*cfg, "protect", "--in", p["raw.log"], "--out", p["protected.log"]]),
+        ("server", ["keygen", "--keystore", p["other.kv"]]),
+        ("server", ["offer", *ks, "--grant-id", "case-1", "--out", p["offer.kv"]]),
+        ("client", [*cfg, "grant", "--server-offer", p["offer.kv"], "--start", D(1).isoformat(),
+                    "--today", D(3).isoformat(), "--out", p["grant.kv"]]),
+        ("server", ["accept", *ks, "--grant", p["grant.kv"], "--expect-device", "pixel-lab",
+                    "--out", p["window.kv"]]),
+        ("server", ["recover", "--keys", p["window.kv"], "--in", p["protected.log"],
+                    "--out", p["events.csv"], "--year", "2024"]),
+        ("server", ["report", "--events", p["events.csv"], "--out", p["linkage.csv"]]),
+        ("server", ["report", "--events", p["events.csv"], "--timeline", "TOP-TOKEN"]),
+        ("client", [*cfg, "state"]),
+    ]
+    code = f"""
+import sys
+from privlog.cli import client_main, server_main
+for who, argv in {commands!r}:
+    if argv[-1] == "TOP-TOKEN":
+        argv[-1] = open({p["linkage.csv"]!r}).read().splitlines()[1].split(",")[0]
+    assert (client_main if who == "client" else server_main)(argv) == 0, argv
+print("loaded", [m for m in {STDLIB_HASHING!r} if m in sys.modules])
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(privlog.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "date,line_no,template" in out.stdout
+    assert out.stdout.splitlines()[-1] == "loaded []"

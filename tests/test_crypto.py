@@ -3,6 +3,8 @@
 import base64
 import os
 import secrets
+import sys
+import threading
 from datetime import date
 
 import pytest
@@ -190,6 +192,45 @@ def test_pseudonymize_is_truncated_hmac(key, msg):
     assert token == oracles.hmac_sha256(key, msg)[:16]
 
 
+@settings(max_examples=300)
+@given(
+    keys=st.tuples(st.binary(min_size=32, max_size=32), st.binary(min_size=32, max_size=32)),
+    calls=st.lists(st.tuples(st.sampled_from((0, 1)), st.binary(min_size=1, max_size=300)),
+                   min_size=1, max_size=12),
+)
+def test_pseudonymize_interleaved_keys_match_oracle(keys, calls):
+    """Each call copies the key's kept HMAC context and never consumes it, so
+    calls under two keys, in any order and on any value, match the oracle."""
+    held = [SecretKey32(k) for k in keys]
+    for which, msg in calls:
+        assert pseudonymize(held[which], msg) == oracles.hmac_sha256(keys[which], msg)[:16]
+
+
+def test_pseudonymize_from_two_threads_matches_oracle():
+    """Threads sharing one key need no lock: each copies the kept context."""
+    raw = b"\x5a" * 32
+    key = SecretKey32(raw)
+    msgs = [f"user{i}@example.com".encode() for i in range(1000)]
+    results = [None, None]
+
+    def derive(slot):
+        results[slot] = [pseudonymize(key, m) for m in msgs]
+
+    threads = [threading.Thread(target=derive, args=(slot,)) for slot in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    expected = [oracles.hmac_trunc16(raw, m) for m in msgs]
+    assert results == [expected, expected]
+
+
 # --- AEAD ---------------------------------------------------------------
 
 
@@ -372,3 +413,15 @@ def test_wipe_drops_the_cached_hmac():
     key.wipe()
     assert pseudonymize(key, msg) == oracles.hmac_trunc16(b"\x00" * 32, msg)
     assert pseudonymize(twin, msg) == oracles.hmac_trunc16(raw, msg)
+
+
+def test_wipe_sets_the_hmac_context_to_none():
+    """`wipe` drops the kept context; a new key with the same bytes builds its
+    own and gives the same tokens as before."""
+    raw, msgs = b"\x66" * 32, [b"alice@example.com", b"10.0.0.7"]
+    key = SecretKey32(raw)
+    before = [pseudonymize(key, m) for m in msgs]
+    assert key.hmac() is not None
+    key.wipe()
+    assert key._hmac is None
+    assert [pseudonymize(SecretKey32(raw), m) for m in msgs] == before

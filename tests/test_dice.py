@@ -1,9 +1,11 @@
 """Simulated DICE provider: determinism, sensitivity, file format."""
 
 import base64
+import hashlib
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from privlog.dice import (
     DeviceIdentity,
@@ -26,6 +28,20 @@ def test_cdi_golden(golden, identity):
 def test_attestation_digest_golden(golden, identity):
     assert attestation_digest(identity).hex() == golden["attestation_digest"]["digest"]
     assert attestation_digest(identity) == attestation_digest(identity)
+
+
+@settings(max_examples=200)
+@given(
+    measurement=st.binary(min_size=32, max_size=32),
+    device_id=st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), min_size=1, max_size=64),
+)
+def test_attestation_digest_matches_hashlib(measurement, device_id):
+    """The digest is SHA-256 over the two length-prefixed fields, recomputed
+    here with stdlib hashlib, which privlog does not use."""
+    identity = DeviceIdentity(uds=b"\x01" * 32, measurement=measurement, device_id=device_id)
+    raw_id = device_id.encode()
+    fields = len(raw_id).to_bytes(2, "big") + raw_id + (32).to_bytes(2, "big") + measurement
+    assert attestation_digest(identity) == hashlib.sha256(fields).digest()
 
 
 def test_attestation_digest_varies_with_device_id(identity):
