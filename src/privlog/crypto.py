@@ -12,7 +12,9 @@ Primitive choices, fixed for interoperability:
   through the KDF and clamped.
 
 Every primitive comes from `cryptography`, so a process maps one OpenSSL (stdlib
-`hashlib` and `hmac` would load a second). Every function here is pure or locally
+`hashlib` and `hmac` would load a second). Each primitive's module is imported
+on its first use, so a command loads only what it calls: `report` loads none of
+`cryptography` and `recover` only the AEAD. Every function here is pure or locally
 randomized. The only state is the cipher and the HMAC context a `SecretKey32`
 builds on first use and keeps until `wipe`. Building either twice is harmless, so
 concurrent users of a key need no locking; but `wipe` must not run while any other
@@ -23,16 +25,6 @@ from __future__ import annotations
 
 import os
 from typing import NamedTuple, Tuple, Union
-
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives import hashes
-from cryptography.hazmat.primitives.asymmetric.x25519 import (
-    X25519PrivateKey,
-    X25519PublicKey,
-)
-from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
-from cryptography.hazmat.primitives.hmac import HMAC
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .errors import AuthFailure, EmptyInput, InvalidLength, MalformedBox, WeakKey
 
@@ -70,16 +62,19 @@ class SecretKey32:
     def bytes(self) -> bytes:
         return bytes(self._buf)
 
-    def aead(self) -> ChaCha20Poly1305:
-        """This key's cipher, built on first use and kept until `wipe`."""
+    def aead(self):
+        """This key's ChaCha20Poly1305 cipher, built on first use and kept until `wipe`."""
         if self._aead is None:
+            from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
             self._aead = ChaCha20Poly1305(self.bytes)
         return self._aead
 
-    def hmac(self) -> HMAC:
+    def hmac(self):
         """This key's HMAC-SHA256 context, keyed on first use and kept until `wipe`."""
         if self._hmac is None:
-            self._hmac = HMAC(self.bytes, hashes.SHA256())
+            from cryptography.hazmat.primitives.hashes import SHA256
+            from cryptography.hazmat.primitives.hmac import HMAC
+            self._hmac = HMAC(self.bytes, SHA256())
         return self._hmac
 
     def wipe(self) -> None:
@@ -143,8 +138,10 @@ def kdf(
         raise InvalidLength(
             f"kdf output length {out_len} outside [{KDF_MIN_LEN}, {KDF_MAX_LEN}]"
         )
+    from cryptography.hazmat.primitives.hashes import SHA256
+    from cryptography.hazmat.primitives.kdf.hkdf import HKDF
     return HKDF(
-        algorithm=hashes.SHA256(),
+        algorithm=SHA256(),
         length=out_len,
         salt=_as_bytes(salt_key) or None,
         info=info.encode("utf-8") if isinstance(info, str) else bytes(info),
@@ -183,10 +180,14 @@ def aead_open(key: SecretKey32, sealed: bytes, aad: bytes = b"") -> bytes:
     """Inverse of `aead_seal`: MalformedBox if too short, AuthFailure if forged."""
     if len(sealed) < NONCE_LEN + TAG_LEN:
         raise MalformedBox(f"sealed value too short: {len(sealed)} bytes")
+    cipher = key.aead()
     try:
-        return key.aead().decrypt(sealed[:NONCE_LEN], sealed[NONCE_LEN:], aad)
-    except InvalidTag as exc:
-        raise AuthFailure("AEAD authentication failed") from exc
+        return cipher.decrypt(sealed[:NONCE_LEN], sealed[NONCE_LEN:], aad)
+    except Exception as exc:
+        from cryptography.exceptions import InvalidTag  # loaded with the cipher
+        if isinstance(exc, InvalidTag):
+            raise AuthFailure("AEAD authentication failed") from exc
+        raise
 
 
 def clamp_scalar(raw: bytes) -> bytes:
@@ -201,6 +202,7 @@ def dh_derive_keypair(seed: bytes, label: Union[bytes, str]) -> DhKeyPair:
     """Deterministic X25519 keypair from a 32-byte seed and a label."""
     if len(seed) != 32:
         raise InvalidLength("keypair seed must be 32 bytes")
+    from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
     private = clamp_scalar(kdf(None, seed, label, 32))
     public = X25519PrivateKey.from_private_bytes(private).public_key().public_bytes_raw()
     return DhKeyPair(private=private, public=public)
@@ -210,6 +212,7 @@ def dh_shared(private: bytes, peer_public: bytes) -> SecretKey32:
     """Raw X25519 agreement. Rejects the all-zero (low order) result."""
     if len(private) != 32 or len(peer_public) != 32:
         raise InvalidLength("X25519 inputs must be 32 bytes")
+    from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
     try:
         shared = X25519PrivateKey.from_private_bytes(private).exchange(
             X25519PublicKey.from_public_bytes(peer_public)

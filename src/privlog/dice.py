@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from cryptography.hazmat.primitives import hashes
-
 from .crypto import SecretKey32, kdf, length_prefixed
 from .errors import CorruptState, InvalidLength
 from .kvfile import b64, b64_field, format_kv, parse_kv, require
@@ -52,7 +50,8 @@ def attestation_digest(identity: DeviceIdentity) -> bytes:
     Length prefixes keep distinct (id, measurement) pairs from colliding
     by concatenation. A verifier holding the same inputs recomputes it.
     """
-    digest = hashes.Hash(hashes.SHA256())
+    from cryptography.hazmat.primitives.hashes import SHA256, Hash
+    digest = Hash(SHA256())
     digest.update(length_prefixed(identity.device_id.encode()))
     digest.update(length_prefixed(identity.measurement))
     return digest.finalize()

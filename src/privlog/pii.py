@@ -24,6 +24,7 @@ padded encoding of the 44 bytes nonce || ciphertext || tag that seal a
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from binascii import a2b_base64, b2a_base64
 from datetime import date
@@ -42,6 +43,11 @@ class PiiType(enum.Enum):
     SSN = "SSN"
     CREDIT_CARD = "CREDIT_CARD"
     DEVICE_SERIAL = "DEVICE_SERIAL"
+
+    # Members are singletons compared by identity: hash them by identity too,
+    # in C, rather than through Enum's Python-level `__hash__`, so a table
+    # keyed by type costs a plain dict lookup.
+    __hash__ = object.__hash__
 
 
 # Source of truth for the detection patterns (also tabulated in README).
@@ -268,6 +274,10 @@ _ELEMENT = re.compile(
 )
 
 
+# A field from a 2-tuple, built in C: no Python-level `__new__` per field.
+_field = functools.partial(tuple.__new__, ProtectedField)
+
+
 def parse_protected_line(
     line: str,
 ) -> Tuple[str, List[ProtectedField], List[str]]:
@@ -291,7 +301,7 @@ def parse_protected_line(
         start, end = m.span()
         parts.append(line[pos:start])
         parts.append(f"<PII#{len(fields)}>")
-        fields.append(ProtectedField(_LABELS[label], a2b_base64(payload)))
+        fields.append(_field((_LABELS[label], a2b_base64(payload))))
         pos = end
     parts.append(line[pos:])
     return "".join(parts), fields, warnings

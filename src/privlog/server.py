@@ -140,6 +140,10 @@ class RecoveredEvent(NamedTuple):
     template: str
 
 
+# A record from a 5-tuple, built in C: no Python-level `__new__` per event.
+_event = functools.partial(tuple.__new__, RecoveredEvent)
+
+
 def recover_tokens(
     window: WindowKeys,
     lines: Iterable[str],
@@ -208,7 +212,7 @@ def recover_tokens(
             except AuthFailure:
                 skipped["fields_auth_failed"] += 1
                 continue
-            opened.append(RecoveredEvent(line_no, day, pii_type, token, template))
+            opened.append(_event((line_no, day, pii_type, token, template)))
         if opened:
             emit(opened)
     return events, skipped
@@ -348,18 +352,27 @@ def load_window_keys(text: str) -> WindowKeys:
 
 # Recovery writes one line's events per call; a window has few days.
 _iso = functools.cache(date.isoformat)
+_LABEL = {t: t.value for t in PiiType}
+# Distinct tokens `read_events_csv` keeps decoded; tokens past this many
+# are decoded again when they recur.
+TOKEN_CACHE_SIZE = 4096
 
 
 def write_events_csv(events: Iterable[RecoveredEvent], fh) -> None:
     """One row per event, as csv.writer writes it, without the header:
-    write EVENTS_HEADER_LINE once where the file is opened. Each line's
-    template is quoted once for all of its events, which `recover_tokens`
-    emits one after another."""
-    template, tail = None, ""
+    write EVENTS_HEADER_LINE once where the file is opened. The events of
+    one template, which `recover_tokens` emits together for each line, are
+    written in one `fh.write` with the template quoted once."""
+    template, rows = None, []
     for line_no, day, pii_type, token, text in events:
         if text != template:
+            if rows:
+                fh.write("".join(rows))
+                rows.clear()
             template, tail = text, csv_field(text) + "\r\n"
-        fh.write(f"{line_no},{_iso(day)},{pii_type.value},{b64(token)},{tail}")
+        rows.append(f"{line_no},{_iso(day)},{_LABEL[pii_type]},{b64(token)},{tail}")
+    if rows:
+        fh.write("".join(rows))
 
 
 def read_events_csv(lines: Iterable[str]) -> Iterator[RecoveredEvent]:
@@ -376,18 +389,20 @@ def read_events_csv(lines: Iterable[str]) -> Iterator[RecoveredEvent]:
     last = deque([""], maxlen=1)
     reader = csv.reader(map(lambda line: last.append(line) or line, lines), strict=True)
     # A window has few days and there are ten types: each distinct date and
-    # type string is checked once. Tokens need not repeat, so each is decoded.
+    # type string is checked once. Tokens recur (a linkage report exists
+    # because they do), so each distinct token string is decoded once, by a
+    # cache that lives and dies with this call.
     day_of = functools.cache(lambda text: iso_date(text, "events csv: date"))
     type_of = functools.cache(PiiType)
+    token_of = functools.lru_cache(TOKEN_CACHE_SIZE)(
+        lambda text: b64_decode(text, "events csv: token", TOKEN_LEN))
     try:
         header = next(reader, None)
         if header != EVENTS_HEADER:
             raise CorruptState(f"events csv: unexpected header {header!r}")
         for line_no, day, pii_type, token_b64, template in reader:
-            yield RecoveredEvent(
-                int(line_no), day_of(day), type_of(pii_type),
-                b64_decode(token_b64, "events csv: token", TOKEN_LEN), template,
-            )
+            yield _event((int(line_no), day_of(day), type_of(pii_type), token_of(token_b64),
+                          template))
     except (ValueError, KeyError, csv.Error) as exc:
         raise CorruptState(f"events csv: bad row: {exc}") from exc
     if not last[0].endswith("\n"):

@@ -16,11 +16,18 @@ pattern, then checks the label and the payload separately, the payload by
 a strict base64 decode to 44 bytes that re-encodes to the same text.
 privlog's parser must give the same template, fields and warnings from a
 single scan. `fill_template` is the inverse of both.
+
+`read_events_csv` is the reference events-CSV reader: csv.reader, then each
+row checked on its own, with no cache and no record type.
 """
 
 import base64
+import binascii
+import csv
 import hashlib
+import io
 import re
+from datetime import date
 
 SHA256_BLOCK = 64
 
@@ -224,3 +231,43 @@ def fill_template(template: str, fields: list) -> str:
         element = f'<PII type="{field.pii_type.value}">{payload}</PII>'
         out = out.replace(f"<PII#{i}>", element, 1)
     return out
+
+
+# --- events CSV ------------------------------------------------------------
+
+
+EVENTS_COLUMNS = ["line_no", "date", "pii_type", "token_b64", "template"]
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def read_events_csv(text: str) -> list:
+    """(line_no, date, label, token, template) for each row of an events CSV.
+
+    ValueError for a file that does not end in a newline, a csv syntax
+    error, a header other than EVENTS_COLUMNS, a row of another length, a
+    line number that is not an int, a date not written YYYY-MM-DD, a label
+    that is not one of the ten, or a token that is not strict base64 of
+    exactly 16 bytes.
+    """
+    if text and not text.endswith("\n"):
+        raise ValueError("the last line has no newline")
+    try:
+        rows = list(csv.reader(io.StringIO(text), strict=True))
+    except csv.Error as exc:
+        raise ValueError(str(exc)) from exc
+    if not rows or rows[0] != EVENTS_COLUMNS:
+        raise ValueError("bad header")
+    events = []
+    for row in rows[1:]:
+        if len(row) != len(EVENTS_COLUMNS):
+            raise ValueError(f"{len(row)} columns")
+        line_no, day, label, token_b64, template = row
+        if not _ISO_DATE.fullmatch(day):
+            raise ValueError(f"date {day!r}")
+        if label not in PII_PRIORITY:
+            raise ValueError(f"label {label!r}")
+        token = binascii.a2b_base64(token_b64.encode("ascii"), strict_mode=True)
+        if len(token) != 16:
+            raise ValueError(f"token of {len(token)} bytes")
+        events.append((int(line_no), date.fromisoformat(day), label, token, template))
+    return events

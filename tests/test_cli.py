@@ -205,7 +205,8 @@ def test_exit_code_out_of_order(ws, capsys):
                    "--mode", "batch") == 0
 
 
-def test_exit_code_auth_failure_on_tampered_grant(ws):
+def _tampered_grant_accept(ws) -> list:
+    """The `accept` arguments for a grant whose ciphertext has one byte flipped."""
     assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
     assert server_main([
         "offer", "--keystore", str(ws / "server.kv"),
@@ -221,10 +222,12 @@ def test_exit_code_auth_failure_on_tampered_grant(ws):
     (ws / "grant.kv").write_text(
         text.replace(ct, base64.b64encode(bytes(raw)).decode())
     )
-    assert server_main([
-        "accept", "--keystore", str(ws / "server.kv"), "--grant", str(ws / "grant.kv"),
-        "--expect-device", "pixel-lab", "--out", str(ws / "window.kv"),
-    ]) == 4
+    return ["accept", "--keystore", str(ws / "server.kv"), "--grant", str(ws / "grant.kv"),
+            "--expect-device", "pixel-lab", "--out", str(ws / "window.kv")]
+
+
+def test_exit_code_auth_failure_on_tampered_grant(ws):
+    assert server_main(_tampered_grant_accept(ws)) == 4
 
 
 def test_exit_code_corrupt_on_short_grant_ciphertext(ws):
@@ -1066,3 +1069,71 @@ print("loaded", [m for m in {STDLIB_HASHING!r} if m in sys.modules])
     assert out.returncode == 0, out.stderr
     assert "date,line_no,template" in out.stdout
     assert out.stdout.splitlines()[-1] == "loaded []"
+
+
+def _child(code: str) -> subprocess.CompletedProcess:
+    """`code` run by a fresh interpreter that imports privlog from these sources."""
+    env = dict(os.environ, PYTHONPATH=str(Path(privlog.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+_RUN_SERVER_COMMANDS = """
+import sys
+from privlog.cli import server_main
+for argv in {argvs!r}:
+    if argv[-1] == "TOP-TOKEN":
+        argv[-1] = open({linkage!r}).read().splitlines()[1].split(",")[0]
+    assert server_main(argv) == 0, argv
+print("loaded", sorted(m for m in sys.modules if m.split(".")[0] == "cryptography"))
+"""
+_X25519 = "cryptography.hazmat.primitives.asymmetric.x25519"
+_HKDF = "cryptography.hazmat.primitives.kdf.hkdf"
+_AEAD = "cryptography.hazmat.primitives.ciphers.aead"
+
+
+def test_forensic_commands_load_only_the_cryptography_they_call(ws):
+    """`report` and `report --timeline` run in one child that loads no
+    `cryptography` module at all; a `recover` child loads the AEAD but
+    neither X25519 nor HKDF, which only the grant exchange needs."""
+    _dense_investigation(ws)
+    p = {name: str(ws / name) for name in ("window.kv", "prot.log", "events.csv", "linkage.csv")}
+    recover = ["recover", "--keys", p["window.kv"], "--in", p["prot.log"], "--out", p["events.csv"],
+               "--year", "2024"]
+    reports = [["report", "--events", p["events.csv"], "--out", p["linkage.csv"]],
+               ["report", "--events", p["events.csv"], "--timeline", "TOP-TOKEN"]]
+
+    out = _child(_RUN_SERVER_COMMANDS.format(argvs=[recover], linkage=p["linkage.csv"]))
+    assert out.returncode == 0, out.stderr
+    loaded = ast.literal_eval(out.stdout.splitlines()[-1].removeprefix("loaded "))
+    assert _AEAD in loaded
+    assert _X25519 not in loaded and _HKDF not in loaded
+
+    out = _child(_RUN_SERVER_COMMANDS.format(argvs=reports, linkage=p["linkage.csv"]))
+    assert out.returncode == 0, out.stderr
+    assert "date,line_no,template" in out.stdout
+    assert out.stdout.splitlines()[-1] == "loaded []"
+
+
+def test_lazy_cryptography_failure_paths_raise_privlog_errors(ws):
+    """In a fresh interpreter, where no cipher has been built and no
+    `cryptography` module is loaded, a forged 44-byte box is AuthFailure,
+    and `accept` of a tampered grant exits 4 naming AuthFailure."""
+    out = _child("""
+import sys
+from privlog.crypto import SecretKey32, aead_open
+from privlog.errors import AuthFailure
+assert not [m for m in sys.modules if m.split(".")[0] == "cryptography"]
+try:
+    aead_open(SecretKey32(bytes(range(32))), bytes(44))
+except AuthFailure as exc:
+    print(type(exc).__name__)
+""")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "AuthFailure\n"
+
+    argv = _tampered_grant_accept(ws)
+    out = _child(f"import sys\nfrom privlog.cli import server_main\nsys.exit(server_main({argv!r}))")
+    assert out.returncode == 4, out.stderr
+    assert out.stderr.startswith("error AuthFailure:")
+    assert not (ws / "window.kv").exists()

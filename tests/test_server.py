@@ -8,6 +8,7 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from privlog.client import GrantRequest, ProtectSession, advance_to, create_grant, init_client
 from privlog.crypto import SecretKey32, aead_open, aead_seal, dh_shared, kdf
 from privlog.errors import (
@@ -544,6 +545,92 @@ def test_events_csv_cut_inside_its_last_row():
     for cut in range(row_start + 1, len(text)):
         with pytest.raises(CorruptState, match="events csv"):
             list(read_events_csv(io.StringIO(text[:cut])))
+
+
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode()
+
+
+# Good rows draw their tokens from a small pool, so the reader's token
+# cache is hit, and from fresh bytes, so it is also missed. Pool tokens
+# differ only in their last byte, so only the whole text tells them apart.
+_TOKEN_POOL = [_b64(bytes(15) + bytes([i])) for i in (0, 1, 2, 255)]
+_GOOD_ROW = st.tuples(
+    st.integers(1, 10**6),
+    st.dates(date(1970, 1, 1), date(2100, 12, 31)).map(date.isoformat),
+    st.sampled_from([t.value for t in PiiType]),
+    st.sampled_from(_TOKEN_POOL) | st.binary(min_size=16, max_size=16).map(_b64),
+    _CSV_TEMPLATE,
+)
+# Each kind of bad row, as the text of its line.
+_BAD_ROW = st.one_of(
+    st.builds(lambda raw: f"1,2024-05-01,EMAIL,{_b64(raw)},t\r\n",
+              st.binary(min_size=15, max_size=15) | st.binary(min_size=17, max_size=17)),
+    st.sampled_from(["not base64!", "AQEBAQEBAQEBAQEBAQEBAQ", "AQEBAQEBAQEBAQEBAQEBA===",
+                     "AQEBAQEB AQEBAQEBAQEBAQ==", "\u00e9QEBAQEBAQEBAQEBAQEBAQ=="]).map(
+        lambda tok: f"1,2024-05-01,EMAIL,{tok},t\r\n"),
+    st.sampled_from(["2024-02-30", "2024-5-01", "20240501", "2024-13-01", "2024-W18-3", ""]).map(
+        lambda day: f"1,{day},EMAIL,{_TOKEN_POOL[0]},t\r\n"),
+    st.sampled_from(["NAME", "email", "EMAIL ", ""]).map(
+        lambda label: f"1,2024-05-01,{label},{_TOKEN_POOL[0]},t\r\n"),
+    st.sampled_from([f"1,2024-05-01,EMAIL,{_TOKEN_POOL[0]}\r\n",
+                     f"1,2024-05-01,EMAIL,{_TOKEN_POOL[0]},t,u\r\n", "\r\n", "x\r\n"]),
+    st.builds(lambda a, c, b: f"1,2024-05-01,EMAIL,{_TOKEN_POOL[0]},{a}{c}{b}\r\n",
+              st.text("ab ", max_size=3), st.sampled_from([",", '"', "\r"]), st.text("ab ", max_size=3)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(rows=st.lists(_GOOD_ROW, max_size=12), bad=st.none() | _BAD_ROW, data=st.data(),
+       cut=st.none() | st.sampled_from(["anywhere", "newline", "no-newline"]),
+       cache_size=st.sampled_from([1, 2, 4096]))
+def test_read_events_csv_matches_reference_reader(rows, bad, data, cut, cache_size):
+    """The reader gives the reference's records, or both refuse the file:
+    valid files, files with one bad row, and files cut with or without
+    their last newline, under token caches smaller than the file's tokens."""
+    import privlog.server as server_mod
+
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(oracles.EVENTS_COLUMNS)
+    writer.writerows(rows)
+    lines = out.getvalue().splitlines(keepends=True)
+    if bad is not None:
+        lines.insert(data.draw(st.integers(1, len(lines)), label="bad at"), bad)
+    text = "".join(lines)
+    if cut is not None:
+        at = data.draw(st.integers(0, len(text)), label="cut at")
+        text = text[:at]
+        if cut == "newline" and not text.endswith("\n"):
+            text += "\n"
+        elif cut == "no-newline":
+            text = text.rstrip("\n")
+    try:
+        expected = oracles.read_events_csv(text)
+    except ValueError:
+        expected = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(server_mod, "TOKEN_CACHE_SIZE", cache_size)
+        if expected is None:
+            with pytest.raises(CorruptState, match="events csv"):
+                list(read_events_csv(io.StringIO(text)))
+            return
+        got = list(read_events_csv(io.StringIO(text)))
+    assert [(e.line_no, e.date, e.pii_type.value, e.token, e.template) for e in got] == expected
+    assert all(type(e) is RecoveredEvent and type(e.pii_type) is PiiType for e in got)
+
+
+def test_read_events_csv_shares_no_cached_token_between_files():
+    """Within one read a repeated token is decoded once; a second read of
+    the same text decodes it afresh."""
+    buf = io.StringIO()
+    buf.write(EVENTS_HEADER_LINE)
+    write_events_csv(_csv_events(), buf)
+    first = list(read_events_csv(io.StringIO(buf.getvalue())))
+    second = list(read_events_csv(io.StringIO(buf.getvalue())))
+    assert first == second == _csv_events()
+    assert first[0].token is first[4].token
+    assert all(a.token is not b.token for a, b in zip(first, second))
 
 
 _KEY = base64.b64encode(b"\x01" * 32).decode()
