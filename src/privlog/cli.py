@@ -17,10 +17,7 @@ from pathlib import Path
 from time import perf_counter_ns
 from typing import Iterator, List, Optional, Sequence
 
-from . import client as client_mod
-from . import server as server_mod
 from .crypto import TOKEN_LEN
-from .dice import DeviceIdentity, attestation_digest, parse_identity
 from .errors import CorruptState, OutOfOrderDate, PrivlogError, exit_code_for
 from .grant import format_grant, parse_grant
 from .kvfile import (
@@ -98,7 +95,7 @@ class ClientConfig:
         )
         if not identity_path:
             raise CorruptState("no identity file: set identity= in config or --identity")
-        self.identity: DeviceIdentity = parse_identity(_read(identity_path, "identity file"))
+        self.identity = dice.parse_identity(_read(identity_path, "identity file"))
 
         self.state_path = (
             args.state or os.environ.get("PRIVLOG_STATE_FILE") or fields.get("state")
@@ -255,11 +252,16 @@ def _cmd_state(args) -> int:
     print(f"device_id={cfg.identity.device_id}")
     print(f"epoch_date={state.epoch_date.isoformat()}")
     print(f"chain_date={state.chain_date.isoformat()}")
-    print(f"attest_digest={b64(attestation_digest(cfg.identity))}")
+    print(f"attest_digest={b64(dice.attestation_digest(cfg.identity))}")
     return 0
 
 
 def client_main(argv: Optional[List[str]] = None) -> int:
+    # Each entry point imports only its own side's engine, so no client command
+    # loads the server's code and no server command the client's or `dice`.
+    global client_mod, dice
+    from . import client as client_mod, dice
+
     parser = argparse.ArgumentParser(
         prog="privlog-client", description="Device-side log protection."
     )
@@ -401,6 +403,9 @@ def _cmd_report(args) -> int:
 
 
 def server_main(argv: Optional[List[str]] = None) -> int:
+    global server_mod
+    from . import server as server_mod
+
     parser = argparse.ArgumentParser(
         prog="privlog-server", description="Forensic-side grant handling and recovery."
     )

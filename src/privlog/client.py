@@ -35,7 +35,7 @@ from .dice import DeviceIdentity, attestation_digest, derive_cdi
 from .errors import CorruptState, InvalidLength, InvalidWindow, OutOfOrderDate
 from .grant import Grant, canonical_aad, pack_window_payload
 from .kvfile import b64, b64_field, date_field, format_kv, parse_versioned
-from .pii import ProtectedField, detect_pii, encode_protected_line, extract_date, roll_year
+from .pii import detect_pii, encode_protected_line, extract_date, new_field, roll_year
 
 STATE_VERSION = "1"
 
@@ -206,7 +206,7 @@ class ProtectSession:
         if not spans:
             return line, 0
         hash_key = self._state.hash_key
-        fields = [ProtectedField(pii_type, aead_seal(key, pseudonymize(hash_key, text.encode())))
+        fields = [new_field((pii_type, aead_seal(key, pseudonymize(hash_key, text.encode()))))
                   for pii_type, _, _, text in spans]
         return encode_protected_line(line, spans, fields), len(spans)
 

@@ -28,7 +28,7 @@ import functools
 import re
 from binascii import a2b_base64, b2a_base64
 from datetime import date
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .errors import InvalidSpans
 
@@ -102,6 +102,11 @@ class ProtectedField(NamedTuple):
     box: bytes  # nonce || ciphertext || tag, 44 bytes
 
 
+# A span or a field from a tuple, built in C: no Python-level `__new__` per value.
+_span = functools.partial(tuple.__new__, PiiSpan)
+new_field = functools.partial(tuple.__new__, ProtectedField)
+
+
 # Digit shapes for the prechecks. `\d` matches every Unicode decimal digit,
 # as the patterns' own `\d` does; `[0-9]` would miss matches. The gate is
 # the union of the other two, so one search clears most lines.
@@ -145,9 +150,9 @@ def _token_types(piece: str) -> List[PiiType]:
 def detect_pii(line: str) -> List[PiiSpan]:
     """Every match where its precheck holds, overlaps resolved: longer spans
     win, then earlier starts, then the fixed priority order."""
-    if not ("@" in line or "://" in line or "SN-" in line or "::" in line
-            or line.count("-") >= 2 or line.count(":") + line.count("-") >= 5
-            or line.count(".") >= 3 or _DIGIT_GATE.search(line)):
+    dashes = line.count("-")
+    if not ("@" in line or "://" in line or "SN-" in line or "::" in line or dashes >= 2
+            or line.count(":") + dashes >= 5 or line.count(".") >= 3 or _DIGIT_GATE.search(line)):
         return []
     candidates = []  # (start - end, start, priority index, end)
     # "+dd (" puts at most 5 characters before a PHONE match's core.
@@ -180,7 +185,7 @@ def detect_pii(line: str) -> List[PiiSpan]:
                 break
         else:
             chosen.append((start, end, rank))
-    return [PiiSpan(PRIORITY[rank], s, e, line[s:e]) for s, e, rank in sorted(chosen)]
+    return [_span((PRIORITY[rank], s, e, line[s:e])) for s, e, rank in sorted(chosen)]
 
 
 _ISO_PREFIX = re.compile(r"^(\d{4})-(\d{2})-(\d{2})\b")
@@ -191,28 +196,31 @@ ROLLOVER_DAYS = 182
 YEAR_MIN, YEAR_MAX = 1970, 9999
 
 
+@functools.lru_cache(maxsize=1024)
+def _date(year: Union[int, str], month: str, day: str) -> Optional[date]:
+    """The date a prefix's digits name, None if impossible. Every line of a
+    day after its first is a cache hit."""
+    try:
+        return date(int(year), int(month), int(day))
+    except ValueError:
+        return None
+
+
 def extract_date(line: str, assumed_year: int) -> Optional[date]:
-    """Date of a log line: ISO prefix, else logcat MM-DD prefix (year-less).
+    """Date of a log line: logcat MM-DD prefix (year-less), else ISO prefix.
 
     Logcat timestamps carry no year, so the caller supplies one; getting
     it wrong shifts every line by whole years. Returns None when the line
-    starts with neither form or names an impossible date.
+    starts with neither form or names an impossible date. The two forms
+    differ at the third character, so at most one matches.
     """
     if not YEAR_MIN <= assumed_year <= YEAR_MAX:
         raise ValueError(f"assumed_year {assumed_year} outside [{YEAR_MIN}, {YEAR_MAX}]")
-    m = _ISO_PREFIX.match(line)
-    if m:
-        try:
-            return date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-        except ValueError:
-            return None
     m = _LOGCAT_PREFIX.match(line)
     if m:
-        try:
-            return date(assumed_year, int(m.group(1)), int(m.group(2)))
-        except ValueError:
-            return None
-    return None
+        return _date(assumed_year, m[1], m[2])
+    m = _ISO_PREFIX.match(line)
+    return _date(m[1], m[2], m[3]) if m else None
 
 
 def roll_year(line: str, day: date, year: int, last: date) -> Tuple[date, int]:
@@ -231,9 +239,12 @@ def roll_year(line: str, day: date, year: int, last: date) -> Tuple[date, int]:
     return other, max(year, other_year)
 
 
+_OPEN = {t: f'<PII type="{t.value}">' for t in PiiType}
+
+
 def render_field(field: ProtectedField) -> str:
-    payload = b2a_base64(field.box, newline=False).decode("ascii")
-    return f'<PII type="{field.pii_type.value}">{payload}</PII>'
+    pii_type, box = field
+    return f'{_OPEN[pii_type]}{b2a_base64(box, newline=False).decode("ascii")}</PII>'
 
 
 def encode_protected_line(
@@ -274,10 +285,6 @@ _ELEMENT = re.compile(
 )
 
 
-# A field from a 2-tuple, built in C: no Python-level `__new__` per field.
-_field = functools.partial(tuple.__new__, ProtectedField)
-
-
 def parse_protected_line(
     line: str,
 ) -> Tuple[str, List[ProtectedField], List[str]]:
@@ -301,7 +308,7 @@ def parse_protected_line(
         start, end = m.span()
         parts.append(line[pos:start])
         parts.append(f"<PII#{len(fields)}>")
-        fields.append(_field((_LABELS[label], a2b_base64(payload))))
+        fields.append(new_field((_LABELS[label], a2b_base64(payload))))
         pos = end
     parts.append(line[pos:])
     return "".join(parts), fields, warnings

@@ -19,6 +19,9 @@ single scan. `fill_template` is the inverse of both.
 
 `read_events_csv` is the reference events-CSV reader: csv.reader, then each
 row checked on its own, with no cache and no record type.
+
+`extract_date` is the reference date reader. It reads a line's prefix
+character by character against a shape, with no regex and no cache.
 """
 
 import base64
@@ -271,3 +274,38 @@ def read_events_csv(text: str) -> list:
             raise ValueError(f"token of {len(token)} bytes")
         events.append((int(line_no), date.fromisoformat(day), label, token, template))
     return events
+
+
+# --- log-line dates --------------------------------------------------------
+
+
+def _starts_with_shape(line: str, shape: str) -> bool:
+    """Whether `line` starts with `shape`, where each "D" stands for any
+    Unicode decimal digit and every other character for itself."""
+    return len(line) >= len(shape) and all(
+        c.isdecimal() if s == "D" else c == s for c, s in zip(line, shape)
+    )
+
+
+def _date_or_none(year: int, month: int, day: int):
+    try:
+        return date(year, month, day)
+    except ValueError:
+        return None
+
+
+def extract_date(line: str, assumed_year: int):
+    """The date a line starts with, or None.
+
+    `YYYY-MM-DD` not followed by a letter, digit or "_" is read as written;
+    `MM-DD HH:MM:SS.mmm` is read in `assumed_year`, which must lie in
+    [1970, 9999] (ValueError otherwise). An impossible date is None.
+    """
+    if not 1970 <= assumed_year <= 9999:
+        raise ValueError(f"assumed_year {assumed_year}")
+    after = line[10:11]
+    if _starts_with_shape(line, "DDDD-DD-DD") and not (after.isalnum() or after == "_"):
+        return _date_or_none(int(line[:4]), int(line[5:7]), int(line[8:10]))
+    if _starts_with_shape(line, "DD-DD DD:DD:DD.DDD"):
+        return _date_or_none(assumed_year, int(line[:2]), int(line[3:5]))
+    return None

@@ -1115,6 +1115,53 @@ def test_forensic_commands_load_only_the_cryptography_they_call(ws):
     assert out.stdout.splitlines()[-1] == "loaded []"
 
 
+_RUN_ONE_SIDE = """
+import sys
+from privlog.cli import {main}
+for argv in {argvs!r}:
+    if argv[-1] == "TOP-TOKEN":
+        argv[-1] = open({linkage!r}).read().splitlines()[1].split(",")[0]
+    assert {main}(argv) == 0, argv
+print("loaded", [m for m in ("privlog.client", "privlog.dice", "privlog.server") if m in sys.modules])
+"""
+
+
+def test_each_cli_loads_only_its_own_engine(ws):
+    """Every client command runs in one child that never imports
+    `privlog.server`; every server command runs in another that never
+    imports `privlog.client` or `privlog.dice`."""
+    write_corpus(BenchConfig(line_count=60, pii_density="high", day_span=3, seed=5),
+                 ws / "raw.log", ws / "raw.truth.csv")
+    assert server_main(["offer", "--keystore", str(ws / "server.kv"), "--grant-id", "case-1",
+                        "--out", str(ws / "offer.kv"), "--seed", SEED_C]) == 0
+    cfg, ks = ["--config", str(ws / "client.cfg")], ["--keystore", str(ws / "server.kv")]
+    p = {name: str(ws / name) for name in
+         ("raw.log", "protected.log", "offer.kv", "offer2.kv", "grant.kv", "window.kv",
+          "events.csv", "linkage.csv", "other.kv")}
+    client_argvs = [
+        [*cfg, "init", "--today", D(1).isoformat(), "--seed", SEED_A],
+        [*cfg, "protect", "--in", p["raw.log"], "--out", p["protected.log"]],
+        [*cfg, "grant", "--server-offer", p["offer.kv"], "--start", D(1).isoformat(),
+         "--today", D(3).isoformat(), "--out", p["grant.kv"]],
+        [*cfg, "state"],
+    ]
+    server_argvs = [
+        ["keygen", "--keystore", p["other.kv"]],
+        ["offer", *ks, "--grant-id", "case-2", "--out", p["offer2.kv"]],
+        ["accept", *ks, "--grant", p["grant.kv"], "--expect-device", "pixel-lab",
+         "--out", p["window.kv"]],
+        ["recover", "--keys", p["window.kv"], "--in", p["protected.log"], "--out", p["events.csv"],
+         "--year", "2024"],
+        ["report", "--events", p["events.csv"], "--out", p["linkage.csv"]],
+        ["report", "--events", p["events.csv"], "--timeline", "TOP-TOKEN"],
+    ]
+    for main, argvs, loaded in (("client_main", client_argvs, ["privlog.client", "privlog.dice"]),
+                                ("server_main", server_argvs, ["privlog.server"])):
+        out = _child(_RUN_ONE_SIDE.format(main=main, argvs=argvs, linkage=p["linkage.csv"]))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == f"loaded {loaded}"
+
+
 def test_lazy_cryptography_failure_paths_raise_privlog_errors(ws):
     """In a fresh interpreter, where no cipher has been built and no
     `cryptography` module is loaded, a forged 44-byte box is AuthFailure,

@@ -2,10 +2,15 @@
 
 import base64
 import contextlib
+import os
+import random
 from datetime import date, timedelta
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from privlog.client import (
     MODE_BATCH,
@@ -18,6 +23,7 @@ from privlog.client import (
     load_state,
     save_state,
 )
+from privlog.corpus import BenchConfig, generate_corpus
 from privlog.crypto import (
     SecretKey32,
     aead_open,
@@ -217,6 +223,33 @@ def test_protect_stream_keeps_only_newest_key(client_state):
     session.protect_line(logcat(D(1), "a"))
     session.protect_line(logcat(D(3), "b"))
     assert list(session.day_keys) == [D(3)]
+
+
+@pytest.mark.parametrize("mode", [MODE_STREAM, MODE_BATCH])
+@pytest.mark.parametrize("density", ["low", "medium", "high"])
+def test_protect_wire_bytes_match_oracle_pieces(client_state, monkeypatch, mode, density):
+    """With nonces drawn from a seeded generator in field order, each
+    protected line equals one built from the oracles: the reference spans,
+    HMAC tokens, day keys from the reference ratchet and a ChaCha20-Poly1305
+    seal of each token under its day key."""
+    lines, _ = generate_corpus(BenchConfig(line_count=300, pii_density=density, day_span=5,
+                                           seed=41))
+    draws = random.Random(9)
+    monkeypatch.setattr(os, "urandom", draws.randbytes)
+    nonces = random.Random(9)
+    day_keys = [mk for _, mk in oracles.ratchet_chain(client_state.chain_key.bytes, 5)]
+    hash_key = client_state.hash_key.bytes
+    session = ProtectSession(client_state, mode=mode, assumed_year=2024)
+    for line in lines:
+        cipher = ChaCha20Poly1305(day_keys[(oracles.extract_date(line, 2024) - DAY1).days])
+        spans = oracles.detect_pii(line)
+        parts, pos = [], 0
+        for label, start, end, text in spans:
+            nonce = nonces.randbytes(12)
+            box = nonce + cipher.encrypt(nonce, oracles.hmac_trunc16(hash_key, text.encode()), b"")
+            parts += [line[pos:start], f'<PII type="{label}">{base64.b64encode(box).decode()}</PII>']
+            pos = end
+        assert session.protect_line(line) == ("".join(parts) + line[pos:], len(spans))
 
 
 def test_protect_returns_field_count(client_state):

@@ -16,12 +16,15 @@ from privlog.errors import InvalidSpans
 from privlog.pii import (
     PATTERNS,
     PRIORITY,
+    YEAR_MAX,
+    YEAR_MIN,
     _HEADER,
     _PAYLOAD,
     _PHONE_CORE,
     PiiSpan,
     PiiType,
     ProtectedField,
+    _date,
     _token_types,
     detect_pii,
     encode_protected_line,
@@ -279,6 +282,65 @@ def test_extract_date_year_bounds():
         extract_date(SAMPLE_LINE, 1969)
     with pytest.raises(ValueError):
         extract_date(SAMPLE_LINE, 10000)
+
+
+# Zero in ASCII, Arabic-Indic, Devanagari, fullwidth and mathematical bold:
+# each is followed by its nine other decimal digits, all of which `\d` and
+# `int` accept.
+_ZEROS = "0٠०０\U0001d7ce"
+
+
+def _numeral(draw, value: int, width: int) -> str:
+    """`value` zero-padded to `width` digits, each from a drawn script."""
+    return "".join(chr(ord(draw(st.sampled_from(_ZEROS))) + int(c)) for c in f"{value:0{width}d}")
+
+
+@st.composite
+def _date_line(draw) -> str:
+    """An ISO, logcat, undated or garbage line, often a possible or
+    impossible date, with one character often put in, changed or cut."""
+    month, day = draw(st.sampled_from([(2, 30), (13, 1), (0, 0), (2, 29), (12, 31)])
+                      | st.tuples(st.integers(0, 13), st.integers(0, 32)))
+    tail = draw(st.sampled_from(["", " boot", "x", "_", "5", "٣", ".1", ":00", "é"])
+                | st.text(max_size=4))
+    month_day = f"{_numeral(draw, month, 2)}-{_numeral(draw, day, 2)}"
+    kind = draw(st.sampled_from(["iso", "logcat", "undated", "garbage"]))
+    if kind == "iso":
+        year = draw(st.integers(0, 9999) | st.just(2023))
+        line = f"{_numeral(draw, year, 4)}-{month_day}{tail}"
+    elif kind == "logcat":
+        hh, mm, ss, ms = [_numeral(draw, draw(st.integers(0, 99)), width) for width in (2, 2, 2, 3)]
+        line = f"{month_day} {hh}:{mm}:{ss}.{ms}{tail}"
+    elif kind == "undated":
+        line = draw(st.sampled_from(["no timestamp here", " 05-01 12:00:00.000 x",
+                                     " 2024-05-01 boot", "5-01 12:00:00.000",
+                                     "05/01 12:00:00.000 x", "2024/05/01 boot", ""]))
+    else:
+        line = draw(st.text(max_size=24))
+    if line and draw(st.booleans()):
+        at = draw(st.integers(0, min(len(line), 19) - 1))
+        put = draw(st.sampled_from(["", "-", " ", "1", "a", "١"]))
+        line = line[:at] + put + line[at + draw(st.integers(0, 1)):]
+    return line
+
+
+@settings(max_examples=3000, deadline=None)
+@given(line=_date_line(), year=st.integers(YEAR_MIN, YEAR_MAX),
+       bad_year=st.integers(max_value=YEAR_MIN - 1) | st.integers(min_value=YEAR_MAX + 1))
+def test_extract_date_matches_oracle(line, year, bad_year):
+    """Read twice from an empty cache, the date equals the oracle's: once
+    built and once a cache hit. An out-of-range year stays a ValueError
+    while the cache holds the line's date."""
+    expected = oracles.extract_date(line, year)
+    _date.cache_clear()
+    assert extract_date(line, year) == expected
+    assert extract_date(line, year) == expected
+    info = _date.cache_info()
+    assert (info.misses, info.hits) in ((0, 0), (1, 1))
+    with pytest.raises(ValueError):
+        oracles.extract_date(line, bad_year)
+    with pytest.raises(ValueError):
+        extract_date(line, bad_year)
 
 
 @pytest.mark.parametrize("line, last, year, expected", [
