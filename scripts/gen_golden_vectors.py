@@ -9,6 +9,7 @@ vector set is added; existing entries must never change.
 import hashlib
 import json
 import sys
+from datetime import date
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parents[1] / "tests"
@@ -95,6 +96,35 @@ def main() -> None:
         "hash_key": hash_key.hex(),
         "plaintext": "alice@example.com",
         "token": oracles.hmac_trunc16(hash_key, b"alice@example.com").hex(),
+    }
+
+    # A v1 grant from that bootstrap: the server offers an ephemeral key,
+    # the client answers for [2024-05-02, 2024-05-03] with its own.
+    offer_seed = b"\x51" * 32
+    grant_seed = b"\x52" * 32
+    server_eph_pub = oracles.x25519_public(
+        oracles.clamp_scalar(oracles.hkdf_sha256(b"", offer_seed, b"server-ephemeral", 32))
+    )
+    client_eph_priv = oracles.clamp_scalar(
+        oracles.hkdf_sha256(b"", grant_seed, b"export-keygen", 32)
+    )
+    z = oracles.x25519(client_eph_priv, server_eph_pub)
+    start_date, grant_date = "2024-05-02", "2024-05-03"
+    server_id, grant_id = "golden-server", "golden-grant"
+    golden["grant_v1"] = {
+        "offer_seed": offer_seed.hex(),
+        "server_eph_pub": server_eph_pub.hex(),
+        "grant_seed": grant_seed.hex(),
+        "client_eph_pub": oracles.x25519_public(client_eph_priv).hex(),
+        "export_key": oracles.hkdf_sha256(b"", z, b"export-kdf", 32).hex(),
+        "server_id": server_id,
+        "grant_id": grant_id,
+        "start_date": start_date,
+        "grant_date": grant_date,
+        "aad": oracles.grant_aad(
+            server_id, device_id, attest, grant_id, date.fromisoformat(grant_date)
+        ).hex(),
+        "start_chain_key": oracles.ratchet_chain(chain_key, 1)[0][0].hex(),
     }
 
     out = TESTS / "data" / "golden_vectors.json"

@@ -19,10 +19,8 @@ from typing import Iterator, List, Optional, Sequence
 
 from .crypto import TOKEN_LEN
 from .errors import CorruptState, OutOfOrderDate, PrivlogError, exit_code_for
-from .grant import format_grant, parse_grant
-from .kvfile import (
-    atomic_write, atomic_writer, b64, b64_decode, format_kv, iso_date, parse_kv, require,
-)
+from .grant import format_grant, format_offer, parse_grant, parse_offer
+from .kvfile import atomic_write, atomic_writer, b64, b64_decode, iso_date, parse_kv
 from .pii import YEAR_MAX, YEAR_MIN
 
 
@@ -106,7 +104,7 @@ class ClientConfig:
         server_pub_b64 = args.server_pub or fields.get("server_pub")
         self.server_pub: Optional[bytes] = None
         if server_pub_b64:
-            self.server_pub = b64_decode(server_pub_b64, "server_pub")
+            self.server_pub = b64_decode(server_pub_b64, "server_pub", 32)
 
         self.server_id = args.server_id or fields.get("server_id") or "server"
         if args.year is not None:
@@ -219,15 +217,10 @@ def _cmd_protect(args) -> int:
 def _cmd_grant(args) -> int:
     cfg = ClientConfig(args)
     state = cfg.load_state()
-    offer = parse_kv(_read(args.server_offer, "offer file"), "offer file")
-    grant_id = require(offer, "grant_id", "offer file")
-    server_eph_pub = b64_decode(
-        require(offer, "server_eph_pub", "offer file"), "offer file: server_eph_pub"
-    )
-
+    grant_id, offer_pub = parse_offer(_read(args.server_offer, "offer file"))
     today = iso_date(args.today, "--today") if args.today else date.today()
     req = client_mod.GrantRequest(
-        server_pub=server_eph_pub,
+        server_pub=offer_pub,
         start_date=iso_date(args.start, "--start"),
         server_id=cfg.server_id,
         grant_id=grant_id,
@@ -325,10 +318,7 @@ def _cmd_offer(args) -> int:
     keys = _load_keystore(args.keystore)
     pub = server_mod.create_offer(keys, args.grant_id, seed=_parse_seed(args.seed))
     atomic_write(args.keystore, server_mod.save_server_keys(keys))
-    atomic_write(
-        args.outfile,
-        format_kv([("grant_id", args.grant_id), ("server_eph_pub", b64(pub))]),
-    )
+    atomic_write(args.outfile, format_offer(args.grant_id, pub))
     print(f"offer {args.grant_id} -> {args.outfile}")
     return 0
 
@@ -338,7 +328,7 @@ def _cmd_accept(args) -> int:
     grant = parse_grant(_read(args.grant, "grant file"))
     expect_attest = None
     if args.expect_attest:
-        expect_attest = b64_decode(args.expect_attest, "--expect-attest")
+        expect_attest = b64_decode(args.expect_attest, "--expect-attest", 32)
     window = server_mod.accept_grant(
         keys, grant, keys.server_id, args.expect_device, expect_attest
     )

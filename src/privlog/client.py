@@ -18,7 +18,6 @@ same plaintext stable across grants.
 
 from __future__ import annotations
 
-import os
 from datetime import date, timedelta
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -33,7 +32,7 @@ from .crypto import (
 )
 from .dice import DeviceIdentity, attestation_digest, derive_cdi
 from .errors import CorruptState, InvalidLength, InvalidWindow, OutOfOrderDate
-from .grant import Grant, canonical_aad, pack_window_payload
+from .grant import Grant, seal_window
 from .kvfile import b64, b64_field, date_field, format_kv, parse_versioned
 from .pii import detect_pii, encode_protected_line, extract_date, new_field, roll_year
 
@@ -100,8 +99,7 @@ def init_client(
     """
     cdi = derive_cdi(identity)
     hash_key = SecretKey32(kdf(None, cdi, b"hmac-key", 32))
-    seed = rng_seed if rng_seed is not None else os.urandom(32)
-    z = dh_shared(dh_derive_keypair(seed, b"dh-init").private, server_longterm_pub)
+    z = dh_shared(dh_derive_keypair(rng_seed, b"dh-init").private, server_longterm_pub)
     root_key = SecretKey32(kdf(cdi, z, b"root-key", 32))
     return ClientState(
         root_key=root_key,
@@ -237,31 +235,23 @@ def create_grant(
             f"start {req.start_date}"
         )
 
-    seed = rng_seed if rng_seed is not None else os.urandom(32)
-    eph_pair = dh_derive_keypair(seed, b"export-keygen")
+    eph_pair = dh_derive_keypair(rng_seed, b"export-keygen")
     z = dh_shared(eph_pair.private, req.server_pub)
-    k_exp = SecretKey32(kdf(None, z, b"export-kdf", 32))
 
     at_epoch = state._replace(chain_key=_chain_key_for(state.root_key, state.epoch_date),
                               chain_date=state.epoch_date)
     ck = advance_to(at_epoch, req.start_date)[0].chain_key
-
-    aad = canonical_aad(
-        req.server_id,
-        identity.device_id,
-        attestation_digest(identity),
-        req.grant_id,
-        today,
-    )
-    box = aead_seal(k_exp, pack_window_payload(ck, req.start_date), aad)
-    grant = Grant(
-        client_eph_pub=eph_pair.public,
-        box=box,
-        server_id=req.server_id,
-        device_id=identity.device_id,
-        attest_digest=attestation_digest(identity),
-        grant_id=req.grant_id,
-        grant_date=today,
+    grant = seal_window(
+        Grant(
+            client_eph_pub=eph_pair.public,
+            box=b"",
+            server_id=req.server_id,
+            device_id=identity.device_id,
+            attest_digest=attestation_digest(identity),
+            grant_id=req.grant_id,
+            grant_date=today,
+        ),
+        z, ck, req.start_date,
     )
 
     new_root = SecretKey32(kdf(state.root_key, z, b"root-key-rotate", 32))

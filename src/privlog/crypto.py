@@ -24,7 +24,7 @@ thread uses the key, or a state under the old bytes can be kept.
 from __future__ import annotations
 
 import os
-from typing import NamedTuple, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 from .errors import AuthFailure, EmptyInput, InvalidLength, MalformedBox, WeakKey
 
@@ -198,8 +198,11 @@ def clamp_scalar(raw: bytes) -> bytes:
     return bytes(b)
 
 
-def dh_derive_keypair(seed: bytes, label: Union[bytes, str]) -> DhKeyPair:
-    """Deterministic X25519 keypair from a 32-byte seed and a label."""
+def dh_derive_keypair(seed: Optional[bytes], label: Union[bytes, str]) -> DhKeyPair:
+    """Deterministic X25519 keypair from a 32-byte seed and a label; a fresh
+    random seed if `seed` is None."""
+    if seed is None:
+        seed = os.urandom(32)
     if len(seed) != 32:
         raise InvalidLength("keypair seed must be 32 bytes")
     from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey

@@ -55,7 +55,6 @@ EXIT_CODES = {
     OutOfOrderDate: 3,
     AuthFailure: 4,
     ContextMismatch: 5,
-    UnsupportedVersion: 6,
     CorruptState: 6,
     MalformedBox: 6,
 }

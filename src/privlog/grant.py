@@ -1,19 +1,23 @@
-"""Grant container: context binding (AAD), payload layout, file format.
+"""The grant exchange: offer file, export key, context binding (AAD),
+sealed window payload and grant file.
 
-A grant carries an ephemeral public key plus one sealed value whose
-plaintext is the window's starting chain key and start date. The context
-fields ride as AEAD associated data, so any mismatch or tampering surfaces
-as an authentication failure on the receiving side.
+An offer carries the server's ephemeral public key for one grant id. A grant
+carries the client's ephemeral public key plus one value sealed under the
+export key of their X25519 agreement: the window's starting chain key and
+start date. The context fields ride as AEAD associated data, so any mismatch
+or tampering surfaces as an authentication failure on the receiving side.
 """
 
 from __future__ import annotations
 
 from datetime import date
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
-from .crypto import NONCE_LEN, SecretKey32, length_prefixed
+from .crypto import NONCE_LEN, SecretKey32, aead_open, aead_seal, kdf, length_prefixed
 from .errors import CorruptState
-from .kvfile import b64, b64_field, date_field, format_kv, iso_date, parse_versioned, require
+from .kvfile import (
+    b64, b64_field, date_field, format_kv, iso_date, parse_kv, parse_versioned, require,
+)
 
 GRANT_VERSION = "1"
 _PAYLOAD_LEN = 32 + 10  # chain key || ISO date
@@ -29,41 +33,37 @@ class Grant(NamedTuple):
     grant_date: date
 
 
-def canonical_aad(
-    server_id: str,
-    device_id: str,
-    attest_digest: bytes,
-    grant_id: str,
-    grant_date: date,
-) -> bytes:
-    """Length-prefixed field concatenation, fixed order, both sides."""
-    return b"".join(
-        length_prefixed(part)
-        for part in (
-            server_id.encode(),
-            device_id.encode(),
-            attest_digest,
-            grant_id.encode(),
-            grant_date.isoformat().encode(),
-        )
-    )
+def format_offer(grant_id: str, server_eph_pub: bytes) -> str:
+    return format_kv([("grant_id", grant_id), ("server_eph_pub", b64(server_eph_pub))])
 
 
-def grant_aad(grant: Grant) -> bytes:
-    return canonical_aad(
-        grant.server_id,
-        grant.device_id,
-        grant.attest_digest,
-        grant.grant_id,
-        grant.grant_date,
-    )
+def parse_offer(text: str) -> Tuple[str, bytes]:
+    """(grant id, the server's 32-byte ephemeral public key) of an offer file."""
+    fields = parse_kv(text, "offer file")
+    return (require(fields, "grant_id", "offer file"),
+            b64_field(fields, "server_eph_pub", "offer file", 32))
 
 
-def pack_window_payload(chain_key: SecretKey32, start: date) -> bytes:
-    return chain_key.bytes + start.isoformat().encode()
+def _export_key(z: SecretKey32) -> SecretKey32:
+    return SecretKey32(kdf(None, z, b"export-kdf", 32))
 
 
-def unpack_window_payload(raw: bytes):
+def _aad(grant: Grant) -> bytes:
+    context = (grant.server_id.encode(), grant.device_id.encode(), grant.attest_digest,
+               grant.grant_id.encode(), grant.grant_date.isoformat().encode())
+    return b"".join(map(length_prefixed, context))
+
+
+def seal_window(grant: Grant, z: SecretKey32, chain_key: SecretKey32, start: date) -> Grant:
+    """`grant` with its box: `chain_key` and `start` sealed under the export key of `z`."""
+    payload = chain_key.bytes + start.isoformat().encode()
+    return grant._replace(box=aead_seal(_export_key(z), payload, _aad(grant)))
+
+
+def open_window(grant: Grant, z: SecretKey32) -> Tuple[SecretKey32, date]:
+    """(start chain key, start date) from the box; CorruptState if it opens but
+    does not hold a chain key and an ISO date."""
+    raw = aead_open(_export_key(z), grant.box, _aad(grant))
     if len(raw) != _PAYLOAD_LEN:
         raise CorruptState(f"grant payload has {len(raw)} bytes, expected {_PAYLOAD_LEN}")
     return SecretKey32(raw[:32]), iso_date(raw[32:].decode("ascii", "replace"), "grant payload")

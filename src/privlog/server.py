@@ -14,18 +14,16 @@ import functools
 import heapq
 import marshal
 import operator
-import os
 import tempfile
 from collections import deque
 from datetime import date, timedelta
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .crypto import (
-    TOKEN_LEN, DhKeyPair, SecretKey32, aead_open, dh_derive_keypair, dh_shared, kdf,
-    ratchet_step,
+    TOKEN_LEN, DhKeyPair, SecretKey32, aead_open, dh_derive_keypair, dh_shared, ratchet_step,
 )
 from .errors import AuthFailure, ContextMismatch, CorruptState, InvalidLength, InvalidWindow
-from .grant import Grant, grant_aad, unpack_window_payload
+from .grant import Grant, open_window
 from .kvfile import (
     b64, b64_decode, b64_field, csv_field, format_kv, iso_date, parse_versioned, require,
 )
@@ -51,7 +49,6 @@ class ServerKeys:
 
 
 def keygen(server_id: str, seed: Optional[bytes] = None) -> ServerKeys:
-    seed = seed if seed is not None else os.urandom(32)
     return ServerKeys(
         server_id=server_id,
         longterm=dh_derive_keypair(seed, b"server-longterm"),
@@ -64,7 +61,6 @@ def create_offer(keys: ServerKeys, grant_id: str, seed: Optional[bytes] = None) 
         raise InvalidWindow(f"grant_id {grant_id!r} must be [A-Za-z0-9._-]+")
     if grant_id in keys.ephemeral:
         raise InvalidWindow(f"grant_id {grant_id!r} already has an outstanding offer")
-    seed = seed if seed is not None else os.urandom(32)
     pair = dh_derive_keypair(seed, b"server-ephemeral")
     keys.ephemeral[grant_id] = pair
     return pair.public
@@ -94,16 +90,15 @@ def accept_grant(
     """Open a grant, verify its context, and replay day keys for its window.
 
     AEAD failure (tampering, wrong ephemeral) raises AuthFailure; a grant
-    that authenticates but was issued for a different server/device/
-    attestation raises ContextMismatch. The single-use ephemeral keypair
-    is consumed only when ingestion fully succeeds.
+    that authenticates but holds a malformed payload raises CorruptState,
+    and one issued for a different server/device/attestation raises
+    ContextMismatch. The single-use ephemeral keypair is consumed only
+    when ingestion fully succeeds.
     """
     eph = keys.ephemeral.get(grant.grant_id)
     if eph is None:
         raise ContextMismatch(f"no outstanding offer for grant {grant.grant_id!r}")
-    z = dh_shared(eph.private, grant.client_eph_pub)
-    k_exp = SecretKey32(kdf(None, z, b"export-kdf", 32))
-    payload = aead_open(k_exp, grant.box, grant_aad(grant))
+    start_ck, start = open_window(grant, dh_shared(eph.private, grant.client_eph_pub))
 
     if grant.server_id != expected_server_id:
         raise ContextMismatch(
@@ -115,8 +110,6 @@ def accept_grant(
         )
     if expected_attest is not None and grant.attest_digest != expected_attest:
         raise ContextMismatch("attestation digest does not match the pinned value")
-
-    start_ck, start = unpack_window_payload(payload)
     if start > grant.grant_date:
         raise InvalidWindow(f"window start {start} after grant date {grant.grant_date}")
     # Consumed only on full success; a failed accept leaves the offer usable.

@@ -22,6 +22,10 @@ row checked on its own, with no cache and no record type.
 
 `extract_date` is the reference date reader. It reads a line's prefix
 character by character against a shape, with no regex and no cache.
+
+`grant_aad` is the grant's associated data, written from the README's
+"File formats", so tests that build or open a grant by hand do not take
+its layout from the library.
 """
 
 import base64
@@ -309,3 +313,15 @@ def extract_date(line: str, assumed_year: int):
     if _starts_with_shape(line, "DD-DD DD:DD:DD.DDD"):
         return _date_or_none(assumed_year, int(line[:2]), int(line[3:5]))
     return None
+
+
+# --- grant context -----------------------------------------------------------
+
+
+def grant_aad(server_id: str, device_id: str, attest_digest: bytes, grant_id: str,
+              grant_date: date) -> bytes:
+    """Server id, device id, attestation digest, grant id and ISO grant date,
+    each behind its 2-byte big-endian length, concatenated in that order."""
+    fields = (server_id.encode(), device_id.encode(), attest_digest, grant_id.encode(),
+              grant_date.isoformat().encode())
+    return b"".join(len(field).to_bytes(2, "big") + field for field in fields)

@@ -39,7 +39,6 @@ from privlog.crypto import (
 )
 from privlog.dice import DeviceIdentity
 from privlog.errors import AuthFailure, ContextMismatch
-from privlog.grant import grant_aad, unpack_window_payload
 from privlog.pii import (
     PiiType,
     ProtectedField,
@@ -129,9 +128,10 @@ def _grant_chain_start(w):
     eph = dh_derive_keypair(b"\x33" * 32, b"server-ephemeral")
     z = dh_shared(eph.private, w.grant.client_eph_pub)
     k_exp = SecretKey32(kdf(None, z, b"export-kdf", 32))
-    payload = aead_open(k_exp, w.grant.box, grant_aad(w.grant))
-    ck, start = unpack_window_payload(payload)
-    return ck, start, k_exp
+    g = w.grant
+    aad = oracles.grant_aad(g.server_id, g.device_id, g.attest_digest, g.grant_id, g.grant_date)
+    payload = aead_open(k_exp, g.box, aad)
+    return SecretKey32(payload[:32]), date.fromisoformat(payload[32:].decode()), k_exp
 
 
 def test_criterion_1_end_to_end_interop_oracle(world):

@@ -33,6 +33,7 @@ SEED_A = "07" * 32
 SEED_B = "21" * 32
 SEED_C = "33" * 32
 STATE_KEYS = {"v", "root_key", "hash_key", "chain_key", "chain_date", "epoch_date"}
+_SHORT_KEY = base64.b64encode(b"\x09" * 31).decode()  # one byte short of an X25519 key
 
 
 def D(n: int) -> date:
@@ -625,7 +626,9 @@ def test_report_cut_inside_unquoted_template_exits_6(ws, capsys, timeline):
     assert not (ws / "x.csv").exists()
 
 
-def test_exit_code_bad_expect_attest(ws):
+def test_exit_code_bad_expect_attest(ws, capsys):
+    """An `--expect-attest` that is not base64, or not 32 bytes of it, is
+    CorruptState naming the flag; no window is written, the offer stays."""
     assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
     assert server_main([
         "offer", "--keystore", str(ws / "server.kv"),
@@ -634,12 +637,52 @@ def test_exit_code_bad_expect_attest(ws):
     assert _client(ws, "grant", "--server-offer", str(ws / "offer.kv"),
                    "--start", DAY1.isoformat(), "--today", DAY1.isoformat(),
                    "--out", str(ws / "grant.kv")) == 0
-    assert server_main([
-        "accept", "--keystore", str(ws / "server.kv"), "--grant", str(ws / "grant.kv"),
-        "--expect-device", "pixel-lab", "--expect-attest", "not*base64",
-        "--out", str(ws / "window.kv"),
-    ]) == 6
-    assert not (ws / "window.kv").exists()
+    keystore = (ws / "server.kv").read_bytes()
+    for attest in ("not*base64", _SHORT_KEY):
+        capsys.readouterr()
+        assert server_main([
+            "accept", "--keystore", str(ws / "server.kv"), "--grant", str(ws / "grant.kv"),
+            "--expect-device", "pixel-lab", "--expect-attest", attest,
+            "--out", str(ws / "window.kv"),
+        ]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error CorruptState: ") and "--expect-attest" in err
+        assert not (ws / "window.kv").exists()
+        assert (ws / "server.kv").read_bytes() == keystore
+
+
+def test_short_offer_key_exits_6(ws, capsys):
+    """A `server_eph_pub=` of 31 bytes in an offer file is CorruptState
+    naming the field: the state does not rotate and no grant is written."""
+    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    (ws / "offer.kv").write_text(f"grant_id=g-short\nserver_eph_pub={_SHORT_KEY}\n")
+    state = (ws / "state.kv").read_bytes()
+    capsys.readouterr()
+    assert _client(ws, "grant", "--server-offer", str(ws / "offer.kv"),
+                   "--start", DAY1.isoformat(), "--today", DAY1.isoformat(),
+                   "--out", str(ws / "grant.kv")) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error CorruptState: ") and "server_eph_pub" in err
+    assert (ws / "state.kv").read_bytes() == state
+    assert not (ws / "grant.kv").exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_init_short_server_pub_exits_6(ws, capsys, via):
+    """A server long-term key of 31 bytes, from `--server-pub` or from the
+    config's `server_pub=`, is CorruptState naming it; no state is written."""
+    argv = ["init", "--today", DAY1.isoformat(), "--seed", SEED_A]
+    if via == "flag":
+        argv = ["--server-pub", _SHORT_KEY, *argv]
+    else:
+        cfg = (ws / "client.cfg").read_text()
+        server_pub = parse_kv(cfg, "cfg")["server_pub"]
+        (ws / "client.cfg").write_text(cfg.replace(server_pub, _SHORT_KEY))
+    capsys.readouterr()
+    assert _client(ws, *argv) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error CorruptState: ") and "server_pub" in err
+    assert not (ws / "state.kv").exists()
 
 
 def test_exit_code_bad_timeline_token(ws, capsys):

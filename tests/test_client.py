@@ -40,7 +40,6 @@ from privlog.errors import (
     OutOfOrderDate,
     UnsupportedVersion,
 )
-from privlog.grant import canonical_aad
 from privlog.kvfile import parse_kv
 from privlog.pii import parse_protected_line
 
@@ -84,6 +83,34 @@ def test_init_golden_state(golden):
     assert state.root_key.bytes.hex() == vec["root_key"]
     assert state.chain_key.bytes.hex() == vec["chain_key"]
     assert state.chain_date == state.epoch_date == date.fromisoformat(vec["today"])
+
+
+def test_grant_golden_vector(golden):
+    """A grant from the vector's seeds carries the oracle's ephemeral public
+    key and opens, under the oracle's export key and AAD, to the oracle's
+    start chain key followed by the ISO start date."""
+    from privlog.server import create_offer, keygen
+
+    init, vec = golden["client_init"], golden["grant_v1"]
+    identity = DeviceIdentity(
+        uds=bytes.fromhex(init["uds"]),
+        measurement=bytes.fromhex(init["measurement"]),
+        device_id=init["device_id"],
+    )
+    state = init_client(identity, bytes.fromhex(init["server_pub"]),
+                        date.fromisoformat(init["today"]), rng_seed=bytes.fromhex(init["init_nonce"]))
+    offer_pub = create_offer(keygen(vec["server_id"]), vec["grant_id"],
+                             seed=bytes.fromhex(vec["offer_seed"]))
+    assert offer_pub.hex() == vec["server_eph_pub"]
+    grant_date = date.fromisoformat(vec["grant_date"])
+    req = GrantRequest(offer_pub, date.fromisoformat(vec["start_date"]), vec["server_id"],
+                       vec["grant_id"])
+    grant, _ = create_grant(advance_to(state, grant_date)[0], req, identity, grant_date,
+                            rng_seed=bytes.fromhex(vec["grant_seed"]))
+    assert grant.client_eph_pub.hex() == vec["client_eph_pub"]
+    payload = ChaCha20Poly1305(bytes.fromhex(vec["export_key"])).decrypt(
+        grant.box[:12], grant.box[12:], bytes.fromhex(vec["aad"]))
+    assert payload == bytes.fromhex(vec["start_chain_key"]) + vec["start_date"].encode()
 
 
 def test_init_measurement_changes_keys(identity, server_keys):
@@ -337,8 +364,8 @@ def test_rotated_state_cannot_reopen_its_grant(identity, server_keys, client_sta
         state, GrantRequest(offer_pub, D(2), "lab-server", "g-fs"), identity, D(4),
         rng_seed=grant_seed,
     )
-    aad = canonical_aad(grant.server_id, grant.device_id, grant.attest_digest,
-                        grant.grant_id, grant.grant_date)
+    aad = oracles.grant_aad(grant.server_id, grant.device_id, grant.attest_digest,
+                            grant.grant_id, grant.grant_date)
 
     def opens_grant(private: bytes) -> bool:
         k_exp = SecretKey32(kdf(None, dh_shared(private, offer_pub), b"export-kdf", 32))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from privlog.client import GrantRequest, ProtectSession, advance_to, create_grant, init_client
-from privlog.crypto import SecretKey32, aead_open, aead_seal, dh_shared, kdf
+from privlog.crypto import SecretKey32, aead_open, aead_seal, dh_derive_keypair, dh_shared, kdf
 from privlog.errors import (
     AuthFailure,
     ContextMismatch,
@@ -18,7 +18,7 @@ from privlog.errors import (
     InvalidWindow,
     UnsupportedVersion,
 )
-from privlog.grant import Grant, canonical_aad, format_grant, pack_window_payload, parse_grant
+from privlog.grant import Grant, format_grant, parse_grant
 from privlog.pii import PiiType, parse_protected_line
 from privlog.server import (
     EVENTS_HEADER_LINE,
@@ -161,30 +161,48 @@ def test_grant_context_tamper_always_auth_failure(field_idx, byte_seed):
                      expected_attest=tampered.attest_digest)
 
 
-def test_forged_window_start_rejected(identity, server_keys):
-    """A hand-built grant whose window start is after its date is refused."""
-    state = init_client(identity, server_keys.longterm.public, DAY1, rng_seed=b"\x07" * 32)
-    offer_pub = create_offer(server_keys, "g-forged", seed=b"\x51" * 32)
-
-    from privlog.crypto import dh_derive_keypair
-
+def _forged_grant(identity, server_keys, grant_id: str, payload: bytes) -> Grant:
+    """A grant for `grant_id`, dated DAY1, whose box seals `payload` under the
+    export key of a fresh offer and the context the oracle lays out."""
+    offer_pub = create_offer(server_keys, grant_id, seed=b"\x51" * 32)
     eph = dh_derive_keypair(b"\x52" * 32, b"export-keygen")
-    z = dh_shared(eph.private, offer_pub)
-    k_exp = SecretKey32(kdf(None, z, b"export-kdf", 32))
-    bad_start = DAY1 + timedelta(days=5)
-    aad = canonical_aad("lab-server", identity.device_id, b"\x00" * 32, "g-forged", DAY1)
-    box = aead_seal(k_exp, pack_window_payload(state.chain_key, bad_start), aad)
-    forged = Grant(
+    k_exp = SecretKey32(kdf(None, dh_shared(eph.private, offer_pub), b"export-kdf", 32))
+    aad = oracles.grant_aad("lab-server", identity.device_id, b"\x00" * 32, grant_id, DAY1)
+    return Grant(
         client_eph_pub=eph.public,
-        box=box,
+        box=aead_seal(k_exp, payload, aad),
         server_id="lab-server",
         device_id=identity.device_id,
         attest_digest=b"\x00" * 32,
-        grant_id="g-forged",
+        grant_id=grant_id,
         grant_date=DAY1,
     )
+
+
+def test_forged_window_start_rejected(identity, server_keys):
+    """A hand-built grant whose window start is after its date is refused."""
+    state = init_client(identity, server_keys.longterm.public, DAY1, rng_seed=b"\x07" * 32)
+    bad_start = DAY1 + timedelta(days=5)
+    forged = _forged_grant(identity, server_keys, "g-forged",
+                           state.chain_key.bytes + bad_start.isoformat().encode())
     with pytest.raises(InvalidWindow):
         accept_grant(server_keys, forged, "lab-server", identity.device_id)
+
+
+@pytest.mark.parametrize("payload", [
+    b"\x01" * 41,
+    b"\x01" * 32 + b"2024-05-01Z",
+    b"\x01" * 32 + b"2024/05/01",
+    b"\x01" * 32 + b"2024-13-01",
+    b"\x01" * 32 + b"\xff" * 10,
+], ids=["short", "long", "slashes", "month-13", "not-ascii"])
+def test_malformed_window_payload_is_corrupt_and_keeps_offer(identity, server_keys, payload):
+    """A grant whose box authenticates but does not hold a 32-byte chain key
+    and a 10-byte ISO date is CorruptState, and its offer stays outstanding."""
+    grant = _forged_grant(identity, server_keys, "g-payload", payload)
+    with pytest.raises(CorruptState, match="grant payload"):
+        accept_grant(server_keys, grant, "lab-server", identity.device_id)
+    assert "g-payload" in server_keys.ephemeral
 
 
 # --- recovery ---------------------------------------------------------------
