@@ -1,15 +1,13 @@
 """Operator CLIs: privlog-client and privlog-server.
 
 Files are the interchange between the two sides; there is no transport
-here. Exit codes are stable for scripting: 0 ok, 2 InvalidWindow,
-3 OutOfOrderDate, 4 AuthFailure, 5 ContextMismatch, 6 CorruptState,
-1 anything else.
+here. A command exits 0, or with the `exit_code` of the error that ends it
+(see errors.py).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from contextlib import nullcontext
 from datetime import date
@@ -18,15 +16,20 @@ from time import perf_counter_ns
 from typing import Iterator, List, Optional, Sequence
 
 from .crypto import TOKEN_LEN
-from .errors import CorruptState, OutOfOrderDate, PrivlogError, exit_code_for
+from .errors import CorruptState, OutOfOrderDate, PrivlogError
 from .grant import format_grant, format_offer, parse_grant, parse_offer
 from .kvfile import atomic_write, atomic_writer, b64, b64_decode, iso_date, parse_kv
 from .pii import YEAR_MAX, YEAR_MIN
 
 
-def _fail(exc: PrivlogError) -> int:
-    print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)
-    return exit_code_for(exc)
+def _run(parser: argparse.ArgumentParser, argv: Optional[List[str]]) -> int:
+    """Parse `argv` and run its command; an error ends it on stderr with its class's code."""
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except PrivlogError as exc:
+        print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def _read_lines(path: str, what: str) -> Iterator[str]:
@@ -86,18 +89,12 @@ class ClientConfig:
         fields = {}
         if args.config:
             fields = parse_kv(_read(args.config, "config"), "config file")
-        identity_path = (
-            args.identity
-            or os.environ.get("PRIVLOG_IDENTITY_FILE")
-            or fields.get("identity")
-        )
+        identity_path = args.identity or fields.get("identity")
         if not identity_path:
             raise CorruptState("no identity file: set identity= in config or --identity")
         self.identity = dice.parse_identity(_read(identity_path, "identity file"))
 
-        self.state_path = (
-            args.state or os.environ.get("PRIVLOG_STATE_FILE") or fields.get("state")
-        )
+        self.state_path = args.state or fields.get("state")
         if not self.state_path:
             raise CorruptState("no state path: set state= in config or --state")
 
@@ -290,11 +287,7 @@ def client_main(argv: Optional[List[str]] = None) -> int:
     p = sub.add_parser("state", help="print non-secret state fields")
     p.set_defaults(func=_cmd_state)
 
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except PrivlogError as exc:
-        return _fail(exc)
+    return _run(parser, argv)
 
 
 # --- server ------------------------------------------------------------
@@ -436,11 +429,7 @@ def server_main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--timeline", help="token (base64) to print a timeline for")
     p.set_defaults(func=_cmd_report)
 
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except PrivlogError as exc:
-        return _fail(exc)
+    return _run(parser, argv)
 
 
 def client_entry() -> None:

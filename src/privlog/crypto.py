@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 from typing import NamedTuple, Optional, Tuple, Union
 
-from .errors import AuthFailure, EmptyInput, InvalidLength, MalformedBox, WeakKey
+from .errors import AuthFailure, EmptyInput, InvalidLength, WeakKey
 
 KEY_LEN = 32
 NONCE_LEN = 12
@@ -50,9 +50,7 @@ class SecretKey32:
 
     __slots__ = ("_buf", "_aead", "_hmac")
 
-    def __init__(self, data: Union[bytes, bytearray, "SecretKey32"]):
-        if isinstance(data, SecretKey32):
-            data = data.bytes
+    def __init__(self, data: Union[bytes, bytearray]):
         if len(data) != KEY_LEN:
             raise InvalidLength(f"secret key must be {KEY_LEN} bytes, got {len(data)}")
         self._buf = bytearray(data)
@@ -130,7 +128,7 @@ def _as_bytes(value: Union[bytes, bytearray, SecretKey32, None]) -> bytes:
 def kdf(
     salt_key: Union[bytes, SecretKey32, None],
     ikm: Union[bytes, SecretKey32],
-    info: Union[bytes, str],
+    info: bytes,
     out_len: int,
 ) -> bytes:
     """HKDF-SHA256 with a domain-separation label as the info field."""
@@ -144,7 +142,7 @@ def kdf(
         algorithm=SHA256(),
         length=out_len,
         salt=_as_bytes(salt_key) or None,
-        info=info.encode("utf-8") if isinstance(info, str) else bytes(info),
+        info=info,
     ).derive(_as_bytes(ikm))
 
 
@@ -177,9 +175,9 @@ def aead_seal(key: SecretKey32, plaintext: bytes, aad: bytes = b"") -> bytes:
 
 
 def aead_open(key: SecretKey32, sealed: bytes, aad: bytes = b"") -> bytes:
-    """Inverse of `aead_seal`: MalformedBox if too short, AuthFailure if forged."""
+    """Inverse of `aead_seal`: InvalidLength if too short, AuthFailure if forged."""
     if len(sealed) < NONCE_LEN + TAG_LEN:
-        raise MalformedBox(f"sealed value too short: {len(sealed)} bytes")
+        raise InvalidLength(f"sealed value too short: {len(sealed)} bytes")
     cipher = key.aead()
     try:
         return cipher.decrypt(sealed[:NONCE_LEN], sealed[NONCE_LEN:], aad)
@@ -198,7 +196,7 @@ def clamp_scalar(raw: bytes) -> bytes:
     return bytes(b)
 
 
-def dh_derive_keypair(seed: Optional[bytes], label: Union[bytes, str]) -> DhKeyPair:
+def dh_derive_keypair(seed: Optional[bytes], label: bytes) -> DhKeyPair:
     """Deterministic X25519 keypair from a 32-byte seed and a label; a fresh
     random seed if `seed` is None."""
     if seed is None:

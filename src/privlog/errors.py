@@ -1,12 +1,12 @@
-"""Error types shared across the toolkit, with stable CLI exit codes."""
+"""Error types shared across the toolkit. Each class carries the exit code the
+CLIs end with when it reaches them, stable for scripting; a subclass keeps its
+parent's code."""
 
 
 class PrivlogError(Exception):
     """Base class for all toolkit errors."""
 
-
-class InvalidLength(PrivlogError):
-    """A key, nonce, or derived output has the wrong byte length."""
+    exit_code = 1
 
 
 class EmptyInput(PrivlogError):
@@ -16,13 +16,7 @@ class EmptyInput(PrivlogError):
 class AuthFailure(PrivlogError):
     """AEAD authentication failed: wrong key, wrong AAD, or tampering."""
 
-
-class MalformedBox(PrivlogError):
-    """A sealed value is too short to hold a nonce and an authentication tag."""
-
-
-class WeakKey(PrivlogError):
-    """Key agreement produced an all-zero shared secret (low-order point)."""
+    exit_code = 4
 
 
 class InvalidSpans(PrivlogError):
@@ -32,36 +26,34 @@ class InvalidSpans(PrivlogError):
 class OutOfOrderDate(PrivlogError):
     """A date earlier than the current chain position was requested."""
 
+    exit_code = 3
+
 
 class InvalidWindow(PrivlogError):
     """A grant window violates the epoch/current-date bounds."""
+
+    exit_code = 2
 
 
 class ContextMismatch(PrivlogError):
     """Grant context fields do not match the expected identity/attestation."""
 
+    exit_code = 5
+
 
 class CorruptState(PrivlogError):
-    """A persisted file is missing fields or fails to decode."""
+    """An input (a file, or a value from a flag) is missing fields or fails to decode."""
+
+    exit_code = 6
 
 
 class UnsupportedVersion(CorruptState):
     """A persisted file declares a version this build does not understand."""
 
 
-# Stable mapping for scripting against the CLIs. Anything else exits 1.
-EXIT_CODES = {
-    InvalidWindow: 2,
-    OutOfOrderDate: 3,
-    AuthFailure: 4,
-    ContextMismatch: 5,
-    CorruptState: 6,
-    MalformedBox: 6,
-}
+class InvalidLength(CorruptState):
+    """A key, nonce, sealed value or length-prefixed field has the wrong byte length."""
 
 
-def exit_code_for(exc: BaseException) -> int:
-    for cls in type(exc).__mro__:
-        if cls in EXIT_CODES:
-            return EXIT_CODES[cls]
-    return 1
+class WeakKey(CorruptState):
+    """Key agreement produced an all-zero shared secret (low-order point)."""

@@ -22,7 +22,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optiona
 from .crypto import (
     TOKEN_LEN, DhKeyPair, SecretKey32, aead_open, dh_derive_keypair, dh_shared, ratchet_step,
 )
-from .errors import AuthFailure, ContextMismatch, CorruptState, InvalidLength, InvalidWindow
+from .errors import AuthFailure, ContextMismatch, CorruptState, InvalidWindow
 from .grant import Grant, open_window
 from .kvfile import (
     b64, b64_decode, b64_field, csv_field, format_kv, iso_date, parse_versioned, require,
@@ -57,7 +57,7 @@ def keygen(server_id: str, seed: Optional[bytes] = None) -> ServerKeys:
 
 def create_offer(keys: ServerKeys, grant_id: str, seed: Optional[bytes] = None) -> bytes:
     """Mint the single-use ephemeral keypair for one grant; returns its public key."""
-    if not grant_id or not all(c.isalnum() or c in "._-" for c in grant_id):
+    if not grant_id or not all((c.isascii() and c.isalnum()) or c in "._-" for c in grant_id):
         raise InvalidWindow(f"grant_id {grant_id!r} must be [A-Za-z0-9._-]+")
     if grant_id in keys.ephemeral:
         raise InvalidWindow(f"grant_id {grant_id!r} already has an outstanding offer")
@@ -318,11 +318,7 @@ def load_server_keys(text: str) -> ServerKeys:
         parts = value.split(",")
         if len(parts) != 2:
             raise CorruptState(f"{what} must be two base64 keys joined by ','")
-        try:
-            pair = DhKeyPair(*(b64_decode(part, what) for part in parts))
-        except InvalidLength as exc:
-            raise CorruptState(f"{what}: {exc}") from exc
-        keys.ephemeral[key[len("eph.") :]] = pair
+        keys.ephemeral[key[len("eph.") :]] = DhKeyPair(*(b64_decode(p, what, 32) for p in parts))
     return keys
 
 

@@ -317,10 +317,15 @@ def test_offer_refuses_duplicate_grant_id(ws):
         "offer", "--keystore", str(ws / "server.kv"),
         "--grant-id", "dup", "--out", str(ws / "o1.kv"), "--seed", SEED_C,
     ]) == 0
-    assert server_main([
-        "offer", "--keystore", str(ws / "server.kv"),
-        "--grant-id", "dup", "--out", str(ws / "o2.kv"), "--seed", SEED_C,
-    ]) == 2
+    keystore = (ws / "server.kv").read_bytes()
+    # A duplicate, and letters outside [A-Za-z0-9._-] that `str.isalnum` accepts.
+    for grant_id in ("dup", "\u00e9\u00b2"):
+        assert server_main([
+            "offer", "--keystore", str(ws / "server.kv"),
+            "--grant-id", grant_id, "--out", str(ws / "o2.kv"), "--seed", SEED_C,
+        ]) == 2
+        assert (ws / "server.kv").read_bytes() == keystore
+        assert not (ws / "o2.kv").exists()
 
 
 def _crash_at_write(monkeypatch, crash_at, run):
@@ -685,6 +690,71 @@ def test_init_short_server_pub_exits_6(ws, capsys, via):
     assert not (ws / "state.kv").exists()
 
 
+_ZERO_KEY = base64.b64encode(bytes(32)).decode()  # a low-order X25519 point
+_LONG = "a" * 70_000  # longer than a 2-byte length prefix can hold
+
+
+@pytest.mark.parametrize("command, field, value, error", [
+    ("init", "server_pub", _ZERO_KEY, "WeakKey"),
+    ("grant", "server_eph_pub", _ZERO_KEY, "WeakKey"),
+    ("grant", "grant_id", _LONG, "InvalidLength"),
+    ("accept", "client_eph_pub", _ZERO_KEY, "WeakKey"),
+    ("accept", "server_id", _LONG, "InvalidLength"),
+], ids=["init-weak-server_pub", "grant-weak-server_eph_pub", "grant-long-grant_id",
+        "accept-weak-client_eph_pub", "accept-long-server_id"])
+def test_rejected_input_exits_6_and_writes_nothing(ws, capsys, command, field, value, error):
+    """`field=` set to `value` in the file `command` reads (config, offer or
+    grant) is a rejected input: exit 6 naming `error`, and every file in the
+    workspace, the state and the keystore among them, stays as it was."""
+    def swap(path):
+        text = path.read_text()
+        old = parse_kv(text, "f")[field]
+        path.write_text(text.replace(f"{field}={old}\n", f"{field}={value}\n"))
+
+    init = ["init", "--today", DAY1.isoformat(), "--seed", SEED_A]
+    grant = ["grant", "--server-offer", str(ws / "offer.kv"), "--start", DAY1.isoformat(),
+             "--today", DAY1.isoformat(), "--out", str(ws / "grant.kv")]
+    accept = ["accept", "--keystore", str(ws / "server.kv"), "--grant", str(ws / "grant.kv"),
+              "--expect-device", "pixel-lab", "--out", str(ws / "window.kv")]
+    if command == "init":
+        swap(ws / "client.cfg")
+        run = lambda: _client(ws, *init)
+    else:
+        assert _client(ws, *init) == 0
+        assert server_main(["offer", "--keystore", str(ws / "server.kv"), "--grant-id", "g-bad",
+                            "--out", str(ws / "offer.kv"), "--seed", SEED_C]) == 0
+        if command == "grant":
+            swap(ws / "offer.kv")
+            run = lambda: _client(ws, *grant)
+        else:
+            assert _client(ws, *grant) == 0
+            swap(ws / "grant.kv")
+            run = lambda: server_main(accept)
+    before = {p.name: p.read_bytes() for p in ws.iterdir()}
+    capsys.readouterr()
+    assert run() == 6
+    assert capsys.readouterr().err.startswith(f"error {error}: ")
+    assert {p.name: p.read_bytes() for p in ws.iterdir()} == before
+
+
+def test_readme_exit_codes_match_error_classes():
+    """The README's "Exit codes" paragraph lists, as `N` ClassName, each
+    error class that sets its own `exit_code`, and lists no pair that is
+    not a class's code."""
+    from privlog import errors
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = re.search(r"^Exit codes.*?(?=\n\n)", readme, re.M | re.S).group(0)
+    listed = [(int(code), name) for code, name in re.findall(r"`(\d+)`\s+([A-Z]\w*)", paragraph)]
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.PrivlogError)}
+    own = [(cls.exit_code, name) for name, cls in classes.items() if "exit_code" in vars(cls)]
+    assert len(own) == 6
+    assert [pair for pair in own if pair not in listed] == []
+    assert [(code, name) for code, name in listed
+            if name not in classes or classes[name].exit_code != code] == []
+
+
 def test_exit_code_bad_timeline_token(ws, capsys):
     (ws / "events.csv").write_text("line_no,date,pii_type,token_b64,template\n")
     # Non-ASCII text makes b64decode raise a plain ValueError, not binascii.Error;
@@ -784,7 +854,7 @@ _PUB32 = base64.b64encode(b"\x01" * 32).decode()
 @pytest.mark.parametrize("entry, cause", [
     (_PUB32, "two base64 keys"),
     (f"not*base64,{_PUB32}", "not valid base64"),
-    (f"{base64.b64encode(bytes(30)).decode()},{_PUB32}", "32 bytes"),
+    (f"{base64.b64encode(bytes(30)).decode()},{_PUB32}", "has 30 bytes, expected 32"),
 ], ids=["no-comma", "bad-base64", "30-byte-key"])
 def test_bad_ephemeral_entry_is_corrupt_state(ws, capsys, entry, cause):
     keystore = ws / "server.kv"

@@ -676,8 +676,11 @@ _EVENTS = "line_no,date,pii_type,token_b64,template\n"
      CorruptState, "window keys file"),
     (parse_grant, _GRANT.replace("grant_date=2024-05-01", "grant_date=2024-W18-3"),
      CorruptState, "grant file"),
+    (load_server_keys, f"v=1\nserver_id=s\nlongterm_priv={_KEY}\nlongterm_pub={_KEY}\n"
+     f"eph.g={_KEY},{base64.b64encode(bytes(31)).decode()}\n",
+     CorruptState, "ephemeral entry 'eph.g'"),
 ], ids=["keystore-v99", "window-v99", "grant-v99", "window-date", "events-date", "grant-date",
-        "window-date-basic", "grant-date-week"])
+        "window-date-basic", "grant-date-week", "keystore-eph-short"])
 def test_file_checks_reject_bad_version_and_date(load, text, exc, what):
     with pytest.raises(exc, match=what) as info:
         load(text)
