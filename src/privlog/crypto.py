@@ -152,10 +152,14 @@ def ratchet_step(ck: SecretKey32) -> Tuple[SecretKey32, SecretKey32]:
     return SecretKey32(x[:32]), SecretKey32(x[32:])
 
 
+# The longest field a 2-byte length prefix can carry.
+PREFIX_MAX = 0xFFFF
+
+
 def length_prefixed(raw: bytes) -> bytes:
     """`raw` behind its 2-byte big-endian length, for unambiguous concatenation."""
-    if len(raw) > 0xFFFF:
-        raise InvalidLength("length-prefixed field longer than 65535 bytes")
+    if len(raw) > PREFIX_MAX:
+        raise InvalidLength(f"length-prefixed field longer than {PREFIX_MAX} bytes")
     return len(raw).to_bytes(2, "big") + raw
 
 

@@ -113,10 +113,27 @@ new_field = functools.partial(tuple.__new__, ProtectedField)
 _DIGIT_RUN = re.compile(r"\d{15}")
 _PHONE_CORE = re.compile(r"\d\d\d\)?[ .-]\d\d\d[ .-]\d\d\d\d")
 _DIGIT_GATE = re.compile(r"\d\d\d(?:\d{12}|\)?[ .-]\d\d\d[ .-]\d\d\d\d)")
+# On an ASCII line `\d` is `[0-9]`, so the same shapes are plain substrings
+# of its byte shape: each digit reads `0`, each of ` .-` reads `_`, `_`
+# itself reads ` ` and every other byte stays (README).
+_SHAPE = bytes.maketrans(b"0123456789 .-_", b"0000000000___ ")
+_CORE, _PAREN_CORE, _RUN = b"000_000_0000", b"000)_000_0000", b"0" * 15
 # A logcat header `MM-DD HH:MM:SS.mmm`, a pid and a tid, up to the space after it.
 _HEADER = re.compile(r"\d\d-\d\d \d\d:\d\d:\d\d\.\d\d\d(?: +\d{1,14}){0,2}(?= )")
 # Each type's bound scan and priority index.
 _SCANS = {t: (PATTERNS[t].finditer, _PRIORITY_INDEX[t]) for t in PiiType}
+
+
+def _ascii_digits(line: str) -> Tuple[bool, int]:
+    """On an ASCII line: whether `_DIGIT_GATE` matches, and where the first
+    `_PHONE_CORE` match starts, -1 if none."""
+    shape = line.encode("ascii").translate(_SHAPE)
+    core = shape.find(_CORE)
+    paren = shape.find(_PAREN_CORE)
+    if core < 0 or 0 <= paren < core:
+        core = paren
+    # `find`, not `in`: bytes' `in` first tries its operand as an integer.
+    return core >= 0 or shape.find(_RUN) >= 0, core
 
 
 def _token_types(piece: str) -> List[PiiType]:
@@ -151,15 +168,22 @@ def detect_pii(line: str) -> List[PiiSpan]:
     """Every match where its precheck holds, overlaps resolved: longer spans
     win, then earlier starts, then the fixed priority order."""
     dashes = line.count("-")
-    if not ("@" in line or "://" in line or "SN-" in line or "::" in line or dashes >= 2
-            or line.count(":") + dashes >= 5 or line.count(".") >= 3 or _DIGIT_GATE.search(line)):
-        return []
+    cheap = ("@" in line or "://" in line or "SN-" in line or "::" in line or dashes >= 2
+             or line.count(":") + dashes >= 5 or line.count(".") >= 3)
+    if line.isascii():
+        gate, core = _ascii_digits(line)
+        if not (cheap or gate):
+            return []
+    else:
+        if not (cheap or _DIGIT_GATE.search(line)):
+            return []
+        m = _PHONE_CORE.search(line)
+        core = m.start() if m else -1
     candidates = []  # (start - end, start, priority index, end)
     # "+dd (" puts at most 5 characters before a PHONE match's core.
-    core = _PHONE_CORE.search(line)
-    if core:
+    if core >= 0:
         finditer, rank = _SCANS[PiiType.PHONE]
-        for m in finditer(line, max(0, core.start() - 5)):
+        for m in finditer(line, max(0, core - 5)):
             start, end = m.span()
             candidates.append((start - end, start, rank, end))
     # No piece of a logcat header passes a precheck (README): skip them.

@@ -318,8 +318,9 @@ def test_offer_refuses_duplicate_grant_id(ws):
         "--grant-id", "dup", "--out", str(ws / "o1.kv"), "--seed", SEED_C,
     ]) == 0
     keystore = (ws / "server.kv").read_bytes()
-    # A duplicate, and letters outside [A-Za-z0-9._-] that `str.isalnum` accepts.
-    for grant_id in ("dup", "\u00e9\u00b2"):
+    # A duplicate, letters outside [A-Za-z0-9._-] that `str.isalnum` accepts,
+    # and an id too long for the 2-byte length that prefixes it in the AAD.
+    for grant_id in ("dup", "\u00e9\u00b2", "a" * 0x10000):
         assert server_main([
             "offer", "--keystore", str(ws / "server.kv"),
             "--grant-id", grant_id, "--out", str(ws / "o2.kv"), "--seed", SEED_C,

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -72,3 +73,15 @@ def test_fold_rejects_a_second_traced_run(monkeypatch, tmp_path):
     change = [_run(tmp_path, "c1", "emit-sparse", 1)]
     with pytest.raises(SystemExit, match="pt-again: second parent run"):
         _fold(monkeypatch, tmp_path, parent, change)
+
+
+def test_readme_names_every_committed_bench_file():
+    """Each `BENCH_*.json` the README names is committed with the keys that
+    `scripts/fold_bench.py` writes, and each committed one is named."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"\bBENCH_\d+\.json", readme))
+    committed = {path.name for path in ROOT.glob("BENCH_*.json")}
+    assert named == committed
+    for name in named:
+        bench = json.loads((ROOT / name).read_text(encoding="utf-8"))
+        assert {"end_to_end", "env"} <= set(bench), name

@@ -18,9 +18,11 @@ from privlog.pii import (
     PRIORITY,
     YEAR_MAX,
     YEAR_MIN,
+    _DIGIT_GATE,
     _HEADER,
     _PAYLOAD,
     _PHONE_CORE,
+    _ascii_digits,
     PiiSpan,
     PiiType,
     ProtectedField,
@@ -155,8 +157,8 @@ _SHAPES = st.one_of(
     _cat(_run(_WORD + "._%+-", 1, 6), "@", _run(_WORD + ".-", 1, 6), ".", _run("abcXYZ", 1, 3)),
     _cat(
         st.sampled_from(["", "(", "+1 ", "+44-", "+\u0663."]), _run(_DIGIT, 3, 3),
-        st.sampled_from(["", ")"]), st.sampled_from(" .-"), _run(_DIGIT, 3, 3),
-        st.sampled_from(" .-"), _run(_DIGIT, 3, 5),
+        st.sampled_from(["", ")"]), st.sampled_from(" .-_"), _run(_DIGIT, 3, 3),
+        st.sampled_from(" .-_"), _run(_DIGIT, 3, 5),
     ),
     _run(_DIGIT, 14, 17),
     _groups(_run(_HEX, 2, 2), [":", "-"], 4, 6, _run(_HEX, 1, 2)),
@@ -170,7 +172,7 @@ _SHAPES = st.one_of(
 _ADVERSARIAL = st.lists(
     st.one_of(
         _SHAPES,
-        st.sampled_from(list(_DIGIT + ":-.()+@ \t\u00a0" + _HEX) + ["://", "SN-"]),
+        st.sampled_from(list(_DIGIT + ":-.()+@_ \t\u00a0" + _HEX) + ["://", "SN-"]),
     ),
     max_size=12,
 ).map("".join)
@@ -191,6 +193,15 @@ _HARD_CASES = (
     "call +1 (555) 867-5309 now",
     "call +44 (555) 867-5309 now",
     "ip a::b up",  # the shortest piece that holds a match
+    # The edges of an ASCII line's byte shape: `_` is not a separator, a
+    # `)` core before or after a plain one, and phones in non-ASCII lines.
+    "x_555_867_5309 y",
+    "x 555)_867_5309 y",
+    "tel 555).867.5309 or 555-867-5309",
+    "tel 555-867-5309 or 555) 867-5309",
+    "\u00e9 555-867-5309",
+    "call \u0665\u0665\u0665-\u0668\u0666\u0667-\u0665\u0663\u0660\u0669 now",
+    "call (\uff15\uff15\uff15) \uff18\uff16\uff17.\uff15\uff13\uff10\uff19 now",
 )
 
 
@@ -235,13 +246,17 @@ def test_precheck_holds_for_every_match(line):
     resolution would discard it. A space-free match lies in one ' '-piece,
     which is not skipped, lies after any logcat header and has a precheck
     that lists the type; a PHONE match starts at most 5 characters before
-    the line's first phone core."""
-    core = _PHONE_CORE.search(line)
+    the first phone core that the line's own path finds."""
+    if line.isascii():
+        _, core = _ascii_digits(line)
+    else:
+        m = _PHONE_CORE.search(line)
+        core = m.start() if m else -1
     header = _HEADER.match(line)
     for pii_type, pattern in PATTERNS.items():
         for m in pattern.finditer(line):
             if pii_type is PiiType.PHONE:
-                assert core is not None and core.start() <= m.start() + 5, m
+                assert 0 <= core <= m.start() + 5, m
                 continue
             assert " " not in m.group(), (pii_type, m)
             assert header is None or m.start() > header.end(), (pii_type, m, header)
@@ -250,6 +265,25 @@ def test_precheck_holds_for_every_match(line):
             piece = line[start:] if end < 0 else line[start:end]
             assert len(piece) > 2 and not piece.isalpha(), (pii_type, piece)
             assert pii_type in _token_types(piece), (pii_type, piece)
+
+
+def _ascii_copy(line):
+    """`line` with each Unicode digit read as its ASCII digit and every other
+    non-ASCII character as `?`: the same digit shapes, on an ASCII line."""
+    return "".join(str(int(c)) if c.isdecimal() else c if c.isascii() else "?" for c in line)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(line=_ADVERSARIAL | _HEADED)
+@_with_hard_cases
+def test_ascii_shape_agrees_with_the_digit_regexes(line):
+    """On an ASCII line, the byte shape's gate and first core are exactly
+    `_DIGIT_GATE`'s verdict and `_PHONE_CORE`'s first match. A line with
+    other characters is checked as its ASCII copy."""
+    text = _ascii_copy(line)
+    core = _PHONE_CORE.search(text)
+    assert _ascii_digits(text) == (_DIGIT_GATE.search(text) is not None,
+                                   core.start() if core else -1)
 
 
 # --- date extraction -----------------------------------------------------
