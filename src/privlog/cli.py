@@ -69,18 +69,6 @@ def _parse_year(value: Optional[str], what: str) -> Optional[int]:
     return year
 
 
-def _parse_seed(value: Optional[str]) -> Optional[bytes]:
-    if value is None:
-        return None
-    try:
-        seed = bytes.fromhex(value)
-    except ValueError as exc:
-        raise CorruptState("seed must be hex") from exc
-    if len(seed) != 32:
-        raise CorruptState("seed must be 32 bytes of hex")
-    return seed
-
-
 # --- client ------------------------------------------------------------
 
 
@@ -123,9 +111,7 @@ def _cmd_init(args) -> int:
     if Path(cfg.state_path).exists() and not args.force:
         raise CorruptState(f"state file {cfg.state_path!r} exists; use --force to re-init")
     today = iso_date(args.today, "--today") if args.today else date.today()
-    state = client_mod.init_client(
-        cfg.identity, cfg.server_pub, today, rng_seed=_parse_seed(args.seed)
-    )
+    state = client_mod.init_client(cfg.identity, cfg.server_pub, today)
     cfg.save_state(state)
     print(f"initialized state for {cfg.identity.device_id} at epoch {today.isoformat()}")
     return 0
@@ -222,13 +208,13 @@ def _cmd_grant(args) -> int:
         server_id=cfg.server_id,
         grant_id=grant_id,
     )
-    grant, rotated = client_mod.create_grant(
-        state, req, cfg.identity, today, rng_seed=_parse_seed(args.seed)
-    )
-    # Rotate before releasing the grant: a crash in between loses the
+    grant, rotated = client_mod.create_grant(state, req, cfg.identity, today)
+    # Format the grant before rotating, so one its file cannot hold rotates
+    # nothing. Rotate before releasing it: a crash in between loses the
     # grant but can never leave a state able to re-issue this epoch.
+    grant_text = format_grant(grant)
     cfg.save_state(rotated)
-    atomic_write(args.outfile, format_grant(grant))
+    atomic_write(args.outfile, grant_text)
     print(
         f"grant {grant_id} for [{req.start_date.isoformat()}, {today.isoformat()}] "
         f"-> {args.outfile}; new epoch {rotated.epoch_date.isoformat()}"
@@ -265,7 +251,6 @@ def client_main(argv: Optional[List[str]] = None) -> int:
 
     p = sub.add_parser("init", help="derive fresh state from the device identity")
     p.add_argument("--today", help="override current date (YYYY-MM-DD)")
-    p.add_argument("--seed", help="32-byte hex seed for deterministic init")
     p.add_argument("--force", action="store_true", help="overwrite existing state")
     p.set_defaults(func=_cmd_init)
 
@@ -281,7 +266,6 @@ def client_main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--start", required=True, help="window start date (YYYY-MM-DD)")
     p.add_argument("--today", help="override current date (YYYY-MM-DD)")
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--seed", help="32-byte hex seed for deterministic grant keys")
     p.set_defaults(func=_cmd_grant)
 
     p = sub.add_parser("state", help="print non-secret state fields")
@@ -300,7 +284,7 @@ def _load_keystore(path: str) -> server_mod.ServerKeys:
 def _cmd_keygen(args) -> int:
     if Path(args.keystore).exists() and not args.force:
         raise CorruptState(f"keystore {args.keystore!r} exists; use --force to replace")
-    keys = server_mod.keygen(args.server_id, seed=_parse_seed(args.seed))
+    keys = server_mod.keygen(args.server_id)
     atomic_write(args.keystore, server_mod.save_server_keys(keys))
     print(f"server_id={keys.server_id}")
     print(f"longterm_pub={b64(keys.longterm.public)}")
@@ -309,7 +293,7 @@ def _cmd_keygen(args) -> int:
 
 def _cmd_offer(args) -> int:
     keys = _load_keystore(args.keystore)
-    pub = server_mod.create_offer(keys, args.grant_id, seed=_parse_seed(args.seed))
+    pub = server_mod.create_offer(keys, args.grant_id)
     atomic_write(args.keystore, server_mod.save_server_keys(keys))
     atomic_write(args.outfile, format_offer(args.grant_id, pub))
     print(f"offer {args.grant_id} -> {args.outfile}")
@@ -397,7 +381,6 @@ def server_main(argv: Optional[List[str]] = None) -> int:
     p = sub.add_parser("keygen", help="create the long-term keypair")
     p.add_argument("--keystore", required=True)
     p.add_argument("--server-id", default="server")
-    p.add_argument("--seed", help="32-byte hex seed for deterministic keys")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_keygen)
 
@@ -405,7 +388,6 @@ def server_main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--keystore", required=True)
     p.add_argument("--grant-id", required=True)
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--seed", help="32-byte hex seed for deterministic keys")
     p.set_defaults(func=_cmd_offer)
 
     p = sub.add_parser("accept", help="ingest a grant into window keys")

@@ -172,10 +172,6 @@ class ProtectSession:
         key = self._cache.get(day)
         if key is not None:
             return key
-        if day < self._state.chain_date:
-            raise OutOfOrderDate(
-                f"no key for {day}: chain already at {self._state.chain_date}"
-            )
         self._state, new_keys = advance_to(self._state, day)
         if self.mode == MODE_STREAM:
             self._cache = {day: new_keys[day]}

@@ -24,12 +24,13 @@ from .errors import CorruptState, UnsupportedVersion
 
 def parse_kv(text: str, what: str = "file") -> Dict[str, str]:
     out: Dict[str, str] = {}
-    for raw in text.splitlines():
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise CorruptState(f"{what}: malformed line {line!r}")
+            # Named by number: a line that lost its key may be a secret.
+            raise CorruptState(f"{what}: malformed line {line_no}")
         key, _, value = line.partition("=")
         out[key] = value
     return out
@@ -44,8 +45,23 @@ def parse_versioned(text: str, what: str, version: str) -> Dict[str, str]:
     return fields
 
 
-def format_kv(fields) -> str:
-    return "".join(f"{k}={v}\n" for k, v in fields)
+def format_kv(rows) -> str:
+    """One `key=value` line per row. CorruptState names the first key whose
+    line `parse_kv` would not read back as written (a line break, white
+    space at the line's start or end, '=' in the key, a key that starts a
+    comment) or that comes twice, so no file is written that reads back
+    otherwise."""
+    lines: Dict[str, str] = {}
+    for key, value in rows:
+        line = f"{key}={value}\n"
+        try:
+            back = parse_kv(line)
+        except CorruptState:
+            back = None
+        if back != {key: value} or key in lines:
+            raise CorruptState(f"field {key!r} would not read back as written")
+        lines[key] = line
+    return "".join(lines.values())
 
 
 def require(fields: Dict[str, str], key: str, what: str) -> str:

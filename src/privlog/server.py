@@ -394,8 +394,10 @@ def read_events_csv(lines: Iterable[str]) -> Iterator[RecoveredEvent]:
         if header != EVENTS_HEADER:
             raise CorruptState(f"events csv: unexpected header {header!r}")
         for line_no, day, pii_type, token_b64, template in reader:
-            yield _event((int(line_no), day_of(day), type_of(pii_type), token_of(token_b64),
-                          template))
+            n = int(line_no)
+            if n < 1 or str(n) != line_no:  # `int` also takes "+7", " 7", "1_0", "007", "\u0667"
+                raise ValueError(f"line number {line_no!r}")
+            yield _event((n, day_of(day), type_of(pii_type), token_of(token_b64), template))
     except (ValueError, KeyError, csv.Error) as exc:
         raise CorruptState(f"events csv: bad row: {exc}") from exc
     if not last[0].endswith("\n"):

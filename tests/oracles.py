@@ -245,6 +245,7 @@ def fill_template(template: str, fields: list) -> str:
 
 EVENTS_COLUMNS = ["line_no", "date", "pii_type", "token_b64", "template"]
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_LINE_NO = re.compile(r"[1-9][0-9]*")  # ASCII decimal of a positive int, as written
 
 
 def read_events_csv(text: str) -> list:
@@ -252,7 +253,8 @@ def read_events_csv(text: str) -> list:
 
     ValueError for a file that does not end in a newline, a csv syntax
     error, a header other than EVENTS_COLUMNS, a row of another length, a
-    line number that is not an int, a date not written YYYY-MM-DD, a label
+    line number not written as the ASCII decimal of a positive int with no
+    leading zero, a date not written YYYY-MM-DD, a label
     that is not one of the ten, or a token that is not strict base64 of
     exactly 16 bytes.
     """
@@ -269,6 +271,8 @@ def read_events_csv(text: str) -> list:
         if len(row) != len(EVENTS_COLUMNS):
             raise ValueError(f"{len(row)} columns")
         line_no, day, label, token_b64, template = row
+        if not _LINE_NO.fullmatch(line_no):
+            raise ValueError(f"line number {line_no!r}")
         if not _ISO_DATE.fullmatch(day):
             raise ValueError(f"date {day!r}")
         if label not in PII_PRIORITY:

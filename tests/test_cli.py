@@ -29,9 +29,6 @@ from privlog.pii import PiiType
 from privlog.server import EVENTS_HEADER_LINE, RecoveredEvent, load_server_keys, write_events_csv
 
 DAY1 = date(2024, 5, 1)
-SEED_A = "07" * 32
-SEED_B = "21" * 32
-SEED_C = "33" * 32
 STATE_KEYS = {"v", "root_key", "hash_key", "chain_key", "chain_date", "epoch_date"}
 _SHORT_KEY = base64.b64encode(b"\x09" * 31).decode()  # one byte short of an X25519 key
 
@@ -48,7 +45,7 @@ def ws(tmp_path):
 
     assert server_main([
         "keygen", "--keystore", str(tmp_path / "server.kv"),
-        "--server-id", "lab-server", "--seed", SEED_B,
+        "--server-id", "lab-server",
     ]) == 0
     server_pub = parse_kv((tmp_path / "server.kv").read_text(), "ks")["longterm_pub"]
 
@@ -70,17 +67,17 @@ def test_full_cli_roundtrip(ws, capsys):
     cfg = BenchConfig(line_count=300, pii_density="medium", day_span=5, seed=1001)
     write_corpus(cfg, ws / "raw.log", ws / "raw.truth.csv")
 
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     assert _client(ws, "protect", "--in", str(ws / "raw.log"),
                    "--out", str(ws / "protected.log")) == 0
 
     assert server_main([
         "offer", "--keystore", str(ws / "server.kv"),
-        "--grant-id", "case-7", "--out", str(ws / "offer.kv"), "--seed", SEED_C,
+        "--grant-id", "case-7", "--out", str(ws / "offer.kv"),
     ]) == 0
     assert _client(ws, "grant", "--server-offer", str(ws / "offer.kv"),
                    "--start", D(2).isoformat(), "--today", D(5).isoformat(),
-                   "--out", str(ws / "grant.kv"), "--seed", SEED_C) == 0
+                   "--out", str(ws / "grant.kv")) == 0
 
     assert server_main([
         "accept", "--keystore", str(ws / "server.kv"), "--grant", str(ws / "grant.kv"),
@@ -140,14 +137,14 @@ def test_full_cli_roundtrip(ws, capsys):
 
 def test_protect_empty_file(ws):
     (ws / "empty.log").write_text("")
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     assert _client(ws, "protect", "--in", str(ws / "empty.log"),
                    "--out", str(ws / "empty.out")) == 0
     assert (ws / "empty.out").read_text() == ""
 
 
 def test_state_subcommand_shows_no_secrets(ws, capsys):
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     capsys.readouterr()
     assert _client(ws, "state") == 0
     out = capsys.readouterr().out
@@ -162,9 +159,9 @@ def test_state_subcommand_shows_no_secrets(ws, capsys):
 def test_state_file_with_dh_pair_and_init_nonce_loads_and_drops_them(ws):
     """A state file that still carries `dh_priv=`, `dh_pub=` and
     `init_nonce=` loads and protects; the next save leaves them out."""
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     lines = (ws / "state.kv").read_text().splitlines(keepends=True)
-    seed = bytes.fromhex(SEED_A)
+    seed = bytes(range(32))
     pair = dh_derive_keypair(seed, b"dh-init")
     (ws / "state.kv").write_text("".join([
         *lines[:3], f"dh_priv={b64(pair.private)}\n", f"dh_pub={b64(pair.public)}\n",
@@ -177,10 +174,10 @@ def test_state_file_with_dh_pair_and_init_nonce_loads_and_drops_them(ws):
 
 
 def test_exit_code_invalid_window(ws):
-    assert _client(ws, "init", "--today", D(3).isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", D(3).isoformat()) == 0
     assert server_main([
         "offer", "--keystore", str(ws / "server.kv"),
-        "--grant-id", "g-bad", "--out", str(ws / "offer.kv"), "--seed", SEED_C,
+        "--grant-id", "g-bad", "--out", str(ws / "offer.kv"),
     ]) == 0
     # start before the epoch
     assert _client(ws, "grant", "--server-offer", str(ws / "offer.kv"),
@@ -190,7 +187,7 @@ def test_exit_code_invalid_window(ws):
 
 
 def test_exit_code_out_of_order(ws, capsys):
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     raw = ws / "ooo.log"
     raw.write_text(
         "05-03 10:00:00.000  1000  1000 I T: mail a@b.co\n"
@@ -208,10 +205,10 @@ def test_exit_code_out_of_order(ws, capsys):
 
 def _tampered_grant_accept(ws) -> list:
     """The `accept` arguments for a grant whose ciphertext has one byte flipped."""
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     assert server_main([
         "offer", "--keystore", str(ws / "server.kv"),
-        "--grant-id", "g-tamper", "--out", str(ws / "offer.kv"), "--seed", SEED_C,
+        "--grant-id", "g-tamper", "--out", str(ws / "offer.kv"),
     ]) == 0
     assert _client(ws, "grant", "--server-offer", str(ws / "offer.kv"),
                    "--start", DAY1.isoformat(), "--today", DAY1.isoformat(),
@@ -233,10 +230,10 @@ def test_exit_code_auth_failure_on_tampered_grant(ws):
 
 def test_exit_code_corrupt_on_short_grant_ciphertext(ws):
     """A grant ciphertext too short for a tag is a corrupt file, not exit 1."""
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     assert server_main([
         "offer", "--keystore", str(ws / "server.kv"),
-        "--grant-id", "g-short", "--out", str(ws / "offer.kv"), "--seed", SEED_C,
+        "--grant-id", "g-short", "--out", str(ws / "offer.kv"),
     ]) == 0
     assert _client(ws, "grant", "--server-offer", str(ws / "offer.kv"),
                    "--start", DAY1.isoformat(), "--today", DAY1.isoformat(),
@@ -253,10 +250,10 @@ def test_exit_code_corrupt_on_short_grant_ciphertext(ws):
 
 
 def test_exit_code_context_mismatch(ws):
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     assert server_main([
         "offer", "--keystore", str(ws / "server.kv"),
-        "--grant-id", "g-ctx", "--out", str(ws / "offer.kv"), "--seed", SEED_C,
+        "--grant-id", "g-ctx", "--out", str(ws / "offer.kv"),
     ]) == 0
     assert _client(ws, "grant", "--server-offer", str(ws / "offer.kv"),
                    "--start", DAY1.isoformat(), "--today", DAY1.isoformat(),
@@ -268,7 +265,7 @@ def test_exit_code_context_mismatch(ws):
 
 
 def test_exit_code_corrupt_state(ws):
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     (ws / "state.kv").write_text("v=1\nroot_key=notb64\n")
     assert _client(ws, "state") == 6
 
@@ -280,18 +277,18 @@ def test_exit_code_corrupt_identity(ws):
     short_uds = good.replace(uds, base64.b64encode(b"\x11" * 31).decode())
     for text in (missing, short_uds):
         (ws / "identity.kv").write_text(text)
-        assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 6
+        assert _client(ws, "init", "--today", DAY1.isoformat()) == 6
 
 
 def test_exit_code_unsupported_version(ws):
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     text = (ws / "state.kv").read_text().replace("v=1", "v=99")
     (ws / "state.kv").write_text(text)
     assert _client(ws, "state") == 6
 
 
 def test_recover_with_empty_window(ws):
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     raw = ws / "one.log"
     raw.write_text("05-01 10:00:00.000  1000  1000 I T: mail a@b.co\n")
     assert _client(ws, "protect", "--in", str(raw), "--out", str(ws / "one.out")) == 0
@@ -306,16 +303,16 @@ def test_recover_with_empty_window(ws):
 
 
 def test_init_refuses_overwrite(ws):
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 6
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A,
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 6
+    assert _client(ws, "init", "--today", DAY1.isoformat(),
                    "--force") == 0
 
 
 def test_offer_refuses_duplicate_grant_id(ws):
     assert server_main([
         "offer", "--keystore", str(ws / "server.kv"),
-        "--grant-id", "dup", "--out", str(ws / "o1.kv"), "--seed", SEED_C,
+        "--grant-id", "dup", "--out", str(ws / "o1.kv"),
     ]) == 0
     keystore = (ws / "server.kv").read_bytes()
     # A duplicate, letters outside [A-Za-z0-9._-] that `str.isalnum` accepts,
@@ -323,7 +320,7 @@ def test_offer_refuses_duplicate_grant_id(ws):
     for grant_id in ("dup", "\u00e9\u00b2", "a" * 0x10000):
         assert server_main([
             "offer", "--keystore", str(ws / "server.kv"),
-            "--grant-id", grant_id, "--out", str(ws / "o2.kv"), "--seed", SEED_C,
+            "--grant-id", grant_id, "--out", str(ws / "o2.kv"),
         ]) == 2
         assert (ws / "server.kv").read_bytes() == keystore
         assert not (ws / "o2.kv").exists()
@@ -351,10 +348,10 @@ def _crash_at_write(monkeypatch, crash_at, run):
 def test_grant_crash_atomicity(ws, monkeypatch):
     """A crash between the state rotation and the grant write must never
     leave both the old epoch on disk and a released grant file."""
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     assert server_main([
         "offer", "--keystore", str(ws / "server.kv"),
-        "--grant-id", "g-crash", "--out", str(ws / "offer.kv"), "--seed", SEED_C,
+        "--grant-id", "g-crash", "--out", str(ws / "offer.kv"),
     ]) == 0
     state_before = (ws / "state.kv").read_text()
 
@@ -412,10 +409,10 @@ def test_accept_crash_never_loses_window(ws, monkeypatch):
     """Saving the keystore consumes the one-time offer, and the client has
     already rotated: a crash must never leave the offer consumed while no
     window file exists, or the window is lost for good."""
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     assert server_main([
         "offer", "--keystore", str(ws / "server.kv"),
-        "--grant-id", "g-accept", "--out", str(ws / "offer.kv"), "--seed", SEED_C,
+        "--grant-id", "g-accept", "--out", str(ws / "offer.kv"),
     ]) == 0
     assert _client(ws, "grant", "--server-offer", str(ws / "offer.kv"),
                    "--start", DAY1.isoformat(), "--today", DAY1.isoformat(),
@@ -437,7 +434,7 @@ def test_accept_crash_never_loses_window(ws, monkeypatch):
 
 def test_protect_rejects_invalid_utf8(ws, capsys):
     """Bytes that are not UTF-8 must stop protect, not be rewritten as U+FFFD."""
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     state_before = (ws / "state.kv").read_bytes()
     raw = ws / "latin1.log"
     raw.write_bytes(
@@ -463,7 +460,7 @@ def test_recover_rejects_invalid_utf8(ws, capsys):
 
 def _protected_one_line(ws):
     """init, then protect one line to one.out; returns the events CSV of an empty window."""
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     (ws / "one.log").write_text("05-01 10:00:00.000  1000  1000 I T: mail a@b.co\n")
     assert _client(ws, "protect", "--in", str(ws / "one.log"), "--out", str(ws / "one.out")) == 0
     (ws / "window.kv").write_text("v=1\ngrant_id=g-files\n")
@@ -511,9 +508,9 @@ def test_missing_file_or_directory_exits_6(ws, capsys, case):
 # The CLI chain from init to report, one step a line; a word with a file
 # suffix names a file in the workspace.
 _CHAIN = [
-    ("client", f"init --today 2024-05-01 --seed {SEED_A}"),
+    ("client", "init --today 2024-05-01"),
     ("client", "protect --in raw.log --out prot.log"),
-    ("server", f"offer --keystore server.kv --grant-id g-chain --out offer.kv --seed {SEED_C}"),
+    ("server", "offer --keystore server.kv --grant-id g-chain --out offer.kv"),
     ("client", "grant --server-offer offer.kv --start 2024-05-01 --today 2024-05-02 --out grant.kv"),
     ("server", "accept --keystore server.kv --grant grant.kv --expect-device pixel-lab --out window.kv"),
     ("server", "recover --keys window.kv --in prot.log --out events.csv"),
@@ -585,6 +582,79 @@ def test_report_reads_back_a_140k_character_line(ws):
     assert filler in (ws / "timeline.csv").read_text()
 
 
+# One value of each type, each planted on a line of its own on both days.
+_PLANTED = ["carol.hidden@example.org", "555-867-5309", "352099001761481", "a4:6b:09:1f:00:ff",
+            "10.20.30.40", "2001:0db8:85a3:0000:0000:8a2e:0370:7334",
+            "https://h.example/x?tok=s3cr3t", "123-45-6789", "4111111111111111", "SN-7YQ2MKP0XR55"]
+# A line of a file the CLIs keep whose value is a secret: a state key, the
+# UDS, a server private key (an ephemeral entry's first half) or a day key.
+_SECRET_LINE = re.compile(r"^(root_key|hash_key|chain_key|uds|longterm_priv|eph\.[\w.-]+|key\.[\d-]+)"
+                          r"=([^,\n]*).*\n", re.M)
+
+
+def _secrets_in(ws) -> set:
+    return {base64.b64decode(m.group(2)) for name in ("identity.kv", "state.kv", "server.kv",
+                                                      "other.kv", "window.kv")
+            if (ws / name).exists()
+            for m in _SECRET_LINE.finditer((ws / name).read_text())}
+
+
+def test_no_command_prints_a_planted_value_or_a_secret(ws, capsys):
+    """Every command, and every exit 6 on a state, keystore, identity or
+    window keys file with a secret line cut or stripped of its key, prints
+    on stdout and stderr neither a planted plaintext nor the raw, hex or
+    base64 form (or a prefix of one) of the UDS, the CDI, a state key, a
+    day key or a server private key."""
+    from privlog.dice import derive_cdi, parse_identity
+
+    (ws / "raw.log").write_text("".join(
+        f"{day} 10:00:{n:02d}.000  1000  1000 I T: value {value} seen\n"
+        for day in ("05-01", "05-02") for n, value in enumerate(_PLANTED)))
+    secrets = {derive_cdi(parse_identity((ws / "identity.kv").read_text())).bytes}
+    printed = []
+
+    def run(outcome, call):
+        capsys.readouterr()
+        assert call() == outcome
+        printed.extend(capsys.readouterr())
+        secrets.update(_secrets_in(ws))
+
+    for n in range(len(_CHAIN)):
+        run(0, lambda: _step(ws, n))
+    run(0, lambda: _client(ws, "state"))
+    run(0, lambda: server_main(["keygen", "--keystore", str(ws / "other.kv")]))
+    run(0, lambda: server_main(["offer", "--keystore", str(ws / "server.kv"), "--grant-id", "g-more",
+                                "--out", str(ws / "offer2.kv")]))
+    groups = (ws / "linkage.csv").read_text().splitlines()[1:]
+    assert len(groups) == len(_PLANTED)
+    for group in groups:
+        run(0, lambda: server_main(["report", "--events", str(ws / "events.csv"),
+                                    "--timeline", group.split(",")[0]]))
+
+    readers = {
+        "state.kv": lambda: _client(ws, "state"),
+        "identity.kv": lambda: _client(ws, "state"),
+        "server.kv": lambda: server_main(["offer", "--keystore", str(ws / "server.kv"),
+                                          "--grant-id", "g-x", "--out", str(ws / "x.kv")]),
+        "window.kv": lambda: server_main(["recover", "--keys", str(ws / "window.kv"),
+                                          "--in", str(ws / "prot.log"), "--out", str(ws / "x.csv")]),
+    }
+    for name, reader in readers.items():
+        good = (ws / name).read_text()
+        for line in (m.group(0) for m in _SECRET_LINE.finditer(good)):
+            for bad in (line.partition("=")[2].replace("=", ""), line[:-5] + "\n"):
+                (ws / name).write_text(good.replace(line, bad))
+                run(6, reader)
+        (ws / name).write_text(good)
+
+    text = "".join(printed)
+    assert [value for value in _PLANTED if value in text] == []
+    assert len(secrets) > 10
+    leaked = [raw for raw in secrets
+              if raw.decode("latin-1") in text or raw.hex()[:32] in text or b64(raw)[:24] in text]
+    assert leaked == []
+
+
 @pytest.mark.skipif(not Path("/proc/self/mem").exists(), reason="needs Linux /proc")
 def test_input_read_error_names_the_line(ws, capsys):
     """An input that opens but cannot be read is CorruptState naming the line:
@@ -635,10 +705,10 @@ def test_report_cut_inside_unquoted_template_exits_6(ws, capsys, timeline):
 def test_exit_code_bad_expect_attest(ws, capsys):
     """An `--expect-attest` that is not base64, or not 32 bytes of it, is
     CorruptState naming the flag; no window is written, the offer stays."""
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     assert server_main([
         "offer", "--keystore", str(ws / "server.kv"),
-        "--grant-id", "g-attest", "--out", str(ws / "offer.kv"), "--seed", SEED_C,
+        "--grant-id", "g-attest", "--out", str(ws / "offer.kv"),
     ]) == 0
     assert _client(ws, "grant", "--server-offer", str(ws / "offer.kv"),
                    "--start", DAY1.isoformat(), "--today", DAY1.isoformat(),
@@ -660,7 +730,7 @@ def test_exit_code_bad_expect_attest(ws, capsys):
 def test_short_offer_key_exits_6(ws, capsys):
     """A `server_eph_pub=` of 31 bytes in an offer file is CorruptState
     naming the field: the state does not rotate and no grant is written."""
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     (ws / "offer.kv").write_text(f"grant_id=g-short\nserver_eph_pub={_SHORT_KEY}\n")
     state = (ws / "state.kv").read_bytes()
     capsys.readouterr()
@@ -677,7 +747,7 @@ def test_short_offer_key_exits_6(ws, capsys):
 def test_init_short_server_pub_exits_6(ws, capsys, via):
     """A server long-term key of 31 bytes, from `--server-pub` or from the
     config's `server_pub=`, is CorruptState naming it; no state is written."""
-    argv = ["init", "--today", DAY1.isoformat(), "--seed", SEED_A]
+    argv = ["init", "--today", DAY1.isoformat()]
     if via == "flag":
         argv = ["--server-pub", _SHORT_KEY, *argv]
     else:
@@ -712,7 +782,7 @@ def test_rejected_input_exits_6_and_writes_nothing(ws, capsys, command, field, v
         old = parse_kv(text, "f")[field]
         path.write_text(text.replace(f"{field}={old}\n", f"{field}={value}\n"))
 
-    init = ["init", "--today", DAY1.isoformat(), "--seed", SEED_A]
+    init = ["init", "--today", DAY1.isoformat()]
     grant = ["grant", "--server-offer", str(ws / "offer.kv"), "--start", DAY1.isoformat(),
              "--today", DAY1.isoformat(), "--out", str(ws / "grant.kv")]
     accept = ["accept", "--keystore", str(ws / "server.kv"), "--grant", str(ws / "grant.kv"),
@@ -723,7 +793,7 @@ def test_rejected_input_exits_6_and_writes_nothing(ws, capsys, command, field, v
     else:
         assert _client(ws, *init) == 0
         assert server_main(["offer", "--keystore", str(ws / "server.kv"), "--grant-id", "g-bad",
-                            "--out", str(ws / "offer.kv"), "--seed", SEED_C]) == 0
+                            "--out", str(ws / "offer.kv")]) == 0
         if command == "grant":
             swap(ws / "offer.kv")
             run = lambda: _client(ws, *grant)
@@ -735,6 +805,60 @@ def test_rejected_input_exits_6_and_writes_nothing(ws, capsys, command, field, v
     capsys.readouterr()
     assert run() == 6
     assert capsys.readouterr().err.startswith(f"error {error}: ")
+    assert {p.name: p.read_bytes() for p in ws.iterdir()} == before
+
+
+def _init_and_offer(ws) -> None:
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
+    assert server_main(["offer", "--keystore", str(ws / "server.kv"), "--grant-id", "g-1",
+                        "--out", str(ws / "offer.kv")]) == 0
+
+
+@pytest.mark.parametrize("command", ["init", "grant", "keygen", "offer"])
+def test_seed_is_a_usage_error(ws, capsys, command):
+    """No command takes a key seed: `--seed` is an argparse usage error that
+    exits 2 and writes nothing, and the same command without it exits 0."""
+    if command != "init":
+        _init_and_offer(ws)
+    run, argv = {
+        "init": (lambda a: _client(ws, *a), ["init", "--today", DAY1.isoformat()]),
+        "grant": (lambda a: _client(ws, *a), [
+            "grant", "--server-offer", str(ws / "offer.kv"), "--start", DAY1.isoformat(),
+            "--today", DAY1.isoformat(), "--out", str(ws / "grant.kv")]),
+        "keygen": (server_main, ["keygen", "--keystore", str(ws / "other.kv")]),
+        "offer": (server_main, ["offer", "--keystore", str(ws / "server.kv"), "--grant-id", "g-2",
+                                "--out", str(ws / "offer2.kv")]),
+    }[command]
+    before = {p.name: p.read_bytes() for p in ws.iterdir()}
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--seed", "07" * 32])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in ws.iterdir()} == before
+    assert run(argv) == 0
+
+
+@pytest.mark.parametrize("server_id", ["ops ", "ops\t", "ops\nv=9", "ops\rx", "ops\u2028x"],
+                         ids=["space", "tab", "newline", "carriage-return", "line-separator"])
+@pytest.mark.parametrize("command", ["keygen", "grant"])
+def test_server_id_its_file_cannot_hold_exits_6(ws, capsys, command, server_id):
+    """A `--server-id` that the keystore or the grant file would not read
+    back as written exits 6 naming the field: no file is written, and a
+    refused grant leaves the state byte-identical, so no epoch is lost."""
+    if command == "keygen":
+        run = lambda: server_main(["keygen", "--keystore", str(ws / "other.kv"),
+                                   "--server-id", server_id])
+    else:
+        _init_and_offer(ws)
+        run = lambda: _client(ws, "--server-id", server_id, "grant", "--server-offer",
+                              str(ws / "offer.kv"), "--start", DAY1.isoformat(),
+                              "--today", DAY1.isoformat(), "--out", str(ws / "grant.kv"))
+    before = {p.name: p.read_bytes() for p in ws.iterdir()}
+    capsys.readouterr()
+    assert run() == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error CorruptState: ") and "'server_id'" in err
     assert {p.name: p.read_bytes() for p in ws.iterdir()} == before
 
 
@@ -756,6 +880,31 @@ def test_readme_exit_codes_match_error_classes():
             if name not in classes or classes[name].exit_code != code] == []
 
 
+_LONG_OPTION = re.compile(r"(?<![\w-])--[a-z][a-z-]*")
+
+
+def _help(main, argv, capsys) -> str:
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main([*argv, "--help"])
+    return capsys.readouterr().out
+
+
+def test_readme_names_every_cli_option(capsys):
+    """The README's CLI section names each long option of each command, as
+    `--help` lists it, and no option that no command has."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = re.search(r"^## CLI walkthrough\n(.*?)^## ", readme, re.M | re.S).group(1)
+    options = set()
+    for main in (client_main, server_main):
+        top = _help(main, [], capsys)
+        commands = re.search(r"\{([\w,]+)\}", top).group(1).split(",")
+        for text in [top, *(_help(main, [c], capsys) for c in commands)]:
+            options |= set(_LONG_OPTION.findall(text))
+    options.discard("--help")
+    assert options == set(_LONG_OPTION.findall(section))
+
+
 def test_exit_code_bad_timeline_token(ws, capsys):
     (ws / "events.csv").write_text("line_no,date,pii_type,token_b64,template\n")
     # Non-ASCII text makes b64decode raise a plain ValueError, not binascii.Error;
@@ -771,7 +920,7 @@ def test_exit_code_bad_timeline_token(ws, capsys):
 
 def test_protect_preserves_line_endings(ws, capsys):
     """CRLF, a lone CR and a last line with no newline come out as they went in."""
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     raw = (
         b"05-01 10:00:00.000  1000  1000 I T: mail a@b.co hello\r\n"
         b"05-01 10:00:01.000  1000  1000 I T: a\rb\n"
@@ -787,7 +936,7 @@ def test_protect_preserves_line_endings(ws, capsys):
 
 def test_protect_one_line_prints_equal_percentiles(ws, capsys):
     """One sample: median, p95 and p99 are that sample (quantiles needs two)."""
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     (ws / "one.log").write_text("05-01 10:00:00.000  1000  1000 I T: mail a@b.co\n")
     capsys.readouterr()
     assert _client(ws, "protect", "--in", str(ws / "one.log"), "--out", str(ws / "one.out")) == 0
@@ -816,7 +965,7 @@ def test_protect_without_year_reads_dates_nearest_today(ws):
     cfg.write_text(cfg.read_text().replace("assumed_year=2024\n", ""))
     today = date.today()
     last_use = today - timedelta(days=300)
-    assert _client(ws, "init", "--today", last_use.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", last_use.isoformat()) == 0
     (ws / "raw.log").write_text(f"{today:%m-%d} 10:00:00.000  1000  1000 I T: mail a@b.co\n")
     assert _client(ws, "protect", "--in", str(ws / "raw.log"), "--out", str(ws / "raw.out")) == 0
     assert parse_kv((ws / "state.kv").read_text(), "state")["chain_date"] == today.isoformat()
@@ -825,7 +974,7 @@ def test_protect_without_year_reads_dates_nearest_today(ws):
 @pytest.mark.parametrize("year", [[], ["--year", "2025"]], ids=["default", "2025"])
 def test_recover_december_lines_before_january_window(ws, year):
     """Lines from 12-30 to 01-02 under a window from 2025-01-01: January recovers."""
-    assert _client(ws, "init", "--today", "2024-12-30", "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", "2024-12-30") == 0
     (ws / "raw.log").write_text("".join(
         f"{day} 10:00:00.000  1000  1000 I T: mail a@b.co\n"
         for day in ["12-30", "12-31", "01-01", "01-02"]
@@ -833,7 +982,7 @@ def test_recover_december_lines_before_january_window(ws, year):
     assert _client(ws, "protect", "--in", str(ws / "raw.log"), "--out", str(ws / "prot.log")) == 0
     assert server_main([
         "offer", "--keystore", str(ws / "server.kv"),
-        "--grant-id", "g-year", "--out", str(ws / "offer.kv"), "--seed", SEED_C,
+        "--grant-id", "g-year", "--out", str(ws / "offer.kv"),
     ]) == 0
     assert _client(ws, "grant", "--server-offer", str(ws / "offer.kv"), "--start", "2025-01-01",
                    "--today", "2025-01-03", "--out", str(ws / "grant.kv")) == 0
@@ -888,7 +1037,7 @@ def test_timeline_is_valid_csv(ws, capsys, to_file):
 
 
 def test_recover_bad_year_exits_6(ws):
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     (ws / "one.log").write_text("05-01 10:00:00.000  1000  1000 I T: mail a@b.co\n")
     assert _client(ws, "protect", "--in", str(ws / "one.log"), "--out", str(ws / "one.out")) == 0
     (ws / "window.kv").write_text("v=1\ngrant_id=g-year\n")
@@ -902,7 +1051,7 @@ def test_recover_bad_year_exits_6(ws):
 
 def test_recover_early_window_without_year_exits_6(ws):
     """With no --year, the window's first year is checked like the flag."""
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     (ws / "one.log").write_text("05-01 10:00:00.000  1000  1000 I T: mail a@b.co\n")
     assert _client(ws, "protect", "--in", str(ws / "one.log"), "--out", str(ws / "one.out")) == 0
     key = base64.b64encode(b"\x01" * 32).decode()
@@ -915,7 +1064,7 @@ def test_recover_early_window_without_year_exits_6(ws):
 
 
 def test_init_rejects_basic_format_today(ws):
-    assert _client(ws, "init", "--today", "20240501", "--seed", SEED_A) == 6
+    assert _client(ws, "init", "--today", "20240501") == 6
     assert not (ws / "state.kv").exists()
 
 
@@ -925,7 +1074,7 @@ def test_init_rejects_basic_format_today(ws):
     ("2024", ["--year", "0", "protect", "--in", "one.log", "--out", "one.out"]),
 ], ids=["config-state", "config-protect", "flag-protect"])
 def test_client_bad_year_exits_6(ws, config_year, argv):
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     state_before = (ws / "state.kv").read_bytes()
     (ws / "one.log").write_text("05-01 10:00:00.000  1000  1000 I T: mail a@b.co\n")
     cfg = ws / "client.cfg"
@@ -962,10 +1111,10 @@ def test_every_trace_target_is_called(ws, monkeypatch):
 
     write_corpus(BenchConfig(line_count=100, pii_density="medium", day_span=3, seed=5),
                  ws / "raw.log", ws / "raw.truth.csv")
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     assert _client(ws, "protect", "--in", str(ws / "raw.log"), "--out", str(ws / "prot.log")) == 0
     assert server_main(["offer", "--keystore", str(ws / "server.kv"), "--grant-id", "g-trace",
-                        "--out", str(ws / "offer.kv"), "--seed", SEED_C]) == 0
+                        "--out", str(ws / "offer.kv")]) == 0
     assert _client(ws, "grant", "--server-offer", str(ws / "offer.kv"), "--start", DAY1.isoformat(),
                    "--today", D(3).isoformat(), "--out", str(ws / "grant.kv")) == 0
     assert server_main(["accept", "--keystore", str(ws / "server.kv"), "--grant", str(ws / "grant.kv"),
@@ -987,10 +1136,10 @@ def _investigate(ws, raw: str, start: date, today: date) -> None:
     """init on DAY1, protect `raw` to prot.log, then a grant for
     [start, today] accepted into window.kv."""
     (ws / "raw.log").write_text(raw)
-    assert _client(ws, "init", "--today", DAY1.isoformat(), "--seed", SEED_A) == 0
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     assert _client(ws, "protect", "--in", str(ws / "raw.log"), "--out", str(ws / "prot.log")) == 0
     assert server_main(["offer", "--keystore", str(ws / "server.kv"), "--grant-id", "g-read",
-                        "--out", str(ws / "offer.kv"), "--seed", SEED_C]) == 0
+                        "--out", str(ws / "offer.kv")]) == 0
     assert _client(ws, "grant", "--server-offer", str(ws / "offer.kv"), "--start", start.isoformat(),
                    "--today", today.isoformat(), "--out", str(ws / "grant.kv")) == 0
     assert server_main(["accept", "--keystore", str(ws / "server.kv"), "--grant", str(ws / "grant.kv"),
@@ -1145,8 +1294,7 @@ def test_cli_imports_no_dataclasses_or_serialization():
 
 def test_cli_commands_load_no_stdlib_hashing(ws):
     """Every command runs in one child without loading stdlib hashing or
-    `secrets`; an import-only check misses a module a command loads late.
-    No --seed is given, so keys and nonces come from the system's randomness."""
+    `secrets`; an import-only check misses a module a command loads late."""
     write_corpus(BenchConfig(line_count=60, pii_density="high", day_span=3, seed=5),
                  ws / "raw.log", ws / "raw.truth.csv")
     cfg, ks = ["--config", str(ws / "client.cfg")], ["--keystore", str(ws / "server.kv")]
@@ -1247,13 +1395,13 @@ def test_each_cli_loads_only_its_own_engine(ws):
     write_corpus(BenchConfig(line_count=60, pii_density="high", day_span=3, seed=5),
                  ws / "raw.log", ws / "raw.truth.csv")
     assert server_main(["offer", "--keystore", str(ws / "server.kv"), "--grant-id", "case-1",
-                        "--out", str(ws / "offer.kv"), "--seed", SEED_C]) == 0
+                        "--out", str(ws / "offer.kv")]) == 0
     cfg, ks = ["--config", str(ws / "client.cfg")], ["--keystore", str(ws / "server.kv")]
     p = {name: str(ws / name) for name in
          ("raw.log", "protected.log", "offer.kv", "offer2.kv", "grant.kv", "window.kv",
           "events.csv", "linkage.csv", "other.kv")}
     client_argvs = [
-        [*cfg, "init", "--today", D(1).isoformat(), "--seed", SEED_A],
+        [*cfg, "init", "--today", D(1).isoformat()],
         [*cfg, "protect", "--in", p["raw.log"], "--out", p["protected.log"]],
         [*cfg, "grant", "--server-offer", p["offer.kv"], "--start", D(1).isoformat(),
          "--today", D(3).isoformat(), "--out", p["grant.kv"]],

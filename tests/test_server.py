@@ -587,6 +587,8 @@ _BAD_ROW = st.one_of(
     st.sampled_from(["not base64!", "AQEBAQEBAQEBAQEBAQEBAQ", "AQEBAQEBAQEBAQEBAQEBA===",
                      "AQEBAQEB AQEBAQEBAQEBAQ==", "\u00e9QEBAQEBAQEBAQEBAQEBAQ=="]).map(
         lambda tok: f"1,2024-05-01,EMAIL,{tok},t\r\n"),
+    st.sampled_from(["1_0", " 7", "+7", "007", "\u0667", "0", "-1", ""]).map(
+        lambda line_no: f"{line_no},2024-05-01,EMAIL,{_TOKEN_POOL[0]},t\r\n"),
     st.sampled_from(["2024-02-30", "2024-5-01", "20240501", "2024-13-01", "2024-W18-3", ""]).map(
         lambda day: f"1,{day},EMAIL,{_TOKEN_POOL[0]},t\r\n"),
     st.sampled_from(["NAME", "email", "EMAIL ", ""]).map(
