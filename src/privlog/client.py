@@ -18,6 +18,7 @@ same plaintext stable across grants.
 
 from __future__ import annotations
 
+import functools
 from datetime import date, timedelta
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -40,6 +41,9 @@ STATE_VERSION = "1"
 
 MODE_STREAM = "stream"
 MODE_BATCH = "batch"
+# Distinct values whose tokens a session keeps; a value past this many is
+# hashed again when it recurs.
+TOKEN_CACHE_SIZE = 4096
 
 
 class _ClientStateFields(NamedTuple):
@@ -159,6 +163,11 @@ class ProtectSession:
         self.assumed_year = assumed_year
         self._last_date = near or state.chain_date
         self._cache: Dict[date, SecretKey32] = {}
+        # A token depends only on the value and the hash key, which a session
+        # never changes: each distinct value is hashed once. Nothing sealed is kept.
+        hash_key = state.hash_key
+        self._token = functools.lru_cache(TOKEN_CACHE_SIZE)(
+            lambda text: pseudonymize(hash_key, text.encode()))
 
     @property
     def state(self) -> ClientState:
@@ -199,8 +208,8 @@ class ProtectSession:
         spans = detect_pii(line)
         if not spans:
             return line, 0
-        hash_key = self._state.hash_key
-        fields = [new_field((pii_type, aead_seal(key, pseudonymize(hash_key, text.encode()))))
+        token = self._token
+        fields = [new_field((pii_type, aead_seal(key, token(text))))
                   for pii_type, _, _, text in spans]
         return encode_protected_line(line, spans, fields), len(spans)
 

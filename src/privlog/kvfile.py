@@ -36,6 +36,12 @@ def parse_kv(text: str, what: str = "file") -> Dict[str, str]:
     return out
 
 
+def key_lines(text: str) -> Dict[str, int]:
+    """The number of the line `parse_kv` read each key from: the name of an
+    entry whose key may hold a secret that lost its '=' separator."""
+    return {raw.strip().partition("=")[0]: n for n, raw in enumerate(text.splitlines(), start=1)}
+
+
 def parse_versioned(text: str, what: str, version: str) -> Dict[str, str]:
     """`parse_kv`, then require field `v` to be `version` (else UnsupportedVersion)."""
     fields = parse_kv(text, what)
@@ -94,7 +100,9 @@ def iso_date(text: str, what: str) -> date:
     if _ISO_DATE.fullmatch(text):
         with contextlib.suppress(ValueError):
             return date.fromisoformat(text)
-    raise CorruptState(f"{what}: {text!r} is not an ISO date (YYYY-MM-DD)")
+        raise CorruptState(f"{what}: {text!r} is not an ISO date (YYYY-MM-DD)")
+    # Quoted only in the date's shape: text of any other may hold a secret.
+    raise CorruptState(f"{what} is not an ISO date (YYYY-MM-DD)")
 
 
 def date_field(fields: Dict[str, str], key: str, what: str) -> date:

@@ -10,7 +10,8 @@ pattern satisfies. PHONE, the one pattern that can match a space, is
 scanned from just before the first phone-shaped digit group. Every other
 pattern is scanned only inside the ' '-separated pieces that pass its
 precheck, so a piece without '@', '://', 'SN-', enough ':' '-' '.'
-separators or a 15-digit run costs no scan.
+separators or a 15-digit run costs no scan. A piece's matches depend on
+its text alone, so a piece seen again is looked up, not scanned.
 
 Wire grammar for a protected field, with no interior whitespace:
 
@@ -28,7 +29,7 @@ import functools
 import re
 from binascii import a2b_base64, b2a_base64
 from datetime import date
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import InvalidSpans
 
@@ -164,6 +165,36 @@ def _token_types(piece: str) -> List[PiiType]:
     return types
 
 
+# The candidates of each piece seen again lately, at offsets within it,
+# keyed on its whole text (README). `_SEEN` marks the hash slot of each
+# piece seen once, so a piece that never recurs is scanned in place and
+# kept nowhere. Both are emptied once PIECE_CACHE_SIZE pieces are kept.
+PIECE_CACHE_SIZE = 4096
+_PIECES: Dict[str, List[Tuple[int, int, int, int]]] = {}
+_SLOT_MASK = 0xFFFF
+_SEEN = bytearray(_SLOT_MASK + 1)
+
+
+def _forget_pieces() -> None:
+    _PIECES.clear()
+    _SEEN[:] = bytes(len(_SEEN))
+
+
+def _scan(piece: str, pos: int, out: list) -> list:
+    """`out` with every space-free match in `piece` whose precheck holds
+    appended as (start - end, start, priority index, end), each offset
+    moved by `pos`. A piece starts a line or follows a space and ends one
+    or precedes a space, and each lookaround and `\\b` of these patterns
+    reads a space as it reads the edge of a string: the matches depend on
+    the piece's text alone."""
+    for pii_type in _token_types(piece):
+        finditer, rank = _SCANS[pii_type]
+        for m in finditer(piece):
+            start, end = m.span()
+            out.append((start - end, start + pos, rank, end + pos))
+    return out
+
+
 def detect_pii(line: str) -> List[PiiSpan]:
     """Every match where its precheck holds, overlaps resolved: longer spans
     win, then earlier starts, then the fixed priority order."""
@@ -189,17 +220,23 @@ def detect_pii(line: str) -> List[PiiSpan]:
     # No piece of a logcat header passes a precheck (README): skip them.
     header = _HEADER.match(line)
     pos = header.end() + 1 if header else 0
-    # A lookbehind or `\b` at `pos` sees the space before it, and `stop`
-    # reads as the end of the line, as the space after it would.
     for piece in line[pos:].split(" "):
         stop = pos + len(piece)
         # Every space-free match has three characters, one not a letter.
         if stop - pos > 2 and not piece.isalpha():
-            for pii_type in _token_types(piece):
-                finditer, rank = _SCANS[pii_type]
-                for m in finditer(line, pos, stop):
-                    start, end = m.span()
-                    candidates.append((start - end, start, rank, end))
+            found = _PIECES.get(piece)
+            if found is None:
+                slot = hash(piece) & _SLOT_MASK
+                if _SEEN[slot]:
+                    if len(_PIECES) >= PIECE_CACHE_SIZE:
+                        _forget_pieces()
+                    found = _PIECES[piece] = _scan(piece, 0, [])
+                else:
+                    _SEEN[slot] = 1
+                    _scan(piece, pos, candidates)
+            if found:
+                for length, start, rank, end in found:
+                    candidates.append((length, start + pos, rank, end + pos))
         pos = stop + 1
     candidates.sort()
     chosen = []

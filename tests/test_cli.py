@@ -593,18 +593,20 @@ _SECRET_LINE = re.compile(r"^(root_key|hash_key|chain_key|uds|longterm_priv|eph\
 
 
 def _secrets_in(ws) -> set:
-    return {base64.b64decode(m.group(2)) for name in ("identity.kv", "state.kv", "server.kv",
-                                                      "other.kv", "window.kv")
+    """The secrets in the workspace's key files. An ephemeral entry joined
+    to its key reads as an empty value, which is no secret."""
+    return {raw for name in ("identity.kv", "state.kv", "server.kv", "other.kv", "window.kv")
             if (ws / name).exists()
-            for m in _SECRET_LINE.finditer((ws / name).read_text())}
+            for m in _SECRET_LINE.finditer((ws / name).read_text())
+            if (raw := base64.b64decode(m.group(2)))}
 
 
 def test_no_command_prints_a_planted_value_or_a_secret(ws, capsys):
     """Every command, and every exit 6 on a state, keystore, identity or
-    window keys file with a secret line cut or stripped of its key, prints
-    on stdout and stderr neither a planted plaintext nor the raw, hex or
-    base64 form (or a prefix of one) of the UDS, the CDI, a state key, a
-    day key or a server private key."""
+    window keys file with a secret line cut, stripped of its key or joined
+    to it, prints on stdout and stderr neither a planted plaintext nor the
+    raw, hex or base64 form (or a prefix of one) of the UDS, the CDI, a
+    state key, a day key or a server private key."""
     from privlog.dice import derive_cdi, parse_identity
 
     (ws / "raw.log").write_text("".join(
@@ -642,7 +644,10 @@ def test_no_command_prints_a_planted_value_or_a_secret(ws, capsys):
     for name, reader in readers.items():
         good = (ws / name).read_text()
         for line in (m.group(0) for m in _SECRET_LINE.finditer(good)):
-            for bad in (line.partition("=")[2].replace("=", ""), line[:-5] + "\n"):
+            # Stripped of its key, cut short, or joined to its key: a secret
+            # that lost its first '=' keeps its padding, so it reads as a key.
+            for bad in (line.partition("=")[2].replace("=", ""), line[:-5] + "\n",
+                        line.replace("=", "", 1)):
                 (ws / name).write_text(good.replace(line, bad))
                 run(6, reader)
         (ws / name).write_text(good)
@@ -1014,7 +1019,8 @@ def test_bad_ephemeral_entry_is_corrupt_state(ws, capsys, entry, cause):
     assert server_main([
         "offer", "--keystore", str(keystore), "--grant-id", "g-new", "--out", str(ws / "offer.kv"),
     ]) == 6
-    assert "eph.g-old" in capsys.readouterr().err
+    line_no = len(keystore.read_text().splitlines())
+    assert f"ephemeral entry on line {line_no} " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])

@@ -223,6 +223,24 @@ def test_protect_same_line_twice_fresh_ciphertexts(client_state):
     assert aead_open(key, f1[0].box) == aead_open(key, f2[0].box)
 
 
+def test_token_memo_belongs_to_one_hash_key(identity, server_keys, client_state):
+    """Sessions on states with different hash keys, one after the other,
+    each protect a recurring value to its token under their own key."""
+    other = init_client(DeviceIdentity(uds=identity.uds, measurement=b"\x03" * 32,
+                                       device_id=identity.device_id),
+                        server_keys.longterm.public, DAY1, rng_seed=b"\x07" * 32)
+    line = logcat(DAY1, "user dave@corp.example logged in")
+    tokens = []
+    for state in (client_state, other, client_state):
+        session = ProtectSession(state, assumed_year=2024)
+        for _ in range(2):
+            _, fields, _ = parse_protected_line(session.protect_line(line)[0])
+            token = aead_open(session.day_keys[DAY1], fields[0].box)
+            assert token == pseudonymize(state.hash_key, b"dave@corp.example")
+            tokens.append(token)
+    assert tokens[0] != tokens[2]
+
+
 def test_protect_pre_epoch_skipped(identity, server_keys):
     state = init_client(identity, server_keys.longterm.public, D(5), rng_seed=b"\x07" * 32)
     session = ProtectSession(state, assumed_year=2024)

@@ -23,6 +23,7 @@ from privlog.pii import (
     _PAYLOAD,
     _PHONE_CORE,
     _ascii_digits,
+    _forget_pieces,
     PiiSpan,
     PiiType,
     ProtectedField,
@@ -265,6 +266,33 @@ def test_precheck_holds_for_every_match(line):
             piece = line[start:] if end < 0 else line[start:end]
             assert len(piece) > 2 and not piece.isalpha(), (pii_type, piece)
             assert pii_type in _token_types(piece), (pii_type, piece)
+
+
+def _with_hard_case_edges(test):
+    for line in _HARD_CASES:
+        test = example(line=line, edge="1")(test)
+    return test
+
+
+@settings(max_examples=1000, deadline=None)
+@given(line=_ADVERSARIAL | _HEADED,
+       edge=st.sampled_from(list(_DIGIT + ":-.()+@_\t\u00a0" + _HEX + "/SN")))
+@_with_hard_case_edges
+def test_memoised_scan_equals_a_fresh_one(line, edge):
+    """A piece's matches are kept by its whole text, at offsets within it.
+    The first piece of `line` recurs at the start of a line, right after a
+    logcat header and in the middle of a line, and every other piece at
+    three offsets; each piece also recurs with its first or its last
+    character replaced by `edge`. From an empty memo (each piece scanned
+    in place, then kept, then looked up) and again from a warm one,
+    detection gives the reference spans."""
+    pieces = line.split(" ")
+    lines = (line, f"05-01 10:00:00.000  1000  1000 {line}", f"x {line} y",
+             " ".join(edge + p[1:] for p in pieces), " ".join(p[:-1] + edge for p in pieces))
+    _forget_pieces()
+    for _ in range(2):
+        for text in lines:
+            assert _as_tuples(detect_pii(text)) == oracles.detect_pii(text), text
 
 
 def _ascii_copy(line):
