@@ -18,7 +18,6 @@ same plaintext stable across grants.
 
 from __future__ import annotations
 
-import functools
 from datetime import date, timedelta
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -41,8 +40,8 @@ STATE_VERSION = "1"
 
 MODE_STREAM = "stream"
 MODE_BATCH = "batch"
-# Distinct values whose tokens a session keeps; a value past this many is
-# hashed again when it recurs.
+# Distinct values whose tokens a session keeps; once it holds this many,
+# it drops them all.
 TOKEN_CACHE_SIZE = 4096
 
 
@@ -165,9 +164,7 @@ class ProtectSession:
         self._cache: Dict[date, SecretKey32] = {}
         # A token depends only on the value and the hash key, which a session
         # never changes: each distinct value is hashed once. Nothing sealed is kept.
-        hash_key = state.hash_key
-        self._token = functools.lru_cache(TOKEN_CACHE_SIZE)(
-            lambda text: pseudonymize(hash_key, text.encode()))
+        self._tokens: Dict[str, bytes] = {}
 
     @property
     def state(self) -> ClientState:
@@ -208,9 +205,15 @@ class ProtectSession:
         spans = detect_pii(line)
         if not spans:
             return line, 0
-        token = self._token
-        fields = [new_field((pii_type, aead_seal(key, token(text))))
-                  for pii_type, _, _, text in spans]
+        tokens = self._tokens
+        fields = []
+        for pii_type, _, _, text in spans:
+            token = tokens.get(text)
+            if token is None:
+                if len(tokens) >= TOKEN_CACHE_SIZE:
+                    tokens.clear()
+                token = tokens[text] = pseudonymize(self._state.hash_key, text.encode())
+            fields.append(new_field((pii_type, aead_seal(key, token))))
         return encode_protected_line(line, spans, fields), len(spans)
 
 

@@ -36,12 +36,6 @@ def parse_kv(text: str, what: str = "file") -> Dict[str, str]:
     return out
 
 
-def key_lines(text: str) -> Dict[str, int]:
-    """The number of the line `parse_kv` read each key from: the name of an
-    entry whose key may hold a secret that lost its '=' separator."""
-    return {raw.strip().partition("=")[0]: n for n, raw in enumerate(text.splitlines(), start=1)}
-
-
 def parse_versioned(text: str, what: str, version: str) -> Dict[str, str]:
     """`parse_kv`, then require field `v` to be `version` (else UnsupportedVersion)."""
     fields = parse_kv(text, what)

@@ -165,34 +165,13 @@ def _token_types(piece: str) -> List[PiiType]:
     return types
 
 
-# The candidates of each piece seen again lately, at offsets within it,
-# keyed on its whole text (README). `_SEEN` marks the hash slot of each
-# piece seen once, so a piece that never recurs is scanned in place and
-# kept nowhere. Both are emptied once PIECE_CACHE_SIZE pieces are kept.
-PIECE_CACHE_SIZE = 4096
-_PIECES: Dict[str, List[Tuple[int, int, int, int]]] = {}
-_SLOT_MASK = 0xFFFF
-_SEEN = bytearray(_SLOT_MASK + 1)
-
-
-def _forget_pieces() -> None:
-    _PIECES.clear()
-    _SEEN[:] = bytes(len(_SEEN))
-
-
-def _scan(piece: str, pos: int, out: list) -> list:
-    """`out` with every space-free match in `piece` whose precheck holds
-    appended as (start - end, start, priority index, end), each offset
-    moved by `pos`. A piece starts a line or follows a space and ends one
-    or precedes a space, and each lookaround and `\\b` of these patterns
-    reads a space as it reads the edge of a string: the matches depend on
-    the piece's text alone."""
-    for pii_type in _token_types(piece):
-        finditer, rank = _SCANS[pii_type]
-        for m in finditer(piece):
-            start, end = m.span()
-            out.append((start - end, start + pos, rank, end + pos))
-    return out
+# The candidates of each piece of at most PIECE_MAX_LEN characters, at
+# offsets within it and keyed on its whole text (README). Emptied once it
+# holds PIECE_CACHE_SIZE pieces. Only ints are kept, in tuples, which the
+# garbage collector stops tracking.
+PIECE_CACHE_SIZE = 1024
+PIECE_MAX_LEN = 64
+_PIECES: Dict[str, Tuple[Tuple[int, int, int, int], ...]] = {}
 
 
 def detect_pii(line: str) -> List[PiiSpan]:
@@ -220,23 +199,26 @@ def detect_pii(line: str) -> List[PiiSpan]:
     # No piece of a logcat header passes a precheck (README): skip them.
     header = _HEADER.match(line)
     pos = header.end() + 1 if header else 0
+    # A piece's matches are those of the piece as a string of its own: its
+    # start reads as the space before it, its end as the space after.
     for piece in line[pos:].split(" "):
         stop = pos + len(piece)
         # Every space-free match has three characters, one not a letter.
         if stop - pos > 2 and not piece.isalpha():
             found = _PIECES.get(piece)
             if found is None:
-                slot = hash(piece) & _SLOT_MASK
-                if _SEEN[slot]:
+                found = ()
+                for pii_type in _token_types(piece):
+                    finditer, rank = _SCANS[pii_type]
+                    for m in finditer(piece):
+                        start, end = m.span()
+                        found += ((start - end, start, rank, end),)
+                if stop - pos <= PIECE_MAX_LEN:
                     if len(_PIECES) >= PIECE_CACHE_SIZE:
-                        _forget_pieces()
-                    found = _PIECES[piece] = _scan(piece, 0, [])
-                else:
-                    _SEEN[slot] = 1
-                    _scan(piece, pos, candidates)
-            if found:
-                for length, start, rank, end in found:
-                    candidates.append((length, start + pos, rank, end + pos))
+                        _PIECES.clear()
+                    _PIECES[piece] = found
+            for length, start, rank, end in found:
+                candidates.append((length, start + pos, rank, end + pos))
         pos = stop + 1
     candidates.sort()
     chosen = []

@@ -26,7 +26,7 @@ from .crypto import (
 from .errors import AuthFailure, ContextMismatch, CorruptState, InvalidWindow
 from .grant import Grant, open_window
 from .kvfile import (
-    b64, b64_decode, b64_field, csv_field, format_kv, iso_date, key_lines, parse_versioned, require,
+    b64, b64_decode, b64_field, csv_field, format_kv, iso_date, parse_versioned, require,
 )
 from .pii import PiiType, extract_date, parse_protected_line, roll_year
 
@@ -315,11 +315,11 @@ def load_server_keys(text: str) -> ServerKeys:
             public=b64_field(fields, "longterm_pub", "server keystore", 32),
         ),
     )
-    lines = key_lines(text)
     for key, value in fields.items():
         if not key.startswith("eph."):
             continue
-        what = f"server keystore: ephemeral entry on line {lines[key]}"
+        # Named without its key: a secret that lost its '=' reads as one.
+        what = "server keystore: an ephemeral entry"
         parts = value.split(",")
         if len(parts) != 2:
             raise CorruptState(f"{what} must be two base64 keys joined by ','")
@@ -337,10 +337,9 @@ def save_window_keys(window: WindowKeys) -> str:
 def load_window_keys(text: str) -> WindowKeys:
     fields = parse_versioned(text, "window keys file", WINDOW_VERSION)
     days: Dict[date, SecretKey32] = {}
-    lines = key_lines(text)
     for key in fields:
         if key.startswith("key."):
-            day = iso_date(key[len("key.") :], f"window keys file: day on line {lines[key]}")
+            day = iso_date(key[len("key.") :], "window keys file: the date of a key. entry")
             days[day] = SecretKey32(b64_field(fields, key, "window keys file", 32))
     return WindowKeys(grant_id=require(fields, "grant_id", "window keys file"), days=days)
 

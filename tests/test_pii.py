@@ -21,9 +21,9 @@ from privlog.pii import (
     _DIGIT_GATE,
     _HEADER,
     _PAYLOAD,
+    _PIECES,
     _PHONE_CORE,
     _ascii_digits,
-    _forget_pieces,
     PiiSpan,
     PiiType,
     ProtectedField,
@@ -284,12 +284,12 @@ def test_memoised_scan_equals_a_fresh_one(line, edge):
     logcat header and in the middle of a line, and every other piece at
     three offsets; each piece also recurs with its first or its last
     character replaced by `edge`. From an empty memo (each piece scanned
-    in place, then kept, then looked up) and again from a warm one,
-    detection gives the reference spans."""
+    and kept, then looked up) and again from a warm one, detection gives
+    the reference spans."""
     pieces = line.split(" ")
     lines = (line, f"05-01 10:00:00.000  1000  1000 {line}", f"x {line} y",
              " ".join(edge + p[1:] for p in pieces), " ".join(p[:-1] + edge for p in pieces))
-    _forget_pieces()
+    _PIECES.clear()
     for _ in range(2):
         for text in lines:
             assert _as_tuples(detect_pii(text)) == oracles.detect_pii(text), text

@@ -680,7 +680,7 @@ _EVENTS = "line_no,date,pii_type,token_b64,template\n"
      CorruptState, "grant file"),
     (load_server_keys, f"v=1\nserver_id=s\nlongterm_priv={_KEY}\nlongterm_pub={_KEY}\n"
      f"eph.g={_KEY},{base64.b64encode(bytes(31)).decode()}\n",
-     CorruptState, "ephemeral entry on line 5 "),
+     CorruptState, "an ephemeral entry "),
 ], ids=["keystore-v99", "window-v99", "grant-v99", "window-date", "events-date", "grant-date",
         "window-date-basic", "grant-date-week", "keystore-eph-short"])
 def test_file_checks_reject_bad_version_and_date(load, text, exc, what):
