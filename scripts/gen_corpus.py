@@ -3,8 +3,28 @@
 
 import argparse
 from datetime import date
+from pathlib import Path
+from typing import Tuple, Union
 
-from privlog.corpus import BenchConfig, write_corpus
+from privlog.corpus import BenchConfig, generate_corpus
+from privlog.kvfile import csv_field
+
+TRUTH_HEADER = ["line_no", "start", "end", "pii_type", "plaintext"]
+
+
+def write_corpus(
+    cfg: BenchConfig,
+    log_path: Union[str, Path],
+    truth_path: Union[str, Path],
+) -> Tuple[int, int]:
+    """Write the raw log and its ground-truth sidecar; returns (lines, planted)."""
+    lines, truth = generate_corpus(cfg)
+    Path(log_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(truth_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(TRUTH_HEADER) + "\r\n")
+        for p in truth:
+            fh.write(f"{p.line_no},{p.start},{p.end},{p.pii_type.value},{csv_field(p.text)}\r\n")
+    return len(lines), len(truth)
 
 
 def main() -> None:

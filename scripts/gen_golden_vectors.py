@@ -18,7 +18,8 @@ sys.path.insert(0, str(TESTS))
 import oracles  # noqa: E402
 
 
-def main() -> None:
+def build() -> dict:
+    """Every golden vector, computed by the oracles."""
     golden = {}
 
     golden["kdf_zero_ratchet_64"] = oracles.hkdf_sha256(
@@ -127,8 +128,12 @@ def main() -> None:
         "start_chain_key": oracles.ratchet_chain(chain_key, 1)[0][0].hex(),
     }
 
+    return golden
+
+
+def main() -> None:
     out = TESTS / "data" / "golden_vectors.json"
-    out.write_text(json.dumps(golden, indent=2) + "\n")
+    out.write_text(json.dumps(build(), indent=2) + "\n")
     print(f"wrote {out}")
 
 

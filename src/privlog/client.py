@@ -31,7 +31,7 @@ from .crypto import (
     ratchet_step,
 )
 from .dice import DeviceIdentity, attestation_digest, derive_cdi
-from .errors import CorruptState, InvalidLength, InvalidWindow, OutOfOrderDate
+from .errors import CorruptState, InvalidWindow, OutOfOrderDate
 from .grant import Grant, seal_window
 from .kvfile import b64, b64_field, date_field, format_kv, parse_versioned
 from .pii import detect_pii, encode_protected_line, extract_date, new_field, roll_year
@@ -66,22 +66,11 @@ class ClientState(_ClientStateFields):
         return super().__new__(cls, root_key, hash_key, chain_key, chain_date, epoch_date)
 
 
-class _GrantRequestFields(NamedTuple):
+class GrantRequest(NamedTuple):
     server_pub: bytes
     start_date: date
     server_id: str
     grant_id: str
-
-
-class GrantRequest(_GrantRequestFields):
-    __slots__ = ()
-
-    def __new__(cls, server_pub: bytes, start_date: date, server_id: str, grant_id: str):
-        if len(server_pub) != 32:
-            raise InvalidLength("server ephemeral public key must be 32 bytes")
-        if not server_id or not grant_id:
-            raise InvalidWindow("server_id and grant_id must be non-empty")
-        return super().__new__(cls, server_pub, start_date, server_id, grant_id)
 
 
 def _chain_key_for(root_key: SecretKey32, epoch: date) -> SecretKey32:

@@ -3,21 +3,21 @@
 Every random draw goes through one seeded RNG, so a config produces a
 byte-identical corpus on every run. Planted values are generated to
 conform to the detection patterns, and the filler vocabulary is chosen so
-that nothing else in a line matches any pattern; the sidecar is therefore
-an exact detection and recovery oracle, which the test suite enforces.
+that nothing else in a line matches any pattern; the planted truth is
+therefore an exact detection and recovery oracle, which the test suite
+enforces.
+
+Only what perfbench imports lives here; scripts/gen_corpus.py writes the
+corpus and its truth sidecar to files.
 """
 
 from __future__ import annotations
 
-import csv
 import random
 from dataclasses import dataclass
 from datetime import date, timedelta
-from pathlib import Path
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
-from .errors import CorruptState
-from .kvfile import csv_field
 from .pii import PiiType
 
 DENSITY_MEAN = {"low": 0.1, "medium": 1.0, "high": 3.0}
@@ -166,42 +166,3 @@ def generate_corpus(cfg: BenchConfig) -> Tuple[List[str], List[PlantedPii]]:
             offset += len(text) + 1
         lines.append(line)
     return lines, truth
-
-
-TRUTH_HEADER = ["line_no", "start", "end", "pii_type", "plaintext"]
-
-
-def write_corpus(
-    cfg: BenchConfig,
-    log_path: Union[str, Path],
-    truth_path: Union[str, Path],
-) -> Tuple[int, int]:
-    """Write the raw log and its ground-truth sidecar; returns (lines, planted)."""
-    lines, truth = generate_corpus(cfg)
-    Path(log_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with open(truth_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(TRUTH_HEADER) + "\r\n")
-        for p in truth:
-            fh.write(f"{p.line_no},{p.start},{p.end},{p.pii_type.value},{csv_field(p.text)}\r\n")
-    return len(lines), len(truth)
-
-
-def read_truth(path: Union[str, Path]) -> List[PlantedPii]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRUTH_HEADER:
-            raise CorruptState(f"truth sidecar: unexpected header {header!r}")
-        out = []
-        for row in reader:
-            line_no, start, end, pii_type, text = row
-            out.append(
-                PlantedPii(
-                    line_no=int(line_no),
-                    start=int(start),
-                    end=int(end),
-                    pii_type=PiiType(pii_type),
-                    text=text,
-                )
-            )
-    return out

@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 from typing import NamedTuple, Optional, Tuple, Union
 
-from .errors import AuthFailure, EmptyInput, InvalidLength, WeakKey
+from .errors import AuthFailure, InvalidLength, WeakKey
 
 KEY_LEN = 32
 NONCE_LEN = 12
@@ -165,8 +165,6 @@ def length_prefixed(raw: bytes) -> bytes:
 
 def pseudonymize(hash_key: SecretKey32, plaintext: bytes) -> bytes:
     """Stable 16-byte correlation token for a sensitive value."""
-    if not plaintext:
-        raise EmptyInput("cannot pseudonymize empty input")
     state = hash_key.hmac().copy()
     state.update(plaintext)
     return state.finalize()[:TOKEN_LEN]

@@ -9,10 +9,6 @@ class PrivlogError(Exception):
     exit_code = 1
 
 
-class EmptyInput(PrivlogError):
-    """An operation that requires non-empty input received none."""
-
-
 class AuthFailure(PrivlogError):
     """AEAD authentication failed: wrong key, wrong AAD, or tampering."""
 

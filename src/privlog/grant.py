@@ -13,8 +13,10 @@ from __future__ import annotations
 from datetime import date
 from typing import NamedTuple, Tuple
 
-from .crypto import NONCE_LEN, SecretKey32, aead_open, aead_seal, kdf, length_prefixed
-from .errors import CorruptState
+from .crypto import (
+    NONCE_LEN, PREFIX_MAX, SecretKey32, aead_open, aead_seal, kdf, length_prefixed,
+)
+from .errors import CorruptState, InvalidLength
 from .kvfile import (
     b64, b64_field, date_field, format_kv, iso_date, parse_kv, parse_versioned, require,
 )
@@ -33,6 +35,17 @@ class Grant(NamedTuple):
     grant_date: date
 
 
+def check_grant_id(grant_id: str) -> str:
+    """`grant_id` if an offer may carry it: InvalidLength if longer than the
+    2-byte length that prefixes it in the AAD, CorruptState unless it is
+    [A-Za-z0-9._-]+."""
+    if len(grant_id) > PREFIX_MAX:
+        raise InvalidLength(f"grant_id of {len(grant_id)} characters is longer than {PREFIX_MAX}")
+    if not grant_id or not all((c.isascii() and c.isalnum()) or c in "._-" for c in grant_id):
+        raise CorruptState(f"grant_id {grant_id!r} must be [A-Za-z0-9._-]+")
+    return grant_id
+
+
 def format_offer(grant_id: str, server_eph_pub: bytes) -> str:
     return format_kv([("grant_id", grant_id), ("server_eph_pub", b64(server_eph_pub))])
 
@@ -40,7 +53,7 @@ def format_offer(grant_id: str, server_eph_pub: bytes) -> str:
 def parse_offer(text: str) -> Tuple[str, bytes]:
     """(grant id, the server's 32-byte ephemeral public key) of an offer file."""
     fields = parse_kv(text, "offer file")
-    return (require(fields, "grant_id", "offer file"),
+    return (check_grant_id(require(fields, "grant_id", "offer file")),
             b64_field(fields, "server_eph_pub", "offer file", 32))
 
 

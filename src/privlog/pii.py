@@ -293,17 +293,16 @@ def render_field(field: ProtectedField) -> str:
 def encode_protected_line(
     line: str, spans: List[PiiSpan], fields: List[ProtectedField]
 ) -> str:
-    """Replace each span with its protected element; other bytes unchanged."""
+    """Replace each span with its protected element; other bytes unchanged.
+
+    `spans` must be in order and disjoint, as `detect_pii` returns them."""
     if len(spans) != len(fields):
         raise InvalidSpans(f"{len(spans)} spans but {len(fields)} fields")
-    pairs = zip(spans, fields)
-    if any(a.start > b.start for a, b in zip(spans, spans[1:])):
-        pairs = sorted(pairs, key=lambda p: p[0].start)
     pos = 0
     parts = []
-    for span, field in pairs:
+    for span, field in zip(spans, fields):
         if span.start < pos:
-            raise InvalidSpans(f"overlapping span at {span.start}")
+            raise InvalidSpans(f"span at {span.start} overlaps or precedes the one before")
         if not 0 <= span.start < span.end <= len(line):
             raise InvalidSpans(f"span [{span.start}, {span.end}) out of bounds")
         parts.append(line[pos : span.start])

@@ -20,11 +20,10 @@ from datetime import date, timedelta
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .crypto import (
-    PREFIX_MAX, TOKEN_LEN, DhKeyPair, SecretKey32, aead_open, dh_derive_keypair, dh_shared,
-    ratchet_step,
+    TOKEN_LEN, DhKeyPair, SecretKey32, aead_open, dh_derive_keypair, dh_shared, ratchet_step,
 )
 from .errors import AuthFailure, ContextMismatch, CorruptState, InvalidWindow
-from .grant import Grant, open_window
+from .grant import Grant, check_grant_id, open_window
 from .kvfile import (
     b64, b64_decode, b64_field, csv_field, format_kv, iso_date, parse_versioned, require,
 )
@@ -58,11 +57,10 @@ def keygen(server_id: str, seed: Optional[bytes] = None) -> ServerKeys:
 
 def create_offer(keys: ServerKeys, grant_id: str, seed: Optional[bytes] = None) -> bytes:
     """Mint the single-use ephemeral keypair for one grant; returns its public key."""
-    # The grant's AAD carries the id behind a 2-byte length.
-    if len(grant_id) > PREFIX_MAX:
-        raise InvalidWindow(f"grant_id of {len(grant_id)} characters is longer than {PREFIX_MAX}")
-    if not grant_id or not all((c.isascii() and c.isalnum()) or c in "._-" for c in grant_id):
-        raise InvalidWindow(f"grant_id {grant_id!r} must be [A-Za-z0-9._-]+")
+    try:
+        check_grant_id(grant_id)
+    except CorruptState as exc:
+        raise InvalidWindow(str(exc)) from exc
     if grant_id in keys.ephemeral:
         raise InvalidWindow(f"grant_id {grant_id!r} already has an outstanding offer")
     pair = dh_derive_keypair(seed, b"server-ephemeral")

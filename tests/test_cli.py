@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import privlog
 from privlog.cli import _BUCKETS, _bucket, _percentiles, client_main, server_main
-from privlog.corpus import BenchConfig, write_corpus
+from privlog.corpus import BenchConfig, generate_corpus
 from privlog.crypto import dh_derive_keypair
 from privlog.dice import DeviceIdentity, format_identity
 from privlog.errors import CorruptState
@@ -63,9 +63,16 @@ def _client(ws, *args):
     return client_main(["--config", str(ws / "client.cfg"), *args])
 
 
+def _write_log(path: Path, cfg: BenchConfig):
+    """`cfg`'s corpus as a raw log at `path`; returns its planted truth."""
+    lines, truth = generate_corpus(cfg)
+    path.write_text("\n".join(lines) + "\n")
+    return truth
+
+
 def test_full_cli_roundtrip(ws, capsys):
     cfg = BenchConfig(line_count=300, pii_density="medium", day_span=5, seed=1001)
-    write_corpus(cfg, ws / "raw.log", ws / "raw.truth.csv")
+    truth = _write_log(ws / "raw.log", cfg)
 
     assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     assert _client(ws, "protect", "--in", str(ws / "raw.log"),
@@ -92,12 +99,11 @@ def test_full_cli_roundtrip(ws, capsys):
     assert events_rows[0] == "line_no,date,pii_type,token_b64,template"
     # window covers days 2..5: exactly the planted fields in range recover
     from privlog.pii import extract_date
-    from privlog.corpus import read_truth
 
     raw_lines = (ws / "raw.log").read_text().splitlines()
     window_days = {D(n) for n in range(2, 6)}
     expected = sum(
-        1 for p in read_truth(ws / "raw.truth.csv")
+        1 for p in truth
         if extract_date(raw_lines[p.line_no - 1], 2024) in window_days
     )
     assert len(events_rows) - 1 == expected > 0
@@ -265,9 +271,12 @@ def test_exit_code_context_mismatch(ws):
 
 
 def test_exit_code_corrupt_state(ws):
-    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
-    (ws / "state.kv").write_text("v=1\nroot_key=notb64\n")
-    assert _client(ws, "state") == 6
+    assert _client(ws, "init", "--today", D(2).isoformat()) == 0
+    good = (ws / "state.kv").read_text()
+    chain_before_epoch = good.replace(f"chain_date={D(2)}", f"chain_date={DAY1}")
+    for text in ("v=1\nroot_key=notb64\n", chain_before_epoch):
+        (ws / "state.kv").write_text(text)
+        assert _client(ws, "state") == 6
 
 
 def test_exit_code_corrupt_identity(ws):
@@ -275,9 +284,61 @@ def test_exit_code_corrupt_identity(ws):
     missing = "".join(l + "\n" for l in good.splitlines() if not l.startswith("measurement="))
     uds = parse_kv(good, "identity")["uds"]
     short_uds = good.replace(uds, base64.b64encode(b"\x11" * 31).decode())
-    for text in (missing, short_uds):
+    long_id = good.replace("device_id=pixel-lab", "device_id=" + "d" * 65)
+    for text in (missing, short_uds, long_id):
         (ws / "identity.kv").write_text(text)
         assert _client(ws, "init", "--today", DAY1.isoformat()) == 6
+        assert not (ws / "state.kv").exists()
+
+
+@pytest.mark.parametrize("dropped", ["identity", "state", "server_pub"])
+def test_config_without_a_required_entry_exits_6(ws, capsys, dropped):
+    """`init` given no identity file, no state path or no server key, in the
+    config or by a flag, exits 6 naming the config entry, and writes nothing."""
+    cfg = ws / "client.cfg"
+    cfg.write_text("".join(line for line in cfg.read_text().splitlines(keepends=True)
+                           if not line.startswith(f"{dropped}=")))
+    before = {p.name: p.read_bytes() for p in ws.iterdir()}
+    capsys.readouterr()
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error CorruptState: ") and f"{dropped}=" in err
+    assert {p.name: p.read_bytes() for p in ws.iterdir()} == before
+
+
+def test_config_comments_and_blank_lines_are_skipped(ws):
+    cfg = ws / "client.cfg"
+    lines = cfg.read_text().splitlines(keepends=True)
+    cfg.write_text("# device config\n\n" + lines[0] + "   \n  # state= commented out\n"
+                   + "".join(lines[1:]))
+    assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
+    assert (ws / "state.kv").exists()
+
+
+def test_keygen_refuses_existing_keystore(ws):
+    keystore = (ws / "server.kv").read_bytes()
+    argv = ["keygen", "--keystore", str(ws / "server.kv"), "--server-id", "lab-server"]
+    assert server_main(argv) == 6
+    assert (ws / "server.kv").read_bytes() == keystore
+    assert server_main([*argv, "--force"]) == 0
+    assert (ws / "server.kv").read_bytes() != keystore
+
+
+def test_protect_skips_pre_epoch_lines(ws, capsys):
+    """Lines dated before the epoch are counted and left out of the output."""
+    assert _client(ws, "init", "--today", D(2).isoformat()) == 0
+    (ws / "raw.log").write_text(
+        "05-01 10:00:00.000  1000  1000 I T: mail a@b.co\n"
+        "05-02 10:00:00.000  1000  1000 I T: mail c@d.co\n"
+        "05-01 11:00:00.000  1000  1000 I T: no mail\n"
+    )
+    capsys.readouterr()
+    assert _client(ws, "protect", "--in", str(ws / "raw.log"), "--out", str(ws / "out.log")) == 0
+    out = capsys.readouterr().out
+    assert f"protected 1 lines (1 fields) -> {ws / 'out.log'}" in out
+    assert "skipped 2 pre-epoch lines" in out
+    protected = (ws / "out.log").read_text().splitlines()
+    assert len(protected) == 1 and protected[0].startswith("05-02 ")
 
 
 def test_exit_code_unsupported_version(ws):
@@ -774,14 +835,19 @@ _LONG = "a" * 70_000  # longer than a 2-byte length prefix can hold
     ("init", "server_pub", _ZERO_KEY, "WeakKey"),
     ("grant", "server_eph_pub", _ZERO_KEY, "WeakKey"),
     ("grant", "grant_id", _LONG, "InvalidLength"),
+    ("grant", "grant_id", "g\u00e9", "CorruptState"),
+    ("grant", "grant_id", "", "CorruptState"),
     ("accept", "client_eph_pub", _ZERO_KEY, "WeakKey"),
     ("accept", "server_id", _LONG, "InvalidLength"),
 ], ids=["init-weak-server_pub", "grant-weak-server_eph_pub", "grant-long-grant_id",
+        "grant-non-ascii-grant_id", "grant-empty-grant_id",
         "accept-weak-client_eph_pub", "accept-long-server_id"])
 def test_rejected_input_exits_6_and_writes_nothing(ws, capsys, command, field, value, error):
     """`field=` set to `value` in the file `command` reads (config, offer or
     grant) is a rejected input: exit 6 naming `error`, and every file in the
-    workspace, the state and the keystore among them, stays as it was."""
+    workspace, the state and the keystore among them, stays as it was. An
+    offer's grant id is held to the rule the server's `offer` keeps, so an
+    offer no server could have made rotates nothing."""
     def swap(path):
         text = path.read_text()
         old = parse_kv(text, "f")[field]
@@ -1115,8 +1181,8 @@ def test_every_trace_target_is_called(ws, monkeypatch):
 
         monkeypatch.setattr(owner, attr, counted)
 
-    write_corpus(BenchConfig(line_count=100, pii_density="medium", day_span=3, seed=5),
-                 ws / "raw.log", ws / "raw.truth.csv")
+    _write_log(ws / "raw.log", BenchConfig(line_count=100, pii_density="medium", day_span=3,
+                                           seed=5))
     assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     assert _client(ws, "protect", "--in", str(ws / "raw.log"), "--out", str(ws / "prot.log")) == 0
     assert server_main(["offer", "--keystore", str(ws / "server.kv"), "--grant-id", "g-trace",
@@ -1153,8 +1219,8 @@ def _investigate(ws, raw: str, start: date, today: date) -> None:
 
 
 def _dense_investigation(ws) -> None:
-    write_corpus(BenchConfig(line_count=300, pii_density="high", day_span=3, seed=13),
-                 ws / "corpus.log", ws / "corpus.truth.csv")
+    _write_log(ws / "corpus.log", BenchConfig(line_count=300, pii_density="high", day_span=3,
+                                              seed=13))
     _investigate(ws, (ws / "corpus.log").read_text(), DAY1, D(3))
 
 
@@ -1301,8 +1367,7 @@ def test_cli_imports_no_dataclasses_or_serialization():
 def test_cli_commands_load_no_stdlib_hashing(ws):
     """Every command runs in one child without loading stdlib hashing or
     `secrets`; an import-only check misses a module a command loads late."""
-    write_corpus(BenchConfig(line_count=60, pii_density="high", day_span=3, seed=5),
-                 ws / "raw.log", ws / "raw.truth.csv")
+    _write_log(ws / "raw.log", BenchConfig(line_count=60, pii_density="high", day_span=3, seed=5))
     cfg, ks = ["--config", str(ws / "client.cfg")], ["--keystore", str(ws / "server.kv")]
     p = {name: str(ws / name) for name in
          ("raw.log", "protected.log", "offer.kv", "grant.kv", "window.kv", "events.csv",
@@ -1398,8 +1463,7 @@ def test_each_cli_loads_only_its_own_engine(ws):
     """Every client command runs in one child that never imports
     `privlog.server`; every server command runs in another that never
     imports `privlog.client` or `privlog.dice`."""
-    write_corpus(BenchConfig(line_count=60, pii_density="high", day_span=3, seed=5),
-                 ws / "raw.log", ws / "raw.truth.csv")
+    _write_log(ws / "raw.log", BenchConfig(line_count=60, pii_density="high", day_span=3, seed=5))
     assert server_main(["offer", "--keystore", str(ws / "server.kv"), "--grant-id", "case-1",
                         "--out", str(ws / "offer.kv")]) == 0
     cfg, ks = ["--config", str(ws / "client.cfg")], ["--keystore", str(ws / "server.kv")]

@@ -31,6 +31,7 @@ from privlog.crypto import (
     dh_shared,
     kdf,
     pseudonymize,
+    ratchet_step,
 )
 from privlog.dice import DeviceIdentity
 from privlog.errors import (
@@ -197,6 +198,11 @@ def test_protect_no_pii_line_unchanged(client_state):
     out, count = session.protect_line(line)
     assert out == line
     assert count == 0
+
+
+def test_protect_session_refuses_unknown_mode(client_state):
+    with pytest.raises(ValueError, match="unknown mode"):
+        ProtectSession(client_state, "bulk")
 
 
 def test_protect_dateless_uses_chain_date(client_state):
@@ -406,6 +412,57 @@ def test_rotated_state_cannot_reopen_its_grant(identity, server_keys, client_sta
                 candidates.append(raw)
     assert candidates
     assert not any(opens_grant(raw) for raw in candidates)
+
+
+def test_grant_holder_cannot_reach_the_next_epoch(identity, server_keys, client_state):
+    """A grant that starts on the epoch's first day hands out that epoch's
+    first chain key. No secret its holder has (that key, the DH secret `z`,
+    the export key, a window day key), put through the rotation's own
+    derivation with its arguments in either order, gives a root whose
+    30-day chain opens a field protected after the rotation."""
+    from privlog.grant import open_window
+    from privlog.server import accept_grant, create_offer
+
+    state, _ = advance_to(client_state, D(4))
+    offer_pub = create_offer(server_keys, "g-next", seed=b"\x31" * 32)
+    server_eph = server_keys.ephemeral["g-next"]
+    grant, rotated = create_grant(
+        state, GrantRequest(offer_pub, DAY1, "lab-server", "g-next"), identity, D(4),
+        rng_seed=b"\x32" * 32,
+    )
+    window = accept_grant(server_keys, grant, "lab-server", identity.device_id)
+    z = dh_shared(server_eph.private, grant.client_eph_pub)
+    start_ck, _ = open_window(grant, z)
+    assert start_ck == client_state.chain_key  # the epoch's first chain key
+
+    session = ProtectSession(rotated, assumed_year=2024)
+    boxes = []
+    for n in (5, 6, 12, 20, 34):
+        out, count = session.protect_line(logcat(D(n), "login alice@example.com ok"))
+        assert count == 1
+        boxes.extend(field.box for field in parse_protected_line(out)[1])
+
+    secrets = [start_ck, z, SecretKey32(kdf(None, z, b"export-kdf", 32)),
+               *window.days.values()]
+    keys = []
+    for s in secrets:
+        for salt, ikm in ((s, z), (z, s)):
+            root = SecretKey32(kdf(salt, ikm, b"root-key-rotate", 32))
+            keys.append(root)
+            for ck in (root, SecretKey32(kdf(None, root, b"ck-init" + D(5).isoformat().encode(),
+                                             32))):
+                for _ in range(30):
+                    keys.append(ck)
+                    ck, mk = ratchet_step(ck)
+                    keys.append(mk)
+
+    opened = 0
+    for box in boxes:
+        for key in keys:
+            with contextlib.suppress(AuthFailure):
+                aead_open(key, box)
+                opened += 1
+    assert opened == 0
 
 
 def test_grant_window_bounds(identity, server_keys, client_state):

@@ -1,9 +1,19 @@
-"""Synthetic corpus generator: determinism, density, oracle exactness."""
+"""Synthetic corpus generator and its file writer: determinism, density,
+oracle exactness."""
+
+import csv
+import importlib.util
+from pathlib import Path
 
 import pytest
 
-from privlog.corpus import BenchConfig, generate_corpus, read_truth, write_corpus
+from privlog.corpus import BenchConfig, generate_corpus
 from privlog.pii import detect_pii, extract_date
+
+_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "gen_corpus.py"
+_loader = importlib.util.spec_from_file_location("gen_corpus", _SCRIPT)
+gen_corpus = importlib.util.module_from_spec(_loader)
+_loader.loader.exec_module(gen_corpus)
 
 
 def test_deterministic_generation():
@@ -13,8 +23,8 @@ def test_deterministic_generation():
 
 def test_deterministic_files(tmp_path):
     cfg = BenchConfig(line_count=200, pii_density="medium", day_span=2, seed=7)
-    write_corpus(cfg, tmp_path / "a.log", tmp_path / "a.truth.csv")
-    write_corpus(cfg, tmp_path / "b.log", tmp_path / "b.truth.csv")
+    gen_corpus.write_corpus(cfg, tmp_path / "a.log", tmp_path / "a.truth.csv")
+    gen_corpus.write_corpus(cfg, tmp_path / "b.log", tmp_path / "b.truth.csv")
     assert (tmp_path / "a.log").read_bytes() == (tmp_path / "b.log").read_bytes()
     assert (tmp_path / "a.truth.csv").read_bytes() == (tmp_path / "b.truth.csv").read_bytes()
 
@@ -60,10 +70,18 @@ def test_corpus_chronological_and_spans_days():
 
 
 def test_truth_sidecar_roundtrip(tmp_path):
+    """The script writes the generated lines and, as CSV, their planted truth."""
     cfg = BenchConfig(line_count=150, pii_density="medium", day_span=2, seed=8)
-    _, truth = generate_corpus(cfg)
-    write_corpus(cfg, tmp_path / "c.log", tmp_path / "c.truth.csv")
-    assert read_truth(tmp_path / "c.truth.csv") == truth
+    lines, truth = generate_corpus(cfg)
+    assert gen_corpus.write_corpus(cfg, tmp_path / "c.log", tmp_path / "c.truth.csv") == (
+        len(lines), len(truth))
+    assert (tmp_path / "c.log").read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+    with open(tmp_path / "c.truth.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == gen_corpus.TRUTH_HEADER
+    assert rows[1:] == [
+        [str(p.line_no), str(p.start), str(p.end), p.pii_type.value, p.text] for p in truth
+    ]
 
 
 def test_config_validation():

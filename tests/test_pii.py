@@ -463,6 +463,19 @@ def test_encode_rejects_overlap():
         encode_protected_line(line, spans, fields)
 
 
+def test_encode_rejects_spans_out_of_order():
+    """Spans must come in order, as `detect_pii` returns them; none is re-sorted."""
+    line = "abcdefghij"
+    spans = [PiiSpan(PiiType.EMAIL, 6, 9, "ghi"), PiiSpan(PiiType.EMAIL, 0, 3, "abc")]
+    with pytest.raises(InvalidSpans):
+        encode_protected_line(line, spans, [_random_field(), _random_field()])
+
+
+def test_encode_rejects_span_past_the_end():
+    with pytest.raises(InvalidSpans):
+        encode_protected_line("abc", [PiiSpan(PiiType.EMAIL, 1, 4, "bc")], [_random_field()])
+
+
 def test_encode_rejects_misaligned_counts():
     with pytest.raises(InvalidSpans):
         encode_protected_line("abc", [PiiSpan(PiiType.EMAIL, 0, 3, "abc")], [])

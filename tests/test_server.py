@@ -429,6 +429,14 @@ def test_linkage_groups_and_sorting():
     assert sum(g.count for g in groups) == len(events) == 4
 
 
+def test_linkage_first_date_is_the_earliest_in_any_order():
+    tok = b"\x01" * 16
+    events = [_event(1, D(3), tok), _event(2, D(5), tok), _event(3, D(1), tok),
+              _event(4, D(4), tok)]
+    [group] = linkage_report(events)
+    assert (group.count, group.first_date, group.last_date) == (4, D(1), D(5))
+
+
 def test_linkage_tie_broken_by_token_bytes():
     tok_a, tok_b = b"\xff" * 16, b"\x00" * 16
     events = [_event(1, D(1), tok_a), _event(2, D(1), tok_b)]
