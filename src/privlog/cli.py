@@ -331,10 +331,10 @@ def _cmd_recover(args) -> int:
     with atomic_writer(args.outfile) as fh:
         fh.write(server_mod.EVENTS_HEADER_LINE)
 
-        def emit(line_events):
+        def emit(record):
             nonlocal recovered
-            recovered += len(line_events)
-            server_mod.write_events_csv(line_events, fh)
+            recovered += len(record[3])
+            server_mod.write_events_csv((record,), fh)
 
         _, skipped = server_mod.recover_tokens(
             window, _read_lines(args.infile, "input"), year, emit

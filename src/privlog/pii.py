@@ -316,14 +316,18 @@ def encode_protected_line(
 # low bits are padding and must be zero.
 _PAYLOAD = re.compile(r"[A-Za-z0-9+/]{58}[AEIMQUYcgkosw048]=")
 _LABELS = {t.value: t for t in PiiType}
-# One scan: the first branch is a valid element (a known label and a
-# `_PAYLOAD`), the second any other element, which is malformed. The label
-# runs to the first '"' and the payload to the first '<' in both, so at any
-# start both branches end in the same place and the scan finds the same
-# elements as the second branch alone.
+# One scan, by `_ELEMENT.split`: the first branch is a valid element (a
+# known label and a `_PAYLOAD`), the second any other element, which is
+# malformed. The label runs to the first '"' and the payload to the first
+# '<' in both, so at any start both branches end in the same place and the
+# scan finds the same elements as the second branch alone. Each branch
+# captures its own label and payload, and a malformed element is rebuilt
+# from its two: a group around the malformed branch instead loses the
+# literal-prefix fast path and doubled the split, 1.65 -> 3.43 us per
+# emit-dense line of 3.06 elements (in-process, 2-core VM).
 _ELEMENT = re.compile(
     rf'<PII type="({"|".join(_LABELS)})">({_PAYLOAD.pattern})</PII>'
-    r'|<PII type="([^"]*)">[^<]*</PII>'
+    r'|<PII type="([^"]*)">([^<]*)</PII>'
 )
 
 
@@ -336,21 +340,21 @@ def parse_protected_line(
     placeholder per recovered field; substituting each field back (via
     render_field) reproduces the input line exactly.
     """
+    pieces = _ELEMENT.split(line)
     fields: List[ProtectedField] = []
     warnings: List[str] = []
-    parts = []
-    pos = 0
-    for m in _ELEMENT.finditer(line):
-        label, payload, bad_label = m.groups()
+    it = iter(pieces)
+    parts = [next(it)]
+    for label, payload, bad_label, bad_payload, text in zip(it, it, it, it, it):
         if label is None:
+            n = len(fields) + len(warnings)  # elements before it: 19 literal characters each
+            at = sum(map(len, filter(None, pieces[: 5 * n + 1]))) + 19 * n
             problem = (f"unknown type {bad_label!r}" if bad_label not in _LABELS
                        else "payload is not 44 bytes of base64")
-            warnings.append(f"Malformed element at {m.start()}: {problem}")
-            continue
-        start, end = m.span()
-        parts.append(line[pos:start])
-        parts.append(f"<PII#{len(fields)}>")
-        fields.append(new_field((_LABELS[label], a2b_base64(payload))))
-        pos = end
-    parts.append(line[pos:])
+            warnings.append(f"Malformed element at {at}: {problem}")
+            parts.append(f'<PII type="{bad_label}">{bad_payload}</PII>')
+        else:
+            parts.append(f"<PII#{len(fields)}>")
+            fields.append(new_field((_LABELS[label], a2b_base64(payload))))
+        parts.append(text)
     return "".join(parts), fields, warnings

@@ -12,9 +12,11 @@ from __future__ import annotations
 import csv
 import functools
 import heapq
+import itertools
 import marshal
 import operator
 import tempfile
+from binascii import b2a_base64
 from collections import deque
 from datetime import date, timedelta
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
@@ -143,7 +145,7 @@ def recover_tokens(
     window: WindowKeys,
     lines: Iterable[str],
     assumed_year: int,
-    emit: Optional[Callable[[List[RecoveredEvent]], object]] = None,
+    emit: Optional[Callable[[tuple], object]] = None,
 ) -> Tuple[List[RecoveredEvent], Dict[str, int]]:
     """Decrypt every in-window protected field; tally everything else.
 
@@ -163,54 +165,53 @@ def recover_tokens(
     - `lines_no_pii` again: a dated line in the window with no valid
       element. `fields_auth_failed`: each field that does not open.
 
-    Each line's events go to `emit` as soon as the line is done, and the
-    returned list stays empty; with no `emit` they are collected into it.
+    Each line with a field that opens goes to `emit` as soon as it is
+    done, as one `(line_no, day, template, [(pii_type, token), ...])`
+    record with its pairs in line order, and the returned list stays
+    empty. With no `emit`, the list holds one RecoveredEvent per pair.
     The counters are complete when the call returns.
     """
-    events: List[RecoveredEvent] = []
+    records: list = []
     if emit is None:
-        emit = events.extend
-    skipped = {
-        "lines_no_pii": 0,
-        "lines_no_date": 0,
-        "lines_out_of_window": 0,
-        "fields_auth_failed": 0,
-        "fields_malformed": 0,
-    }
+        emit = records.append
+    no_pii = no_date = out_of_window = auth_failed = malformed = 0
     year = assumed_year
     last_date = min(window.days, default=date.min)
+    key = window.days.get(last_date)  # the key of `last_date`, looked up when it changes
     for line_no, line in enumerate(lines, start=1):
         if "<PII" not in line:
-            skipped["lines_no_pii"] += 1
+            no_pii += 1
             continue
         line = line.removesuffix("\n").removesuffix("\r")
         day = extract_date(line, year)
         if day is None:
-            skipped["lines_no_date"] += 1
+            no_date += 1
             continue
         if day != last_date:  # the previous line's date: nothing to re-read
             day, year = roll_year(line, day, year, last_date)
             last_date = day
-        key = window.days.get(day)
+            key = window.days.get(day)
         if key is None:
-            skipped["lines_out_of_window"] += 1
+            out_of_window += 1
             continue
         template, fields, warnings = parse_protected_line(line)
-        skipped["fields_malformed"] += len(warnings)
+        malformed += len(warnings)
         if not fields:
-            skipped["lines_no_pii"] += 1
+            no_pii += 1
             continue
         opened = []
         for pii_type, box in fields:
             try:
-                token = aead_open(key, box)
+                opened.append((pii_type, aead_open(key, box)))
             except AuthFailure:
-                skipped["fields_auth_failed"] += 1
-                continue
-            opened.append(_event((line_no, day, pii_type, token, template)))
+                auth_failed += 1
         if opened:
-            emit(opened)
-    return events, skipped
+            emit((line_no, day, template, opened))
+    events = [_event((line_no, day, pii_type, token, template))
+              for line_no, day, template, opened in records for pii_type, token in opened]
+    return events, {"lines_no_pii": no_pii, "lines_no_date": no_date,
+                    "lines_out_of_window": out_of_window, "fields_auth_failed": auth_failed,
+                    "fields_malformed": malformed}
 
 
 class LinkageGroup(NamedTuple):
@@ -342,7 +343,7 @@ def load_window_keys(text: str) -> WindowKeys:
     return WindowKeys(grant_id=require(fields, "grant_id", "window keys file"), days=days)
 
 
-# Recovery writes one line's events per call; a window has few days.
+# Recovery writes one line's rows per call; a window has few days.
 _iso = functools.cache(date.isoformat)
 _LABEL = {t: t.value for t in PiiType}
 # Distinct tokens `read_events_csv` keeps decoded; tokens past this many
@@ -350,21 +351,16 @@ _LABEL = {t: t.value for t in PiiType}
 TOKEN_CACHE_SIZE = 4096
 
 
-def write_events_csv(events: Iterable[RecoveredEvent], fh) -> None:
-    """One row per event, as csv.writer writes it, without the header:
-    write EVENTS_HEADER_LINE once where the file is opened. The events of
-    one template, which `recover_tokens` emits together for each line, are
-    written in one `fh.write` with the template quoted once."""
-    template, rows = None, []
-    for line_no, day, pii_type, token, text in events:
-        if text != template:
-            if rows:
-                fh.write("".join(rows))
-                rows.clear()
-            template, tail = text, csv_field(text) + "\r\n"
-        rows.append(f"{line_no},{_iso(day)},{_LABEL[pii_type]},{b64(token)},{tail}")
-    if rows:
-        fh.write("".join(rows))
+def write_events_csv(records: Iterable[tuple], fh) -> None:
+    """Each `recover_tokens` line record's rows, one per pair, as csv.writer
+    writes them, without the header: write EVENTS_HEADER_LINE once where the
+    file is opened. A record's `line_no,date,` head and `,template` tail are
+    built once, the template quoted once, and its rows go out in one write."""
+    for line_no, day, template, opened in records:
+        head = f"{line_no},{_iso(day)},"
+        tail = f",{csv_field(template)}\r\n"
+        fh.write("".join([f"{head}{_LABEL[pii_type]},{b2a_base64(token, newline=False).decode()}{tail}"
+                          for pii_type, token in opened]))
 
 
 def read_events_csv(lines: Iterable[str]) -> Iterator[RecoveredEvent]:
@@ -378,8 +374,8 @@ def read_events_csv(lines: Iterable[str]) -> Iterator[RecoveredEvent]:
     # csv module's default field limit of 128 KiB; 2**31 - 1 fits a C long
     # on every platform.
     csv.field_size_limit(2**31 - 1)
-    last = deque([""], maxlen=1)
-    reader = csv.reader(map(lambda line: last.append(line) or line, lines), strict=True)
+    last = deque([""], maxlen=1)  # `append` returns None: every line passes, the last kept
+    reader = csv.reader(itertools.filterfalse(last.append, lines), strict=True)
     # A window has few days and there are ten types: each distinct date and
     # type string is checked once. Tokens recur (a linkage report exists
     # because they do), so each distinct token string is decoded once, by a

@@ -20,6 +20,11 @@ single scan. `fill_template` is the inverse of both.
 `read_events_csv` is the reference events-CSV reader: csv.reader, then each
 row checked on its own, with no cache and no record type.
 
+`recover` is the reference recovery: the reference parser and date
+reader above, each field opened by `cryptography`'s ChaCha20Poly1305
+called directly, and each row written by csv.writer. It reads every date
+in the year it is given and never rolls the year.
+
 `extract_date` is the reference date reader. It reads a line's prefix
 character by character against a shape, with no regex and no cache.
 
@@ -282,6 +287,58 @@ def read_events_csv(text: str) -> list:
             raise ValueError(f"token of {len(token)} bytes")
         events.append((int(line_no), date.fromisoformat(day), label, token, template))
     return events
+
+
+SKIP_COUNTERS = ["lines_no_pii", "lines_no_date", "lines_out_of_window", "fields_auth_failed",
+                 "fields_malformed"]
+
+
+def recover(day_keys: dict, lines: list, year: int) -> tuple:
+    """(events CSV text with its header, skip counters) for protected log
+    `lines` under `day_keys`, a dict of date -> 32-byte key.
+
+    Each line is counted under the first rule that stops it: no "<PII" in
+    it, `lines_no_pii`; no date read in `year`, `lines_no_date`; a date with
+    no key, `lines_out_of_window`. Other lines lose a trailing "\n", then a
+    trailing "\r", and are parsed: each malformed element counts in
+    `fields_malformed`, a line with no valid element in `lines_no_pii`, and
+    each field that does not open in `fields_auth_failed`. Each field that
+    opens is one row, in line order.
+    """
+    from cryptography.exceptions import InvalidTag
+    from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+
+    skipped = dict.fromkeys(SKIP_COUNTERS, 0)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(EVENTS_COLUMNS)
+    for line_no, line in enumerate(lines, start=1):
+        if "<PII" not in line:
+            skipped["lines_no_pii"] += 1
+            continue
+        line = line.removesuffix("\n").removesuffix("\r")
+        day = extract_date(line, year)
+        if day is None:
+            skipped["lines_no_date"] += 1
+            continue
+        if day not in day_keys:
+            skipped["lines_out_of_window"] += 1
+            continue
+        template, fields, warnings = parse_protected_line(line)
+        skipped["fields_malformed"] += len(warnings)
+        if not fields:
+            skipped["lines_no_pii"] += 1
+            continue
+        cipher = ChaCha20Poly1305(day_keys[day])
+        for label, box in fields:
+            try:
+                token = cipher.decrypt(box[:12], box[12:], None)
+            except InvalidTag:
+                skipped["fields_auth_failed"] += 1
+                continue
+            writer.writerow([line_no, day.isoformat(), label, base64.b64encode(token).decode(),
+                             template])
+    return out.getvalue(), skipped
 
 
 # --- log-line dates --------------------------------------------------------

@@ -26,7 +26,7 @@ from privlog.dice import DeviceIdentity, format_identity
 from privlog.errors import CorruptState
 from privlog.kvfile import b64, parse_kv
 from privlog.pii import PiiType
-from privlog.server import EVENTS_HEADER_LINE, RecoveredEvent, load_server_keys, write_events_csv
+from privlog.server import EVENTS_HEADER_LINE, load_server_keys, write_events_csv
 
 DAY1 = date(2024, 5, 1)
 STATE_KEYS = {"v", "root_key", "hash_key", "chain_key", "chain_date", "epoch_date"}
@@ -738,8 +738,8 @@ def test_report_cut_inside_quoted_template_exits_6(ws, capsys, timeline):
     a row with a shorter template."""
     with open(ws / "events.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(EVENTS_HEADER_LINE)
-        write_events_csv([RecoveredEvent(1, DAY1, PiiType.EMAIL, b"\x07" * 16,
-                                         'uid=1000, msg "hi" <PII#0>')], fh)
+        write_events_csv([(1, DAY1, 'uid=1000, msg "hi" <PII#0>',
+                           [(PiiType.EMAIL, b"\x07" * 16)])], fh)
     text = (ws / "events.csv").read_bytes()
     (ws / "cut.csv").write_bytes(text[:text.index(b"msg")])
     capsys.readouterr()
@@ -755,8 +755,8 @@ def test_report_cut_inside_unquoted_template_exits_6(ws, capsys, timeline):
     cut leaves a row that parses: it is CorruptState, not a shorter template."""
     with open(ws / "events.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(EVENTS_HEADER_LINE)
-        write_events_csv([RecoveredEvent(1, DAY1, PiiType.EMAIL, b"\x07" * 16,
-                                         "mail <PII#0> sent to the relay")], fh)
+        write_events_csv([(1, DAY1, "mail <PII#0> sent to the relay",
+                           [(PiiType.EMAIL, b"\x07" * 16)])], fh)
     text = (ws / "events.csv").read_bytes()
     (ws / "cut.csv").write_bytes(text[:text.index(b"sent")])
     capsys.readouterr()
@@ -1096,7 +1096,7 @@ def test_timeline_is_valid_csv(ws, capsys, to_file):
     token = b"\x07" * 16
     with open(ws / "events.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(EVENTS_HEADER_LINE)
-        write_events_csv([RecoveredEvent(1, DAY1, PiiType.EMAIL, token, template)], fh)
+        write_events_csv([(1, DAY1, template, [(PiiType.EMAIL, token)])], fh)
     argv = ["report", "--events", str(ws / "events.csv"), "--timeline", base64.b64encode(token).decode()]
     if to_file:
         argv += ["--out", str(ws / "timeline.csv")]

@@ -1,11 +1,15 @@
 """Server side: grant ingestion, window enforcement, recovery, reports."""
 
 import base64
+import contextlib
 import csv
 import io
+import os
+import tempfile
 from datetime import date, timedelta
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -338,6 +342,41 @@ def test_recover_parses_only_dated_lines_in_window(identity, server_keys, client
                        "fields_auth_failed": 0, "fields_malformed": 0}
 
 
+def test_recover_opens_each_valid_field_of_a_parsed_line_once(identity, server_keys, client_state,
+                                                              monkeypatch):
+    """`aead_open` runs once per valid element of each parsed line, in line
+    order: a line's fields reach the per-line record with none skipped and
+    none opened twice, also beside malformed and forged elements."""
+    import privlog.server as server_mod
+
+    lines, window, _ = _protected_corpus(identity, server_keys, client_state)
+    session = ProtectSession(client_state, assumed_year=2024)
+    dense = [session.protect_line(logcat(D(n), f"a{n}@b.co to 10.0.0.{n} and c{n}@d.org"))[0]
+             for n in (2, 4, 5)]
+    dense[1] = dense[1].replace("I TestTag:", 'I TestTag: <PII type="NAME">x</PII>')
+    (_, box), *_ = parse_protected_line(dense[2])[1]
+    forged = base64.b64encode(box[:-1] + bytes([box[-1] ^ 1])).decode()
+    dense[2] = dense[2].replace(base64.b64encode(box).decode(), forged)
+    parsed, opened = [], []
+
+    def counting_parse(line):
+        parsed.append(line)
+        return parse_protected_line(line)
+
+    def counting_open(key, sealed):
+        opened.append(sealed)
+        return aead_open(key, sealed)
+
+    monkeypatch.setattr(server_mod, "parse_protected_line", counting_parse)
+    monkeypatch.setattr(server_mod, "aead_open", counting_open)
+    events, skipped = recover_tokens(window, [*lines, *dense], 2024)
+    assert parsed == lines[2:] + dense[1:]  # days 3-7, then days 4 and 5
+    assert opened == [f.box for line in parsed for f in parse_protected_line(line)[1]]
+    assert len(opened) == 5 + 3 + 3
+    assert len(events) == len(opened) - 1
+    assert skipped["fields_auth_failed"] == skipped["fields_malformed"] == 1
+
+
 def test_recover_wrong_length_payload_is_malformed(identity, server_keys, client_state):
     """Canonical base64 of 28 bytes is not a sealed field, so no open is tried."""
     _, window, _ = _protected_corpus(identity, server_keys, client_state)
@@ -405,6 +444,85 @@ def test_recovered_tokens_never_contain_plaintext(identity, server_keys, client_
     for ev in events:
         assert b"test.org" not in ev.token
         assert "user" not in ev.template or "@" not in ev.template
+
+
+# Day keys of a window over D(1)..D(7); logged days run from D(-2) to D(10),
+# all within one year, so no date is re-read in another year.
+_RECOVER_KEYS = {D(n): bytes([n]) * 32 for n in range(1, 8)}
+_ELEMENT_KINDS = ["valid", "valid", "valid", "other-day", "unknown-label", "28-byte",
+                  "non-canonical", "not-base64"]
+
+
+def _seal(key: bytes, token: bytes, nonce: bytes) -> str:
+    return base64.b64encode(nonce + ChaCha20Poly1305(key).encrypt(nonce, token, None)).decode()
+
+
+def _log_element(kind: str, day: date, label: str, token: bytes, nonce: bytes) -> str:
+    key = _RECOVER_KEYS.get(day, _RECOVER_KEYS[D(1)])
+    if kind == "other-day":
+        key = _RECOVER_KEYS[D(2) if day == D(1) else D(1)]
+    payload = _seal(key, token, nonce)
+    if kind == "unknown-label":
+        label = {"EMAIL": "NAME", "PHONE": "email"}.get(label, "")
+    elif kind == "28-byte":
+        payload = base64.b64encode(token + nonce).decode()
+    elif kind == "non-canonical":  # the same 44 bytes, a padding bit set
+        payload = payload[:58] + chr(ord(payload[58]) + 1) + "="
+    elif kind == "not-base64":
+        payload = payload[:30] + "!" + payload[31:]
+    return f'<PII type="{label}">{payload}</PII>'
+
+
+@st.composite
+def _protected_log_line(draw) -> str:
+    day = draw(st.sampled_from([D(n) for n in range(-2, 11)]))
+    head = draw(st.sampled_from([
+        f"{day.isoformat()} 12:00:00.000 I T: ",
+        f"{day.month:02d}-{day.day:02d} 12:00:00.000  1000  1000 I T: ",
+        "    at com.example.Mailer.send(",
+    ]))
+    parts = draw(st.lists(
+        st.text(alphabet=' ab,"\'é<>/=PI\r', max_size=6)
+        | st.builds(_log_element, st.sampled_from(_ELEMENT_KINDS), st.just(day),
+                    st.sampled_from([t.value for t in PiiType]),
+                    st.binary(min_size=16, max_size=16), st.binary(min_size=12, max_size=12)),
+        max_size=5))
+    return head + "".join(parts) + draw(st.sampled_from(["\n", "\r\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_protected_log_line(), max_size=8), cut_last=st.booleans())
+def test_recover_matches_reference_recover(lines, cut_last):
+    """`recover_tokens` and `write_events_csv`, composed by the `recover`
+    CLI, write the reference's events CSV byte for byte and count what it
+    counts: valid fields, unknown labels, 28-byte payloads, non-canonical
+    base64, fields sealed under another day's key, undated lines, lines
+    outside the window, lines without "<PII", CRLF endings and templates
+    that need quoting. With no `emit`, the events are the CSV's rows."""
+    from privlog.cli import server_main
+
+    if cut_last and lines:
+        lines[-1] = lines[-1].rstrip("\n")
+    expected, expected_skipped = oracles.recover(_RECOVER_KEYS, lines, 2024)
+    window = WindowKeys("g-ref", {day: SecretKey32(key) for day, key in _RECOVER_KEYS.items()})
+    events, skipped = recover_tokens(window, lines, 2024)
+    assert skipped == expected_skipped
+    assert [(e.line_no, e.date, e.pii_type.value, e.token, e.template)
+            for e in events] == oracles.read_events_csv(expected)
+    with tempfile.TemporaryDirectory() as tmp:
+        log, keys, out = (os.path.join(tmp, name) for name in ("prot.log", "window.kv", "events.csv"))
+        with open(log, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(lines))
+        with open(keys, "w", encoding="utf-8") as fh:
+            fh.write(save_window_keys(window))
+        summary = io.StringIO()
+        with contextlib.redirect_stdout(summary):
+            assert server_main(["recover", "--keys", keys, "--in", log, "--out", out,
+                                "--year", "2024"]) == 0
+        with open(out, "rb") as fh:
+            assert fh.read() == expected.encode()
+    assert summary.getvalue().splitlines() == [f"recovered {len(events)} tokens -> {out}"] + [
+        f"  skipped {reason}: {count}" for reason, count in expected_skipped.items() if count]
 
 
 # --- reports -----------------------------------------------------------------
@@ -500,9 +618,11 @@ def test_window_keys_roundtrip(identity, server_keys, client_state):
 def test_events_csv_roundtrip(identity, server_keys, client_state):
     lines, window, _ = _protected_corpus(identity, server_keys, client_state)
     events, _ = recover_tokens(window, lines, 2024)
+    records = []
+    recover_tokens(window, lines, 2024, records.append)
     buf = io.StringIO()
     buf.write(EVENTS_HEADER_LINE)
-    write_events_csv(events, buf)
+    write_events_csv(records, buf)
     buf.seek(0)
     assert list(read_events_csv(buf)) == events
 
@@ -517,6 +637,11 @@ def _csv_events():
     ]
 
 
+def _records(events):
+    """One `write_events_csv` line record per event."""
+    return [(e.line_no, e.date, e.template, [(e.pii_type, e.token)]) for e in events]
+
+
 # Templates with every character csv quoting turns on, non-ASCII text and
 # leading or trailing spaces.
 _CSV_TEMPLATE = st.text(alphabet=',"\r\n \tab<#0>é€\u2028', max_size=12) | st.sampled_from(
@@ -529,9 +654,12 @@ def test_events_csv_bytes_match_per_row_reference(lines):
     """Rows byte-identical to csv.writer's, on fixed templates then one to
     three events per drawn line sharing its template, as recover emits."""
     events = _csv_events()
+    records = _records(events)
     for line_no, (template, count) in enumerate(lines, start=100):
-        events += [_event(line_no, D(1 + line_no % 3), bytes([line_no, k]) * 8,
-                          pii=list(PiiType)[k], template=template) for k in range(count)]
+        day, pairs = D(1 + line_no % 3), [(list(PiiType)[k], bytes([line_no, k]) * 8)
+                                          for k in range(count)]
+        records.append((line_no, day, template, pairs))
+        events += [_event(line_no, day, token, pii=pii, template=template) for pii, token in pairs]
     expected = io.StringIO()
     writer = csv.writer(expected)
     writer.writerow(["line_no", "date", "pii_type", "token_b64", "template"])
@@ -540,7 +668,7 @@ def test_events_csv_bytes_match_per_row_reference(lines):
                          base64.b64encode(ev.token).decode(), ev.template])
     got = io.StringIO()
     got.write(EVENTS_HEADER_LINE)
-    write_events_csv(events, got)
+    write_events_csv(records, got)
     assert got.getvalue() == expected.getvalue()
     assert '"a ""quote"""' in got.getvalue()
     assert list(read_events_csv(io.StringIO(got.getvalue()))) == events
@@ -555,7 +683,7 @@ def test_events_csv_bytes_match_per_row_reference(lines):
 def test_events_csv_bad_row_after_good_rows(bad):
     buf = io.StringIO()
     buf.write(EVENTS_HEADER_LINE)
-    write_events_csv(_csv_events(), buf)
+    write_events_csv(_records(_csv_events()), buf)
     with pytest.raises(CorruptState, match="events csv"):
         list(read_events_csv(io.StringIO(buf.getvalue() + f"99,{bad},t\r\n")))
 
@@ -565,7 +693,7 @@ def test_events_csv_cut_inside_its_last_row():
     the cut leaves a row that parses."""
     buf = io.StringIO()
     buf.write(EVENTS_HEADER_LINE)
-    write_events_csv(_csv_events(), buf)
+    write_events_csv(_records(_csv_events()), buf)
     text = buf.getvalue()
     row_start = text.rindex("\n", 0, len(text) - 1) + 1
     for cut in range(row_start + 1, len(text)):
@@ -653,7 +781,7 @@ def test_read_events_csv_shares_no_cached_token_between_files():
     the same text decodes it afresh."""
     buf = io.StringIO()
     buf.write(EVENTS_HEADER_LINE)
-    write_events_csv(_csv_events(), buf)
+    write_events_csv(_records(_csv_events()), buf)
     first = list(read_events_csv(io.StringIO(buf.getvalue())))
     second = list(read_events_csv(io.StringIO(buf.getvalue())))
     assert first == second == _csv_events()
