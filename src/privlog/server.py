@@ -146,6 +146,7 @@ def recover_tokens(
     lines: Iterable[str],
     assumed_year: int,
     emit: Optional[Callable[[tuple], object]] = None,
+    start_line: int = 1,
 ) -> Tuple[List[RecoveredEvent], Dict[str, int]]:
     """Decrypt every in-window protected field; tally everything else.
 
@@ -170,6 +171,14 @@ def recover_tokens(
     record with its pairs in line order, and the returned list stays
     empty. With no `emit`, the list holds one RecoveredEvent per pair.
     The counters are complete when the call returns.
+
+    `lines` always starts at the file's first line. The lines before
+    `start_line` only move the running year, the last date and the day
+    key, as each dated line with "<PII" does below; they are not parsed
+    and count nothing. So a caller that recovers one share of a file
+    passes the file's lines up to the share's last, and the share's
+    first line as `start_line`, and gets that share's records and
+    counters with the line numbers of the whole file.
     """
     records: list = []
     if emit is None:
@@ -177,8 +186,15 @@ def recover_tokens(
     no_pii = no_date = out_of_window = auth_failed = malformed = 0
     year = assumed_year
     last_date = min(window.days, default=date.min)
+    lines = iter(lines)
+    for line in itertools.islice(lines, start_line - 1):
+        if "<PII" in line:
+            line = line.removesuffix("\n").removesuffix("\r")
+            day = extract_date(line, year)
+            if day is not None and day != last_date:
+                last_date, year = roll_year(line, day, year, last_date)
     key = window.days.get(last_date)  # the key of `last_date`, looked up when it changes
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(lines, start=start_line):
         if "<PII" not in line:
             no_pii += 1
             continue

@@ -2,6 +2,7 @@
 
 import ast
 import base64
+import contextlib
 import csv
 import importlib
 import io
@@ -10,10 +11,12 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from collections import Counter
 from datetime import date, timedelta
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,12 +24,14 @@ from hypothesis import given, settings, strategies as st
 import privlog
 from privlog.cli import _BUCKETS, _bucket, _percentiles, client_main, server_main
 from privlog.corpus import BenchConfig, generate_corpus
-from privlog.crypto import dh_derive_keypair
+from privlog.crypto import SecretKey32, aead_seal, dh_derive_keypair
 from privlog.dice import DeviceIdentity, format_identity
 from privlog.errors import CorruptState
 from privlog.kvfile import b64, parse_kv
 from privlog.pii import PiiType
-from privlog.server import EVENTS_HEADER_LINE, load_server_keys, write_events_csv
+from privlog.server import (
+    EVENTS_HEADER_LINE, WindowKeys, load_server_keys, save_window_keys, write_events_csv,
+)
 
 DAY1 = date(2024, 5, 1)
 STATE_KEYS = {"v", "root_key", "hash_key", "chain_key", "chain_date", "epoch_date"}
@@ -1516,3 +1521,180 @@ except AuthFailure as exc:
     assert out.returncode == 4, out.stderr
     assert out.stderr.startswith("error AuthFailure:")
     assert not (ws / "window.kv").exists()
+
+
+# --- recover splits a large input, one share per CPU ------------------------
+
+# Day keys of a window across new year, 2024-12-28 to 2025-01-04. Read with
+# --year 2024, a year-less January line after a December one moves the
+# running year to 2025.
+_NEW_YEAR_KEYS = {date(2024, 12, 28) + timedelta(days=n): bytes([n + 1]) * 32 for n in range(8)}
+# Logged days: around new year, and mid-year days half a year or more away,
+# which move the running year differently in the year it stands at.
+_LOGGED_DAYS = [date(2024, 12, 24) + timedelta(days=n) for n in range(16)] + [
+    date(2024, 7, 1), date(2025, 6, 30), date(2025, 7, 2)]
+
+
+def _new_year_window(path: Path) -> None:
+    days = {day: SecretKey32(key) for day, key in _NEW_YEAR_KEYS.items()}
+    path.write_text(save_window_keys(WindowKeys("g-split", days)))
+
+
+def _new_year_element(kind: str, day: date, label: str, token: bytes) -> str:
+    """A valid element of `day`, one sealed under another day's key, or a
+    malformed one (a payload that is not base64, or one of 28 bytes)."""
+    other = kind == "other-day"
+    key = _NEW_YEAR_KEYS.get(day + timedelta(days=1) if other else day, bytes(32))
+    payload = b64(aead_seal(SecretKey32(key), token))
+    if kind == "not-base64":
+        payload = payload[:30] + "!" + payload[31:]
+    elif kind == "28-byte":
+        payload = b64(token + bytes(12))
+    return f'<PII type="{label}">{payload}</PII>'
+
+
+def _new_year_line(day: date, year_less: bool, body: str, ending: str) -> str:
+    head = f"{day.month:02d}-{day.day:02d} 12:00:00.000  1000  1000 I T: " if year_less \
+        else f"{day.isoformat()} 12:00:00.000 I T: "
+    return head + body + ending
+
+
+@st.composite
+def _split_log_line(draw) -> str:
+    day = draw(st.sampled_from(_LOGGED_DAYS))
+    parts = draw(st.lists(
+        st.text(alphabet=' ab,"é<>/=PI\r', max_size=5)
+        | st.builds(_new_year_element, st.sampled_from(["valid", "valid", "other-day", "not-base64",
+                                                        "28-byte"]),
+                    st.just(day), st.sampled_from([t.value for t in PiiType]),
+                    st.binary(min_size=16, max_size=16)),
+        max_size=4))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    if draw(st.integers(0, 5)) == 0:  # undated
+        return "    at com.example.Mailer.send(" + "".join(parts) + ending
+    return _new_year_line(day, draw(st.booleans()), "".join(parts), ending)
+
+
+@contextlib.contextmanager
+def _split_into(shares: int):
+    """`recover` splits any input into `shares` shares, all pinned to this
+    process's first CPU; one share is the serial path. Yields `privlog.cli`."""
+    import privlog.cli as cli_mod
+
+    cpu = min(os.sched_getaffinity(0))
+    with mock.patch.object(cli_mod, "RECOVER_SPLIT_MIN_BYTES", 0), \
+            mock.patch.object(cli_mod, "_share_cpus", lambda: [cpu] * shares):
+        yield cli_mod
+
+
+def _recover_split(tmp: Path, shares: int) -> tuple:
+    """Exit code, stdout, stderr and events-CSV bytes (None if none) of
+    `recover` on tmp/prot.log under `_split_into(shares)`."""
+    out = tmp / "events.csv"
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with _split_into(shares), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = server_main(["recover", "--keys", str(tmp / "window.kv"), "--in",
+                            str(tmp / "prot.log"), "--out", str(out), "--year", "2024"])
+    return code, stdout.getvalue(), stderr.getvalue(), out.read_bytes() if out.exists() else None
+
+
+def _assert_no_process_left(tmp: Path, mask: set) -> None:
+    """Every child reaped, the CPU mask as it was, no temp file in `tmp`."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.sched_getaffinity(0) == mask
+    assert not list(tmp.glob(".*.tmp"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(_split_log_line(), max_size=12), cut_last=st.booleans(),
+       shares=st.sampled_from([2, 3]))
+def test_recover_split_matches_serial(lines, cut_last, shares):
+    """`recover` split into 2 or 3 shares writes the serial run's events CSV
+    byte for byte, prints its summary and exits with its code, on logs that
+    mix lines without "<PII", undated, out-of-window and year-less lines
+    across new year, malformed elements, CRLF endings and a last line
+    without "\\n"; fewer lines than shares too."""
+    if cut_last and lines:
+        lines[-1] = lines[-1].rstrip("\n")
+    mask = os.sched_getaffinity(0)
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        _new_year_window(tmp / "window.kv")
+        (tmp / "prot.log").write_bytes("".join(lines).encode())
+        serial = _recover_split(tmp, 1)
+        assert serial[0] == 0, serial
+        assert _recover_split(tmp, shares) == serial
+        _assert_no_process_left(tmp, mask)
+
+
+@pytest.mark.parametrize("shares", [2, 3, 5])
+@pytest.mark.parametrize("days, dates", [
+    ([(12, 30), (12, 31), (1, 1), (1, 2)], ["2024-12-30", "2024-12-31", "2025-01-01", "2025-01-02"]),
+    ([(12, 30), (1, 2), (7, 1), (12, 31)], ["2024-12-30", "2025-01-02", "2024-12-31"]),
+], ids=["roll-at-cut", "mid-year-after-roll"])
+def test_recover_split_at_the_new_year_roll(tmp_path, shares, days, dates):
+    """A share that starts at line 3 reads its dates in the running year of
+    the lines before it. In the first log, line 3 is the first January line
+    after December ones, which moves the year to 2025. In the second, the
+    year is 2025 from line 2 on: line 3 is 2025-07-01, out of the window,
+    and line 4 then reads as 2024-12-31; read from 2024 instead, line 3
+    would be 2024-07-01 and line 4 2023-12-31. Five shares of four lines
+    leave some shares empty."""
+    _new_year_window(tmp_path / "window.kv")
+    lines = []
+    for month, day in days:
+        when = date(2024 if month == 12 else 2025, month, day)
+        element = _new_year_element("valid", when, "EMAIL", bytes([day]) * 16)
+        lines.append(_new_year_line(when, True, element, "\n"))
+    assert len({len(line) for line in lines}) == 1  # so two shares cut at line 3
+    (tmp_path / "prot.log").write_text("".join(lines))
+    serial = _recover_split(tmp_path, 1)
+    assert [row.split(",")[1] for row in serial[3].decode().splitlines()[1:]] == dates
+    with _split_into(shares) as cli_mod:
+        assert 3 in [start for _, start in cli_mod._shares(str(tmp_path / "prot.log"))]
+    assert _recover_split(tmp_path, shares) == serial
+
+
+@pytest.mark.parametrize("bad_line", ["first", "last"])
+def test_recover_split_bad_byte_fails_as_serial(ws, bad_line):
+    """A line that is not UTF-8, in share 0 or in the last of 3 shares:
+    exit 6 and the serial run's stderr, naming the same line; no events
+    CSV, no temp file, no child process left, the CPU mask restored."""
+    _dense_investigation(ws)
+    lines = (ws / "prot.log").read_bytes().splitlines(keepends=True)
+    at = 1 if bad_line == "first" else len(lines) - 1
+    lines[at] = lines[at].replace(b" ", b" caf\xe9 ", 1)
+    (ws / "prot.log").write_bytes(b"".join(lines))
+    mask = os.sched_getaffinity(0)
+    serial = _recover_split(ws, 1)
+    assert serial[0] == 6
+    assert f"line {at + 1} is not valid UTF-8" in serial[2]
+    assert _recover_split(ws, 3) == serial
+    assert not (ws / "events.csv").exists()
+    _assert_no_process_left(ws, mask)
+
+
+def test_recover_split_child_without_result_fails(ws, monkeypatch):
+    """A child that dies before it sends its result fails the run: exit
+    non-zero, no events CSV, no temp file, no child process left, the CPU
+    mask restored."""
+    import privlog.server as server_mod
+
+    _dense_investigation(ws)
+    parent, write = os.getpid(), server_mod.write_events_csv
+
+    def dies_in_a_child(records, fh):
+        if os.getpid() != parent:
+            os._exit(3)
+        write(records, fh)
+
+    monkeypatch.setattr(server_mod, "write_events_csv", dies_in_a_child)
+    mask = os.sched_getaffinity(0)
+    code, stdout, stderr, events = _recover_split(ws, 3)
+    assert code != 0
+    assert stdout == ""
+    assert "ended with status 3 and no result" in stderr
+    assert events is None
+    _assert_no_process_left(ws, mask)
