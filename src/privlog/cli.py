@@ -44,7 +44,7 @@ def _read_lines(path: str, what: str) -> Iterator[str]:
     not UTF-8, is CorruptState naming `what`, the path and the line."""
     try:
         fh = open(path, "rb")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise CorruptState(f"cannot read {what} {path!r}: {exc}") from exc
     line_no = 0
     # UTF-8 never encodes a newline inside a character: lines decode alone.
@@ -215,12 +215,14 @@ def _cmd_grant(args) -> int:
         grant_id=grant_id,
     )
     grant, rotated = client_mod.create_grant(state, req, cfg.identity, today)
-    # Format the grant before rotating, so one its file cannot hold rotates
-    # nothing. Rotate before releasing it: a crash in between loses the
-    # grant but can never leave a state able to re-issue this epoch.
+    # Format the grant and open its file before rotating, so a grant that
+    # file cannot hold, or a path it cannot be written to, rotates nothing.
+    # Rotate before releasing it: a crash in between loses the grant but
+    # can never leave a state able to re-issue this epoch.
     grant_text = format_grant(grant)
-    cfg.save_state(rotated)
-    atomic_write(args.outfile, grant_text)
+    with atomic_writer(args.outfile) as out:
+        cfg.save_state(rotated)
+        out.write(grant_text)
     print(
         f"grant {grant_id} for [{req.start_date.isoformat()}, {today.isoformat()}] "
         f"-> {args.outfile}; new epoch {rotated.epoch_date.isoformat()}"

@@ -34,7 +34,7 @@ from .dice import DeviceIdentity, attestation_digest, derive_cdi
 from .errors import CorruptState, InvalidWindow, OutOfOrderDate
 from .grant import Grant, seal_window
 from .kvfile import b64, b64_field, date_field, format_kv, parse_versioned
-from .pii import detect_pii, encode_protected_line, extract_date, new_field, roll_year
+from .pii import detect_pii, encode_protected_line, extract_date, new_field
 
 STATE_VERSION = "1"
 
@@ -137,9 +137,9 @@ class ProtectSession:
     still protect; nothing from the cache is ever persisted. Dates before
     the session's starting chain position are unreachable in both modes
     because those chain keys no longer exist. A year-less date is read
-    in `assumed_year` and then in the year nearest the previous line's
-    date (`pii.roll_year`); the first is read nearest `near`, by default
-    the chain date.
+    in the running year, `assumed_year` at first, or in the year nearest
+    the previous line's date (`pii.extract_date`); the first is read
+    nearest `near`, by default the chain date.
     """
 
     def __init__(self, state: ClientState, mode: str = MODE_STREAM, assumed_year: int = 2024,
@@ -181,13 +181,9 @@ class ProtectSession:
         their keys were destroyed by a rotation and emitting them
         unprotected would leak.
         """
-        line_date = extract_date(line, self.assumed_year)
+        line_date, self.assumed_year = extract_date(line, self.assumed_year, self._last_date)
         if line_date is not None:
-            if line_date != self._last_date:  # the previous line's date: nothing to re-read
-                line_date, self.assumed_year = roll_year(
-                    line, line_date, self.assumed_year, self._last_date
-                )
-                self._last_date = line_date
+            self._last_date = line_date
             if line_date < self._state.epoch_date:
                 return None, 0
         key = self._key_for(line_date if line_date is not None else self._state.chain_date)

@@ -120,10 +120,14 @@ def atomic_writer(path: Union[str, Path]) -> Iterator[TextIO]:
     """A UTF-8 text file streaming into a temp file that replaces `path`
     only if the block ends without an exception."""
     path = Path(path)
+    if path.is_dir():  # `os.replace` would refuse it only after the whole write
+        raise CorruptState(f"cannot write {str(path)!r}: it is a directory")
     try:
         fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
     except OSError as exc:  # its message names the temp file, not `path`
         raise CorruptState(f"cannot write {str(path)!r}: {exc.strerror}") from exc
+    except ValueError as exc:  # a NUL byte in the path
+        raise CorruptState(f"cannot write {str(path)!r}: {exc}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh

@@ -231,8 +231,9 @@ def detect_pii(line: str) -> List[PiiSpan]:
     return [_span((PRIORITY[rank], s, e, line[s:e])) for s, e, rank in sorted(chosen)]
 
 
-_ISO_PREFIX = re.compile(r"^(\d{4})-(\d{2})-(\d{2})\b")
-_LOGCAT_PREFIX = re.compile(r"^(\d{2})-(\d{2}) \d{2}:\d{2}:\d{2}\.\d{3}")
+# Each captures its month and day as one group: one fewer group to read per line.
+_ISO_PREFIX = re.compile(r"^(\d{4})-(\d{2}-\d{2})\b")
+_LOGCAT_PREFIX = re.compile(r"^(\d{2}-\d{2}) \d{2}:\d{2}:\d{2}\.\d{3}")
 # A year-less date further than this from the previous line's is in another year.
 ROLLOVER_DAYS = 182
 # The years a year-less date may be read in.
@@ -240,44 +241,40 @@ YEAR_MIN, YEAR_MAX = 1970, 9999
 
 
 @functools.lru_cache(maxsize=1024)
-def _date(year: Union[int, str], month: str, day: str) -> Optional[date]:
-    """The date a prefix's digits name, None if impossible. Every line of a
-    day after its first is a cache hit."""
+def _date(year: Union[int, str], month_day: str) -> Optional[date]:
+    """The date a prefix's digits name, `month_day` as "MM-DD", None if
+    impossible. Every line of a day after its first is a cache hit."""
     try:
-        return date(int(year), int(month), int(day))
+        return date(int(year), int(month_day[:2]), int(month_day[3:]))
     except ValueError:
         return None
 
 
-def extract_date(line: str, assumed_year: int) -> Optional[date]:
-    """Date of a log line: logcat MM-DD prefix (year-less), else ISO prefix.
+def extract_date(line: str, year: int, last: date) -> Tuple[Optional[date], int]:
+    """Date of a log line and the running year after it: ISO prefix as
+    written, else logcat MM-DD prefix (year-less) read in `year`.
 
-    Logcat timestamps carry no year, so the caller supplies one; getting
-    it wrong shifts every line by whole years. Returns None when the line
-    starts with neither form or names an impossible date. The two forms
-    differ at the third character, so at most one matches.
+    A year-less date more than ROLLOVER_DAYS from `last`, the previous
+    dated line's, is read in the other year nearest `last` instead, unless
+    that year is outside [YEAR_MIN, YEAR_MAX] or has no such day. Only a
+    date that passed new year after `last` moves the running year on.
+    Returns None when the line starts with neither form or names an
+    impossible date. The two forms differ at the third character, so at
+    most one matches.
     """
-    if not YEAR_MIN <= assumed_year <= YEAR_MAX:
-        raise ValueError(f"assumed_year {assumed_year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+    if not YEAR_MIN <= year <= YEAR_MAX:
+        raise ValueError(f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
     m = _LOGCAT_PREFIX.match(line)
-    if m:
-        return _date(assumed_year, m[1], m[2])
-    m = _ISO_PREFIX.match(line)
-    return _date(m[1], m[2], m[3]) if m else None
-
-
-def roll_year(line: str, day: date, year: int, last: date) -> Tuple[date, int]:
-    """`day` re-read in the year nearest `last`, and the running year after it.
-
-    Only a date that passed new year after `last` moves the running year
-    on. An ISO date, or a date impossible in the other year, stays as it is.
-    """
-    gap = (day - last).days
-    if abs(gap) <= ROLLOVER_DAYS:
+    if m is None:
+        m = _ISO_PREFIX.match(line)
+        return (_date(m[1], m[2]) if m else None), year
+    day = _date(year, m[1])
+    # The previous line's date, a cache hit, is the same object.
+    if day is None or day is last or -ROLLOVER_DAYS <= (day - last).days <= ROLLOVER_DAYS:
         return day, year
-    other_year = year + 1 if gap < 0 else year - 1
-    other = extract_date(line, other_year) if YEAR_MIN <= other_year <= YEAR_MAX else None
-    if other is None or other == day:
+    other_year = year - 1 if day > last else year + 1
+    other = _date(other_year, m[1]) if YEAR_MIN <= other_year <= YEAR_MAX else None
+    if other is None:
         return day, year
     return other, max(year, other_year)
 

@@ -29,7 +29,7 @@ from .grant import Grant, check_grant_id, open_window
 from .kvfile import (
     b64, b64_decode, b64_field, csv_field, format_kv, iso_date, parse_versioned, require,
 )
-from .pii import PiiType, extract_date, parse_protected_line, roll_year
+from .pii import PiiType, extract_date, parse_protected_line
 
 KEYSTORE_VERSION = "1"
 WINDOW_VERSION = "1"
@@ -173,56 +173,51 @@ def recover_tokens(
     The counters are complete when the call returns.
 
     `lines` always starts at the file's first line. The lines before
-    `start_line` only move the running year, the last date and the day
-    key, as each dated line with "<PII" does below; they are not parsed
-    and count nothing. So a caller that recovers one share of a file
-    passes the file's lines up to the share's last, and the share's
+    `start_line` run through the same rules with no window key, so none
+    is parsed; they only move the running year and the last date, and
+    their counts are dropped. So a caller that recovers one share of a
+    file passes the file's lines up to the share's last, and the share's
     first line as `start_line`, and gets that share's records and
     counters with the line numbers of the whole file.
     """
     records: list = []
     if emit is None:
         emit = records.append
-    no_pii = no_date = out_of_window = auth_failed = malformed = 0
     year = assumed_year
     last_date = min(window.days, default=date.min)
     lines = iter(lines)
-    for line in itertools.islice(lines, start_line - 1):
-        if "<PII" in line:
+    # The lines before `start_line` run with no day keys, and their counts are dropped.
+    for days, first, stop in (({}, 1, start_line - 1), (window.days, start_line, None)):
+        no_pii = no_date = out_of_window = auth_failed = malformed = 0
+        key = days.get(last_date)  # the key of `last_date`, looked up when it changes
+        for line_no, line in enumerate(itertools.islice(lines, stop), start=first):
+            if "<PII" not in line:
+                no_pii += 1
+                continue
             line = line.removesuffix("\n").removesuffix("\r")
-            day = extract_date(line, year)
-            if day is not None and day != last_date:
-                last_date, year = roll_year(line, day, year, last_date)
-    key = window.days.get(last_date)  # the key of `last_date`, looked up when it changes
-    for line_no, line in enumerate(lines, start=start_line):
-        if "<PII" not in line:
-            no_pii += 1
-            continue
-        line = line.removesuffix("\n").removesuffix("\r")
-        day = extract_date(line, year)
-        if day is None:
-            no_date += 1
-            continue
-        if day != last_date:  # the previous line's date: nothing to re-read
-            day, year = roll_year(line, day, year, last_date)
-            last_date = day
-            key = window.days.get(day)
-        if key is None:
-            out_of_window += 1
-            continue
-        template, fields, warnings = parse_protected_line(line)
-        malformed += len(warnings)
-        if not fields:
-            no_pii += 1
-            continue
-        opened = []
-        for pii_type, box in fields:
-            try:
-                opened.append((pii_type, aead_open(key, box)))
-            except AuthFailure:
-                auth_failed += 1
-        if opened:
-            emit((line_no, day, template, opened))
+            day, year = extract_date(line, year, last_date)
+            if day is None:
+                no_date += 1
+                continue
+            if day != last_date:
+                last_date = day
+                key = days.get(day)
+            if key is None:
+                out_of_window += 1
+                continue
+            template, fields, warnings = parse_protected_line(line)
+            malformed += len(warnings)
+            if not fields:
+                no_pii += 1
+                continue
+            opened = []
+            for pii_type, box in fields:
+                try:
+                    opened.append((pii_type, aead_open(key, box)))
+                except AuthFailure:
+                    auth_failed += 1
+            if opened:
+                emit((line_no, day, template, opened))
     events = [_event((line_no, day, pii_type, token, template))
               for line_no, day, template, opened in records for pii_type, token in opened]
     return events, {"lines_no_pii": no_pii, "lines_no_date": no_date,

@@ -44,7 +44,6 @@ from privlog.pii import (
     ProtectedField,
     detect_pii,
     encode_protected_line,
-    extract_date,
     parse_protected_line,
 )
 from privlog.server import WindowKeys, accept_grant, create_offer, keygen, recover_tokens
@@ -79,7 +78,7 @@ def world():
 
     pre, post = [], []
     for line in lines:
-        (pre if extract_date(line, 2024) <= D(7) else post).append(line)
+        (pre if oracles.extract_date(line, 2024) <= D(7) else post).append(line)
 
     session = ProtectSession(state, mode=MODE_BATCH, assumed_year=2024)
     protected_pre = [session.protect_line(l)[0] for l in pre]
@@ -102,7 +101,7 @@ def world():
     events, skipped = recover_tokens(window, protected, 2024)
     elapsed = time.monotonic() - t0
 
-    line_dates = [extract_date(l, 2024) for l in lines]
+    line_dates = [oracles.extract_date(l, 2024) for l in lines]
     return SimpleNamespace(
         cfg=cfg,
         lines=lines,
@@ -229,7 +228,7 @@ def test_criterion_4_forward_secrecy_floor(world):
         early_days = {D(1), D(2)}
         early_boxes = []
         for line in w.protected:
-            d = extract_date(line, 2024)
+            d = oracles.extract_date(line, 2024)
             if d in early_days:
                 early_boxes.extend(f.box for f in parse_protected_line(line)[1])
         assert early_boxes, "days 1-2 must contain protected fields"

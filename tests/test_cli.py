@@ -21,6 +21,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import privlog
 from privlog.cli import _BUCKETS, _bucket, _percentiles, client_main, server_main
 from privlog.corpus import BenchConfig, generate_corpus
@@ -103,13 +104,11 @@ def test_full_cli_roundtrip(ws, capsys):
     events_rows = (ws / "events.csv").read_text().strip().splitlines()
     assert events_rows[0] == "line_no,date,pii_type,token_b64,template"
     # window covers days 2..5: exactly the planted fields in range recover
-    from privlog.pii import extract_date
-
     raw_lines = (ws / "raw.log").read_text().splitlines()
     window_days = {D(n) for n in range(2, 6)}
     expected = sum(
         1 for p in truth
-        if extract_date(raw_lines[p.line_no - 1], 2024) in window_days
+        if oracles.extract_date(raw_lines[p.line_no - 1], 2024) in window_days
     )
     assert len(events_rows) - 1 == expected > 0
 
@@ -393,22 +392,35 @@ def test_offer_refuses_duplicate_grant_id(ws):
 
 
 def _crash_at_write(monkeypatch, crash_at, run):
-    """Run `run` with the CLI's `crash_at`-th atomic_write raising OSError."""
+    """Run `run` with the CLI's `crash_at`-th file write raising OSError:
+    an `atomic_write` before it writes, an `atomic_writer` before it
+    replaces its file. Writes count in the order they complete."""
     import privlog.cli as cli_mod
 
-    real_atomic_write = cli_mod.atomic_write
+    real_atomic_write, real_atomic_writer = cli_mod.atomic_write, cli_mod.atomic_writer
     calls = {"n": 0}
 
-    def crashing(path, text):
+    def crash_if_due():
         calls["n"] += 1
         if calls["n"] == crash_at:
             raise OSError("injected crash")
+
+    def crashing(path, text):
+        crash_if_due()
         real_atomic_write(path, text)
 
+    @contextlib.contextmanager
+    def crashing_writer(path):
+        with real_atomic_writer(path) as fh:
+            yield fh
+            crash_if_due()
+
     monkeypatch.setattr(cli_mod, "atomic_write", crashing)
+    monkeypatch.setattr(cli_mod, "atomic_writer", crashing_writer)
     with pytest.raises(OSError):
         run()
     monkeypatch.setattr(cli_mod, "atomic_write", real_atomic_write)
+    monkeypatch.setattr(cli_mod, "atomic_writer", real_atomic_writer)
 
 
 def test_grant_crash_atomicity(ws, monkeypatch):
@@ -884,6 +896,63 @@ def test_rejected_input_exits_6_and_writes_nothing(ws, capsys, command, field, v
     assert {p.name: p.read_bytes() for p in ws.iterdir()} == before
 
 
+def _files(ws) -> dict:
+    """Each file under `ws` by its relative path, with its bytes; None for a directory."""
+    return {str(p.relative_to(ws)): p.read_bytes() if p.is_file() else None
+            for p in ws.rglob("*")}
+
+
+_PATH_CASES = ["identity-nul", "state-nul", "protect-out-dir", "offer-out-dir",
+               "keygen-keystore-dir", "grant-out-dir"]
+
+
+@pytest.mark.parametrize("case", _PATH_CASES)
+def test_unusable_path_exits_6_and_writes_nothing(ws, capsys, case):
+    """A path with a NUL byte in the client config, or an output that is an
+    existing directory, exits 6 naming the path, with no traceback; every
+    file stays as it was, except the keystore that `offer` writes before
+    its offer. `grant` opens its output before it rotates the state, so the
+    same grant to a usable path then succeeds."""
+    cfg = ws / "client.cfg"
+    out = ws / "out.d"
+    out.mkdir()
+    raw = ws / "raw.log"
+    raw.write_text("2024-05-01 12:00:00.000 I T: mail a@b.org\n")
+    offer = ["offer", "--keystore", str(ws / "server.kv"), "--grant-id", "g-path"]
+    grant = ["grant", "--server-offer", str(ws / "offer.kv"), "--start", DAY1.isoformat(),
+             "--today", DAY1.isoformat(), "--out"]
+    if case.endswith("-nul"):
+        key = case[: -len("-nul")]
+        path = str(ws / f"{key}\x00.kv")
+        fields = parse_kv(cfg.read_text(), "cfg")
+        cfg.write_text(cfg.read_text().replace(f"{key}={fields[key]}\n", f"{key}={path}\n"))
+        run = lambda: _client(ws, "init", "--today", DAY1.isoformat())
+    else:
+        path = str(out)
+        assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
+        if case == "protect-out-dir":
+            run = lambda: _client(ws, "protect", "--in", str(raw), "--out", path)
+        elif case == "offer-out-dir":
+            run = lambda: server_main([*offer, "--out", path])
+        elif case == "keygen-keystore-dir":
+            run = lambda: server_main(["keygen", "--keystore", path, "--force"])
+        else:
+            assert server_main([*offer, "--out", str(ws / "offer.kv")]) == 0
+            run = lambda: _client(ws, *grant, path)
+    before = _files(ws)
+    capsys.readouterr()
+    assert run() == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error CorruptState: ") and repr(path) in err
+    assert "Traceback" not in err and ".tmp" not in err
+    after = _files(ws)
+    if case == "offer-out-dir":
+        assert after.pop("server.kv") != before.pop("server.kv")
+    assert after == before
+    if case == "grant-out-dir":
+        assert _client(ws, *grant, str(ws / "grant.kv")) == 0
+
+
 def _init_and_offer(ws) -> None:
     assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
     assert server_main(["offer", "--keystore", str(ws / "server.kv"), "--grant-id", "g-1",
@@ -1173,7 +1242,9 @@ def _trace_targets():
 
 def test_every_trace_target_is_called(ws, monkeypatch):
     """perfbench patches each target by the name its caller imported; a
-    call made some other way would bypass the patch and read as 0 calls."""
+    call made some other way would bypass the patch and read as 0 calls.
+    Each engine reads a line's date in one traced call: once per input
+    line of `protect`, and once per "<PII" line of a serial `recover`."""
     calls = Counter()
     for target, attr, _ in _trace_targets():
         module, _, cls = target.partition(":")
@@ -1204,6 +1275,9 @@ def test_every_trace_target_is_called(ws, monkeypatch):
     assert server_main(["report", "--events", str(ws / "events.csv"), "--timeline", token]) == 0
 
     assert {f"{t}.{a}" for t, a, _ in _trace_targets()} - set(calls) == set()
+    assert calls["privlog.client.extract_date"] == len((ws / "raw.log").read_text().splitlines())
+    pii_lines = [line for line in (ws / "prot.log").read_text().splitlines() if "<PII" in line]
+    assert calls["privlog.server.extract_date"] == len(pii_lines) > 0
 
 
 # --- the read side streams ------------------------------------------------

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from privlog.corpus import BenchConfig, generate_corpus
-from privlog.pii import detect_pii, extract_date
+from privlog.pii import detect_pii
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "gen_corpus.py"
 _loader = importlib.util.spec_from_file_location("gen_corpus", _SCRIPT)
@@ -63,7 +64,7 @@ def test_detection_oracle_exact():
 def test_corpus_chronological_and_spans_days():
     cfg = BenchConfig(line_count=300, pii_density="low", day_span=5, seed=5)
     lines, _ = generate_corpus(cfg)
-    dates = [extract_date(l, cfg.start_date.year) for l in lines]
+    dates = [oracles.extract_date(l, cfg.start_date.year) for l in lines]
     assert all(d is not None for d in dates)
     assert all(a <= b for a, b in zip(dates, dates[1:]))
     assert {(d - cfg.start_date).days for d in dates} == set(range(5))

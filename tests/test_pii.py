@@ -34,7 +34,6 @@ from privlog.pii import (
     extract_date,
     parse_protected_line,
     render_field,
-    roll_year,
 )
 
 SAMPLE_LINE = (
@@ -318,11 +317,12 @@ def test_ascii_shape_agrees_with_the_digit_regexes(line):
 
 
 def test_extract_logcat_date():
-    assert extract_date(SAMPLE_LINE, 2024) == date(2024, 10, 15)
+    assert extract_date(SAMPLE_LINE, 2024, date(2024, 10, 1)) == (date(2024, 10, 15), 2024)
 
 
 def test_extract_iso_date_ignores_assumed_year():
-    assert extract_date("2023-02-28 boot complete", 2024) == date(2023, 2, 28)
+    assert extract_date("2023-02-28 boot complete", 2024, date(2024, 1, 1)) == (
+        date(2023, 2, 28), 2024)
 
 
 @pytest.mark.parametrize(
@@ -336,14 +336,14 @@ def test_extract_iso_date_ignores_assumed_year():
     ],
 )
 def test_extract_date_none(line):
-    assert extract_date(line, 2024) is None
+    assert extract_date(line, 2024, date(2024, 1, 1)) == (None, 2024)
 
 
 def test_extract_date_year_bounds():
     with pytest.raises(ValueError):
-        extract_date(SAMPLE_LINE, 1969)
+        extract_date(SAMPLE_LINE, 1969, date(1970, 1, 1))
     with pytest.raises(ValueError):
-        extract_date(SAMPLE_LINE, 10000)
+        extract_date(SAMPLE_LINE, 10000, date(9999, 12, 31))
 
 
 # Zero in ASCII, Arabic-Indic, Devanagari, fullwidth and mathematical bold:
@@ -390,19 +390,21 @@ def _date_line(draw) -> str:
 @given(line=_date_line(), year=st.integers(YEAR_MIN, YEAR_MAX),
        bad_year=st.integers(max_value=YEAR_MIN - 1) | st.integers(min_value=YEAR_MAX + 1))
 def test_extract_date_matches_oracle(line, year, bad_year):
-    """Read twice from an empty cache, the date equals the oracle's: once
-    built and once a cache hit. An out-of-range year stays a ValueError
-    while the cache holds the line's date."""
+    """Read twice from an empty cache after a line of the same date, the
+    date equals the oracle's and the running year stays: once built and
+    once a cache hit. An out-of-range year stays a ValueError while the
+    cache holds the line's date."""
     expected = oracles.extract_date(line, year)
+    last = expected or date(year, 1, 1)
     _date.cache_clear()
-    assert extract_date(line, year) == expected
-    assert extract_date(line, year) == expected
+    assert extract_date(line, year, last) == (expected, year)
+    assert extract_date(line, year, last) == (expected, year)
     info = _date.cache_info()
     assert (info.misses, info.hits) in ((0, 0), (1, 1))
     with pytest.raises(ValueError):
         oracles.extract_date(line, bad_year)
     with pytest.raises(ValueError):
-        extract_date(line, bad_year)
+        extract_date(line, bad_year, last)
 
 
 @pytest.mark.parametrize("line, last, year, expected", [
@@ -412,10 +414,15 @@ def test_extract_date_matches_oracle(line, year, bad_year):
     ("2024-01-01 boot", date(2024, 12, 31), 2024, (date(2024, 1, 1), 2024)),
     ("02-29 10:00:00.000 x", date(2024, 9, 30), 2024, (date(2024, 2, 29), 2024)),
     ("12-31 10:00:00.000 x", date(1970, 1, 1), 1970, (date(1970, 12, 31), 1970)),
-], ids=["new-year", "year-before", "within", "iso", "no-feb-29", "year-floor"])
-def test_roll_year_reads_nearest_year(line, last, year, expected):
-    day = extract_date(line, year)
-    assert roll_year(line, day, year, last) == expected
+    ("01-01 10:00:00.000 x", date(9999, 12, 31), 9999, (date(9999, 1, 1), 9999)),
+    ("    at com.example.Main.run(", date(2024, 12, 31), 2024, (None, 2024)),
+], ids=["new-year", "year-before", "within", "iso", "no-feb-29", "year-floor", "year-ceiling",
+        "undated"])
+def test_extract_date_reads_nearest_year(line, last, year, expected):
+    """A year-less date more than half a year from `last` is read in the
+    other year, if that year is in range and has the day; only a date past
+    new year moves the running year on."""
+    assert extract_date(line, year, last) == expected
 
 
 # --- wire format ---------------------------------------------------------

@@ -525,6 +525,62 @@ def test_recover_matches_reference_recover(lines, cut_last):
         f"  skipped {reason}: {count}" for reason, count in expected_skipped.items() if count]
 
 
+# Day keys of a window across new year, 2024-12-28 to 2025-01-04. Read from
+# 2024, a year-less January line after a December one moves the running
+# year to 2025. Logged days run from 2024-12-24 to 2025-01-08, and four lie
+# half a year or more away. A year-less 02-29 is a date in 2024 and none
+# in 2025, so it tells which year is running.
+_NEW_YEAR_KEYS = {date(2024, 12, 28) + timedelta(days=n): bytes([n + 1]) * 32 for n in range(8)}
+_NEW_YEAR_DAYS = [date(2024, 12, 24) + timedelta(days=n) for n in range(16)] + [
+    date(2024, 2, 29), date(2024, 7, 1), date(2025, 6, 30), date(2025, 7, 2)]
+
+
+def _new_year_element(kind: str, day: date, token: bytes, nonce: bytes) -> str:
+    """A valid element of `day`, one sealed under the next day's key, or
+    one whose payload is not base64."""
+    key = _NEW_YEAR_KEYS.get(day + timedelta(days=kind == "other-day"), bytes(32))
+    payload = _seal(key, token, nonce)
+    if kind == "not-base64":
+        payload = payload[:30] + "!" + payload[31:]
+    return f'<PII type="EMAIL">{payload}</PII>'
+
+
+@st.composite
+def _new_year_log_line(draw) -> str:
+    day = draw(st.sampled_from(_NEW_YEAR_DAYS))
+    head = draw(st.sampled_from([
+        f"{day.isoformat()} 12:00:00.000 I T: ",
+        f"{day.month:02d}-{day.day:02d} 12:00:00.000  1000  1000 I T: ",
+        f"{day.month:02d}-{day.day:02d} 12:00:00.000  1000  1000 I T: ",
+        "    at com.example.Mailer.send(",
+    ]))
+    parts = draw(st.lists(
+        st.sampled_from(["", " a", "<PII x", ","])
+        | st.builds(_new_year_element, st.sampled_from(["valid", "valid", "other-day", "not-base64"]),
+                    st.just(day), st.binary(min_size=16, max_size=16),
+                    st.binary(min_size=12, max_size=12)),
+        max_size=3))
+    return head + "".join(parts) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(_new_year_log_line(), max_size=12), year=st.sampled_from([2024, 2025]))
+def test_recover_from_every_start_line_adds_up_to_one_pass(lines, year):
+    """For every k, recovering lines 1 to k-1, then the whole log from
+    `start_line=k`, gives one pass's events in order and counters that sum
+    to its counters: the lines before `start_line` move the running year
+    and the last date as in one pass. The logs mix ISO, undated and
+    out-of-window lines, year-less lines across new year and half a year
+    away, lines without "<PII" and malformed elements."""
+    window = WindowKeys("g-year", {day: SecretKey32(key) for day, key in _NEW_YEAR_KEYS.items()})
+    events, skipped = recover_tokens(window, lines, year)
+    for k in range(1, len(lines) + 2):
+        head, head_skipped = recover_tokens(window, lines[:k - 1], year)
+        tail, tail_skipped = recover_tokens(window, lines, year, start_line=k)
+        assert head + tail == events
+        assert {reason: head_skipped[reason] + tail_skipped[reason] for reason in skipped} == skipped
+
+
 # --- reports -----------------------------------------------------------------
 
 
