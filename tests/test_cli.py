@@ -23,7 +23,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import privlog
-from privlog.cli import _BUCKETS, _bucket, _percentiles, client_main, server_main
+from privlog.cli import client_main, server_main
+from privlog.client_cli import _BUCKETS, _bucket, _percentiles
 from privlog.corpus import BenchConfig, generate_corpus
 from privlog.crypto import SecretKey32, aead_seal, dh_derive_keypair
 from privlog.dice import DeviceIdentity, format_identity
@@ -395,9 +396,11 @@ def _crash_at_write(monkeypatch, crash_at, run):
     """Run `run` with the CLI's `crash_at`-th file write raising OSError:
     an `atomic_write` before it writes, an `atomic_writer` before it
     replaces its file. Writes count in the order they complete."""
-    import privlog.cli as cli_mod
+    import privlog.client_cli
+    import privlog.server_cli
 
-    real_atomic_write, real_atomic_writer = cli_mod.atomic_write, cli_mod.atomic_writer
+    cli_mods = (privlog.client_cli, privlog.server_cli)
+    real_atomic_write, real_atomic_writer = privlog.kvfile.atomic_write, privlog.kvfile.atomic_writer
     calls = {"n": 0}
 
     def crash_if_due():
@@ -415,12 +418,14 @@ def _crash_at_write(monkeypatch, crash_at, run):
             yield fh
             crash_if_due()
 
-    monkeypatch.setattr(cli_mod, "atomic_write", crashing)
-    monkeypatch.setattr(cli_mod, "atomic_writer", crashing_writer)
+    for cli_mod in cli_mods:
+        monkeypatch.setattr(cli_mod, "atomic_write", crashing)
+        monkeypatch.setattr(cli_mod, "atomic_writer", crashing_writer)
     with pytest.raises(OSError):
         run()
-    monkeypatch.setattr(cli_mod, "atomic_write", real_atomic_write)
-    monkeypatch.setattr(cli_mod, "atomic_writer", real_atomic_writer)
+    for cli_mod in cli_mods:
+        monkeypatch.setattr(cli_mod, "atomic_write", real_atomic_write)
+        monkeypatch.setattr(cli_mod, "atomic_writer", real_atomic_writer)
 
 
 def test_grant_crash_atomicity(ws, monkeypatch):
@@ -1534,14 +1539,18 @@ for argv in {argvs!r}:
     if argv[-1] == "TOP-TOKEN":
         argv[-1] = open({linkage!r}).read().splitlines()[1].split(",")[0]
     assert {main}(argv) == 0, argv
+print("defined in", sorted(m for m, mod in list(sys.modules.items()) if m.split(".")[0] == "privlog"
+                           and any(hasattr(mod, name) for name in {other_side!r})))
 print("loaded", [m for m in ("privlog.client", "privlog.dice", "privlog.server") if m in sys.modules])
 """
 
 
 def test_each_cli_loads_only_its_own_engine(ws):
     """Every client command runs in one child that never imports
-    `privlog.server`; every server command runs in another that never
-    imports `privlog.client` or `privlog.dice`."""
+    `privlog.server` or any module defining a server command or the
+    recover split; every server command runs in another that never
+    imports `privlog.client`, `privlog.dice` or any module defining a
+    client command or protect's latency histogram."""
     _write_log(ws / "raw.log", BenchConfig(line_count=60, pii_density="high", day_span=3, seed=5))
     assert server_main(["offer", "--keystore", str(ws / "server.kv"), "--grant-id", "case-1",
                         "--out", str(ws / "offer.kv")]) == 0
@@ -1566,11 +1575,100 @@ def test_each_cli_loads_only_its_own_engine(ws):
         ["report", "--events", p["events.csv"], "--out", p["linkage.csv"]],
         ["report", "--events", p["events.csv"], "--timeline", "TOP-TOKEN"],
     ]
-    for main, argvs, loaded in (("client_main", client_argvs, ["privlog.client", "privlog.dice"]),
-                                ("server_main", server_argvs, ["privlog.server"])):
-        out = _child(_RUN_ONE_SIDE.format(main=main, argvs=argvs, linkage=p["linkage.csv"]))
+    for main, argvs, loaded, other_side in (
+            ("client_main", client_argvs, ["privlog.client", "privlog.dice"],
+             ["_cmd_recover", "_fork_share"]),
+            ("server_main", server_argvs, ["privlog.server"], ["_cmd_protect", "_bucket"])):
+        out = _child(_RUN_ONE_SIDE.format(main=main, argvs=argvs, linkage=p["linkage.csv"],
+                                          other_side=other_side))
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines()[-1] == f"loaded {loaded}"
+        assert out.stdout.splitlines()[-2:] == ["defined in []", f"loaded {loaded}"]
+
+
+def test_installed_entry_points_resolve():
+    """Each `[project.scripts]` target in pyproject.toml resolves in a fresh
+    interpreter and prints its usage for `--help`, exiting 0."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert sorted(scripts) == ["privlog-client", "privlog-server"]
+    for name, target in scripts.items():
+        module, func = target.split(":")
+        out = _child(f"import importlib, sys\nsys.argv = [{name!r}, '--help']\n"
+                     f"getattr(importlib.import_module({module!r}), {func!r})()")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith(f"usage: {name} "), out.stdout
+
+
+def _own_files_ws(ws) -> None:
+    """A grant accepted into window.kv; then grant2.kv answering a second
+    offer, not yet accepted, and offer3.kv, not yet answered."""
+    _dense_investigation(ws)
+    ks = ["--keystore", str(ws / "server.kv")]
+    assert server_main(["offer", *ks, "--grant-id", "g-2", "--out", str(ws / "offer2.kv")]) == 0
+    assert _client(ws, "grant", "--server-offer", str(ws / "offer2.kv"), "--start", D(4).isoformat(),
+                   "--today", D(4).isoformat(), "--out", str(ws / "grant2.kv")) == 0
+    assert server_main(["offer", *ks, "--grant-id", "g-3", "--out", str(ws / "offer3.kv")]) == 0
+    (ws / "state-link.kv").symlink_to(ws / "state.kv")
+
+
+_GRANT3 = ["grant", "--server-offer", "{ws}/offer3.kv", "--start", D(5).isoformat(),
+           "--today", D(5).isoformat()]
+_ACCEPT2 = ["accept", "--keystore", "{ws}/server.kv", "--grant", "{ws}/grant2.kv",
+            "--expect-device", "pixel-lab"]
+
+
+@pytest.mark.parametrize("side, argv, flag", [
+    ("client", ["protect", "--in", "{ws}/raw.log", "--out", "{ws}/state.kv"], "--state"),
+    ("client", ["protect", "--in", "{ws}/raw.log", "--out", "{ws}/state-link.kv"], "--state"),
+    ("client", ["protect", "--in", "{ws}/raw.log", "--out", "{ws}/identity.kv"], "--identity"),
+    ("client", ["protect", "--in", "{ws}/raw.log", "--out", "{ws}/client.cfg"], "--config"),
+    ("client", [*_GRANT3, "--out", "{ws}/state.kv"], "--state"),
+    ("client", [*_GRANT3, "--out", "{ws}/offer3.kv"], "--server-offer"),
+    ("server", ["offer", "--keystore", "{ws}/server.kv", "--grant-id", "g-4",
+                "--out", "{ws}/server.kv"], "--keystore"),
+    ("server", [*_ACCEPT2, "--out", "{ws}/server.kv"], "--keystore"),
+    ("server", [*_ACCEPT2, "--out", "{ws}/grant2.kv"], "--grant"),
+    ("server", ["recover", "--keys", "{ws}/window.kv", "--in", "{ws}/prot.log",
+                "--out", "{ws}/window.kv"], "--keys"),
+], ids=["protect-state", "protect-state-link", "protect-identity", "protect-config",
+        "grant-state", "grant-offer", "offer-keystore", "accept-keystore", "accept-grant",
+        "recover-keys"])
+def test_out_that_is_a_commands_own_file_is_refused(ws, capsys, side, argv, flag):
+    """An --out that is the same file as the config, identity, state,
+    keystore, grant, offer or window keys the command takes, by its own
+    path or another, exits 6 naming both flags, and no file changes."""
+    _own_files_ws(ws)
+    files = {path: path.read_bytes() for path in ws.iterdir() if path.is_file()}
+    capsys.readouterr()
+    argv = [arg.format(ws=ws) for arg in argv]
+    code = _client(ws, *argv) if side == "client" else server_main(argv)
+    err = capsys.readouterr().err
+    assert code == 6, err
+    assert err.startswith("error CorruptState: --out ") and f" and {flag} " in err
+    assert {path: path.read_bytes() for path in ws.iterdir() if path.is_file()} == files
+
+
+def test_out_may_be_the_input_a_command_streams(ws):
+    """`protect --in`, `recover --in` and `report --events` are read to their
+    end before the output replaces them, so each may be the --out path."""
+    _dense_investigation(ws)
+    assert _client(ws, "init", "--force", "--today", DAY1.isoformat()) == 0  # a fresh epoch
+    (ws / "log").write_bytes((ws / "raw.log").read_bytes())
+    assert _client(ws, "protect", "--in", str(ws / "log"), "--out", str(ws / "log")) == 0
+    protected = (ws / "log").read_text().splitlines()
+    assert len(protected) == len((ws / "raw.log").read_text().splitlines())
+    assert sum('<PII type="' in line for line in protected) > 0
+
+    assert _recover(ws, "prot.log", "events.csv") == 0
+    (ws / "rows").write_bytes((ws / "prot.log").read_bytes())
+    assert _recover(ws, "rows", "rows") == 0
+    assert (ws / "rows").read_bytes() == (ws / "events.csv").read_bytes()
+
+    assert server_main(["report", "--events", str(ws / "events.csv"),
+                        "--out", str(ws / "linkage.csv")]) == 0
+    assert server_main(["report", "--events", str(ws / "rows"), "--out", str(ws / "rows")]) == 0
+    assert (ws / "rows").read_bytes() == (ws / "linkage.csv").read_bytes()
 
 
 def test_lazy_cryptography_failure_paths_raise_privlog_errors(ws):
@@ -1652,8 +1750,8 @@ def _split_log_line(draw) -> str:
 @contextlib.contextmanager
 def _split_into(shares: int):
     """`recover` splits any input into `shares` shares, all pinned to this
-    process's first CPU; one share is the serial path. Yields `privlog.cli`."""
-    import privlog.cli as cli_mod
+    process's first CPU; one share is the serial path. Yields `privlog.server_cli`."""
+    import privlog.server_cli as cli_mod
 
     cpu = min(os.sched_getaffinity(0))
     with mock.patch.object(cli_mod, "RECOVER_SPLIT_MIN_BYTES", 0), \
