@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CorruptState, PrivlogError
@@ -66,18 +67,31 @@ def _parse_year(value: Optional[str], what: str) -> Optional[int]:
     return year
 
 
-def _check_out(outfile: str, files: Sequence[Tuple[str, Optional[str]]]) -> None:
-    """Refuse an `outfile` that is one of the (flag, path) `files` a command
-    reads, rotates or consumes: replacing it would lose a key, a state or the
-    command's own result. Run before any file is written. The one input a
-    command streams to its end before its output's rename may share the path."""
-    for flag, path in files:
+def _entry(path: str) -> str:
+    """The directory entry that an atomic write to `path` replaces: its
+    directory resolved, its last name as given, as a symlink there is
+    replaced and not followed."""
+    p = Path(path)
+    return os.path.join(os.path.realpath(p.parent), p.name)
+
+
+def _check_out(outfile: str, files: Sequence[Tuple[str, Optional[str]]],
+               flag: str = "--out") -> None:
+    """Refuse an output `outfile` (given as `flag`) whose write would replace
+    one of the (flag, path) `files` a command reads, rotates or consumes:
+    the entry at that path, or the file a symlink there points to. Either
+    would lose a key, a state or the command's own result. A hard link to
+    one of them, or a symlink to one of them at `outfile`, is replaced
+    alone and may be the output. Run before any file is written. The one
+    input a command streams to its end before its output's rename may
+    share the path."""
+    for name, path in files:
         try:
-            same = path is not None and os.path.samefile(outfile, path)
-        except (OSError, ValueError):  # either path missing, or has a NUL byte
+            same = path is not None and _entry(outfile) in (_entry(path), os.path.realpath(path))
+        except ValueError:  # a NUL byte in either path: the open that fails names it
             same = False
         if same:
-            raise CorruptState(f"--out {outfile!r} and {flag} {path!r} are the same file")
+            raise CorruptState(f"{flag} {outfile!r} and {name} {path!r} are the same file")
 
 
 def client_main(argv: Optional[List[str]] = None) -> int:

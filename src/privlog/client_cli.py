@@ -56,6 +56,7 @@ class ClientConfig:
 
 def _cmd_init(args) -> int:
     cfg = ClientConfig(args)
+    _check_out(cfg.state_path, cfg.files[:2], "--state")  # --force replaces the state alone
     if cfg.server_pub is None:
         raise CorruptState("init needs server_pub= in config or --server-pub")
     if Path(cfg.state_path).exists() and not args.force:

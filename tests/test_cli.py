@@ -1442,7 +1442,8 @@ def test_cli_imports_no_dataclasses_or_serialization():
     env = dict(os.environ, PYTHONPATH=str(Path(privlog.__file__).parents[1]))
     unwanted = ["dataclasses", "cryptography.hazmat.primitives.serialization", "statistics",
                 *STDLIB_HASHING]
-    code = f"import privlog.cli, sys; print([m for m in {unwanted!r} if m in sys.modules])"
+    code = ("import privlog.cli, privlog.client_cli, privlog.server_cli, sys; "
+            f"print([m for m in {unwanted!r} if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60).stdout
     assert out.strip() == "[]"
@@ -1609,9 +1610,11 @@ def _own_files_ws(ws) -> None:
     assert _client(ws, "grant", "--server-offer", str(ws / "offer2.kv"), "--start", D(4).isoformat(),
                    "--today", D(4).isoformat(), "--out", str(ws / "grant2.kv")) == 0
     assert server_main(["offer", *ks, "--grant-id", "g-3", "--out", str(ws / "offer3.kv")]) == 0
-    (ws / "state-link.kv").symlink_to(ws / "state.kv")
+    (ws / "id-link.kv").symlink_to(ws / "identity.kv")
+    (ws / "dir-link").symlink_to(ws)
 
 
+_INIT = ["init", "--force", "--today", D(1).isoformat()]
 _GRANT3 = ["grant", "--server-offer", "{ws}/offer3.kv", "--start", D(5).isoformat(),
            "--today", D(5).isoformat()]
 _ACCEPT2 = ["accept", "--keystore", "{ws}/server.kv", "--grant", "{ws}/grant2.kv",
@@ -1620,10 +1623,14 @@ _ACCEPT2 = ["accept", "--keystore", "{ws}/server.kv", "--grant", "{ws}/grant2.kv
 
 @pytest.mark.parametrize("side, argv, flag", [
     ("client", ["protect", "--in", "{ws}/raw.log", "--out", "{ws}/state.kv"], "--state"),
-    ("client", ["protect", "--in", "{ws}/raw.log", "--out", "{ws}/state-link.kv"], "--state"),
+    ("client", ["protect", "--in", "{ws}/raw.log", "--out", "{ws}/dir-link/state.kv"], "--state"),
     ("client", ["protect", "--in", "{ws}/raw.log", "--out", "{ws}/identity.kv"], "--identity"),
+    ("client", ["--identity", "{ws}/id-link.kv", "protect", "--in", "{ws}/raw.log",
+                "--out", "{ws}/identity.kv"], "--identity"),
     ("client", ["protect", "--in", "{ws}/raw.log", "--out", "{ws}/client.cfg"], "--config"),
     ("client", [*_GRANT3, "--out", "{ws}/state.kv"], "--state"),
+    ("client", ["--state", "{ws}/identity.kv", *_INIT], "--identity"),
+    ("client", ["--state", "{ws}/client.cfg", *_INIT], "--config"),
     ("client", [*_GRANT3, "--out", "{ws}/offer3.kv"], "--server-offer"),
     ("server", ["offer", "--keystore", "{ws}/server.kv", "--grant-id", "g-4",
                 "--out", "{ws}/server.kv"], "--keystore"),
@@ -1631,13 +1638,15 @@ _ACCEPT2 = ["accept", "--keystore", "{ws}/server.kv", "--grant", "{ws}/grant2.kv
     ("server", [*_ACCEPT2, "--out", "{ws}/grant2.kv"], "--grant"),
     ("server", ["recover", "--keys", "{ws}/window.kv", "--in", "{ws}/prot.log",
                 "--out", "{ws}/window.kv"], "--keys"),
-], ids=["protect-state", "protect-state-link", "protect-identity", "protect-config",
-        "grant-state", "grant-offer", "offer-keystore", "accept-keystore", "accept-grant",
+], ids=["protect-state", "protect-state-dir-link", "protect-identity",
+        "protect-identity-link", "protect-config", "grant-state", "init-identity", "init-config",
+        "grant-offer", "offer-keystore", "accept-keystore", "accept-grant",
         "recover-keys"])
 def test_out_that_is_a_commands_own_file_is_refused(ws, capsys, side, argv, flag):
-    """An --out that is the same file as the config, identity, state,
-    keystore, grant, offer or window keys the command takes, by its own
-    path or another, exits 6 naming both flags, and no file changes."""
+    """An --out (or init's --state) whose write would replace the config,
+    identity, state, keystore, grant, offer or window keys the command
+    takes, by its own path, through a linked directory or through a symlink
+    the command reads, exits 6 naming both flags, and no file changes."""
     _own_files_ws(ws)
     files = {path: path.read_bytes() for path in ws.iterdir() if path.is_file()}
     capsys.readouterr()
@@ -1645,8 +1654,28 @@ def test_out_that_is_a_commands_own_file_is_refused(ws, capsys, side, argv, flag
     code = _client(ws, *argv) if side == "client" else server_main(argv)
     err = capsys.readouterr().err
     assert code == 6, err
-    assert err.startswith("error CorruptState: --out ") and f" and {flag} " in err
+    assert err.startswith("error CorruptState: --") and f" and {flag} " in err
     assert {path: path.read_bytes() for path in ws.iterdir() if path.is_file()} == files
+
+
+def test_out_may_be_a_link_to_a_commands_file(ws):
+    """A write replaces the entry at --out, not the file behind it: a
+    symlink or a hard link to the state or the window keys may be the
+    output, and the file it named keeps its bytes."""
+    _dense_investigation(ws)
+    assert _client(ws, "init", "--force", "--today", DAY1.isoformat()) == 0  # a fresh epoch
+    (ws / "state-link.kv").symlink_to(ws / "state.kv")
+    assert _client(ws, "protect", "--in", str(ws / "raw.log"),
+                   "--out", str(ws / "state-link.kv")) == 0
+    assert not (ws / "state-link.kv").is_symlink()
+    assert '<PII type="' in (ws / "state-link.kv").read_text()
+    assert _client(ws, "state") == 0
+
+    keys = (ws / "window.kv").read_bytes()
+    os.link(ws / "window.kv", ws / "keys-link.kv")
+    assert _recover(ws, "prot.log", "keys-link.kv") == 0
+    assert (ws / "window.kv").read_bytes() == keys
+    assert (ws / "keys-link.kv").read_bytes() != keys
 
 
 def test_out_may_be_the_input_a_command_streams(ws):
