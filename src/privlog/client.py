@@ -19,7 +19,7 @@ same plaintext stable across grants.
 from __future__ import annotations
 
 from datetime import date, timedelta
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .crypto import (
     SecretKey32,
@@ -163,16 +163,34 @@ class ProtectSession:
     def day_keys(self) -> Dict[date, SecretKey32]:
         return dict(self._cache)
 
-    def _key_for(self, day: date) -> SecretKey32:
-        key = self._cache.get(day)
-        if key is not None:
-            return key
-        self._state, new_keys = advance_to(self._state, day)
-        if self.mode == MODE_STREAM:
-            self._cache = {day: new_keys[day]}
+    def _key_for(self, line: str) -> Optional[SecretKey32]:
+        """The key of the day that `line` is sealed under, or None if it is
+        dated before the epoch. Moves the running year, the last date and,
+        for a day not yet cached, the chain: the one date-and-chain rule of
+        `protect_line` and `skip`."""
+        line_date, self.assumed_year = extract_date(line, self.assumed_year, self._last_date)
+        if line_date is None:
+            line_date = self._state.chain_date
         else:
-            self._cache.update(new_keys)
-        return self._cache[day]
+            self._last_date = line_date
+            if line_date < self._state.epoch_date:
+                return None
+        key = self._cache.get(line_date)
+        if key is None:
+            self._state, new_keys = advance_to(self._state, line_date)
+            if self.mode == MODE_STREAM:
+                self._cache = {line_date: new_keys[line_date]}
+            else:
+                self._cache.update(new_keys)
+            key = self._cache[line_date]
+        return key
+
+    def skip(self, lines: Iterable[str]) -> None:
+        """Read `lines` as `protect_line` would, protecting and counting
+        nothing: a session that then protects the lines after them is where
+        one over the whole log would be."""
+        for line in lines:
+            self._key_for(line)
 
     def protect_line(self, line: str) -> Tuple[Optional[str], int]:
         """Protect one line; returns (protected line, number of fields protected).
@@ -181,12 +199,9 @@ class ProtectSession:
         their keys were destroyed by a rotation and emitting them
         unprotected would leak.
         """
-        line_date, self.assumed_year = extract_date(line, self.assumed_year, self._last_date)
-        if line_date is not None:
-            self._last_date = line_date
-            if line_date < self._state.epoch_date:
-                return None, 0
-        key = self._key_for(line_date if line_date is not None else self._state.chain_date)
+        key = self._key_for(line)
+        if key is None:
+            return None, 0
         spans = detect_pii(line)
         if not spans:
             return line, 0

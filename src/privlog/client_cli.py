@@ -7,13 +7,16 @@ loads no server command code (see cli.py).
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 from datetime import date
 from pathlib import Path
 from time import perf_counter_ns
 from typing import List, Optional, Sequence
 
 from . import client as client_mod, dice
-from .cli import _check_out, _parse_year, _read, _read_lines
+from .cli import _check_out, _in_shares, _locked, _parse_year, _read, _read_lines
+from .crypto import load_modules
 from .errors import CorruptState, OutOfOrderDate
 from .grant import format_grant, parse_offer
 from .kvfile import atomic_write, atomic_writer, b64, b64_decode, iso_date, parse_kv
@@ -59,11 +62,12 @@ def _cmd_init(args) -> int:
     _check_out(cfg.state_path, cfg.files[:2], "--state")  # --force replaces the state alone
     if cfg.server_pub is None:
         raise CorruptState("init needs server_pub= in config or --server-pub")
-    if Path(cfg.state_path).exists() and not args.force:
-        raise CorruptState(f"state file {cfg.state_path!r} exists; use --force to re-init")
     today = iso_date(args.today, "--today") if args.today else date.today()
     state = client_mod.init_client(cfg.identity, cfg.server_pub, today)
-    cfg.save_state(state)
+    with _locked(cfg.state_path):
+        if Path(cfg.state_path).exists() and not args.force:
+            raise CorruptState(f"state file {cfg.state_path!r} exists; use --force to re-init")
+        cfg.save_state(state)
     print(f"initialized state for {cfg.identity.device_id} at epoch {today.isoformat()}")
     return 0
 
@@ -109,67 +113,93 @@ def _latency_line(counts: List[int]) -> str:
     return f"latency median/p95/p99: {median / 1e6:.4f} / {p95 / 1e6:.4f} / {p99 / 1e6:.4f} ms"
 
 
+def _protect_share(args, state: client_mod.ClientState, year: int, near: Optional[date],
+                   start: int, stop: Optional[int], fh) -> tuple:
+    """Protect input lines `start` to `stop` (to the end if None) into `fh`,
+    as one session over the whole input would; returns its fields, lines,
+    pre-epoch lines, latency counts and the chain date's ordinal. The lines
+    before `start` are read too (`ProtectSession.skip`): they move the
+    running year, the last date and the chain, and a read error names its
+    line in the whole file."""
+    session = client_mod.ProtectSession(state, args.mode, year, near)
+    lines = itertools.islice(_read_lines(args.infile, "input"), stop)
+    session.skip(raw.removesuffix("\n") for raw in itertools.islice(lines, start - 1))
+    latencies = [0] * _BUCKETS
+    line_no = start - 1
+    fields = skipped_pre_epoch = 0
+    for line_no, raw in enumerate(lines, start=start):
+        line = raw.removesuffix("\n")
+        t0 = perf_counter_ns()
+        try:
+            protected, count = session.protect_line(line)
+        except OutOfOrderDate as exc:
+            hint = " (--mode batch takes lines out of order within one run)"
+            raise OutOfOrderDate(
+                f"input {args.infile!r} line {line_no}: {exc}"
+                + (hint if args.mode == client_mod.MODE_STREAM else "")
+            ) from exc
+        latencies[_bucket(perf_counter_ns() - t0)] += 1
+        fields += count
+        if protected is None:
+            skipped_pre_epoch += 1
+        else:
+            fh.write(protected + raw[len(line):])
+    return (fields, line_no - start + 1, skipped_pre_epoch, latencies,
+            session.state.chain_date.toordinal())
+
+
 def _cmd_protect(args) -> int:
+    """Protect the input into --out, in one share of the input per CPU (see
+    `cli._in_shares`). The output, the state saved, the summary and any
+    error are those of one pass: each share's session starts from the
+    state loaded here, and the state saved is that state advanced to the
+    last share's chain date. Each share sends back its counts and its chain
+    date, never a key."""
     cfg = ClientConfig(args)
     _check_out(args.outfile, cfg.files)
     today = date.today()  # with no year given, year-less dates are read nearest today
     near = today if cfg.assumed_year is None else None
-    session = client_mod.ProtectSession(
-        cfg.load_state(), args.mode, cfg.assumed_year or today.year, near
-    )
-    latencies = [0] * _BUCKETS
-    line_no = fields = 0
-    skipped_pre_epoch = 0
-    with atomic_writer(args.outfile) as out:
-        for line_no, raw in enumerate(_read_lines(args.infile, "input"), start=1):
-            line = raw.removesuffix("\n")
-            t0 = perf_counter_ns()
-            try:
-                protected, count = session.protect_line(line)
-            except OutOfOrderDate as exc:
-                hint = " (--mode batch takes lines out of order within one run)"
-                raise OutOfOrderDate(
-                    f"input {args.infile!r} line {line_no}: {exc}"
-                    + (hint if args.mode == client_mod.MODE_STREAM else "")
-                ) from exc
-            latencies[_bucket(perf_counter_ns() - t0)] += 1
-            fields += count
-            if protected is None:
-                skipped_pre_epoch += 1
-            else:
-                out.write(protected + raw[len(line):])
-    cfg.save_state(session.state)
+    with _locked(cfg.state_path):
+        state = cfg.load_state()
+        with atomic_writer(args.outfile) as out:
+            outcomes = _in_shares(
+                args.infile, out,
+                functools.partial(_protect_share, args, state, cfg.assumed_year or today.year, near),
+                functools.partial(load_modules, hmac=True))
+        cfg.save_state(client_mod.advance_to(state, date.fromordinal(outcomes[-1][4]))[0])
 
-    print(f"protected {line_no - skipped_pre_epoch} lines ({fields} fields) "
+    fields, lines, skipped_pre_epoch = (sum(outcome[i] for outcome in outcomes) for i in range(3))
+    print(f"protected {lines - skipped_pre_epoch} lines ({fields} fields) "
           f"-> {args.outfile}")
     if skipped_pre_epoch:
         print(f"skipped {skipped_pre_epoch} pre-epoch lines")
-    if line_no:
-        print(_latency_line(latencies))
+    if lines:
+        print(_latency_line([sum(counts) for counts in zip(*(outcome[3] for outcome in outcomes))]))
     return 0
 
 
 def _cmd_grant(args) -> int:
     cfg = ClientConfig(args)
     _check_out(args.outfile, [*cfg.files, ("--server-offer", args.server_offer)])
-    state = cfg.load_state()
-    grant_id, offer_pub = parse_offer(_read(args.server_offer, "offer file"))
-    today = iso_date(args.today, "--today") if args.today else date.today()
-    req = client_mod.GrantRequest(
-        server_pub=offer_pub,
-        start_date=iso_date(args.start, "--start"),
-        server_id=cfg.server_id,
-        grant_id=grant_id,
-    )
-    grant, rotated = client_mod.create_grant(state, req, cfg.identity, today)
-    # Format the grant and open its file before rotating, so a grant that
-    # file cannot hold, or a path it cannot be written to, rotates nothing.
-    # Rotate before releasing it: a crash in between loses the grant but
-    # can never leave a state able to re-issue this epoch.
-    grant_text = format_grant(grant)
-    with atomic_writer(args.outfile) as out:
-        cfg.save_state(rotated)
-        out.write(grant_text)
+    with _locked(cfg.state_path):
+        state = cfg.load_state()
+        grant_id, offer_pub = parse_offer(_read(args.server_offer, "offer file"))
+        today = iso_date(args.today, "--today") if args.today else date.today()
+        req = client_mod.GrantRequest(
+            server_pub=offer_pub,
+            start_date=iso_date(args.start, "--start"),
+            server_id=cfg.server_id,
+            grant_id=grant_id,
+        )
+        grant, rotated = client_mod.create_grant(state, req, cfg.identity, today)
+        # Format the grant and open its file before rotating, so a grant that
+        # file cannot hold, or a path it cannot be written to, rotates nothing.
+        # Rotate before releasing it: a crash in between loses the grant but
+        # can never leave a state able to re-issue this epoch.
+        grant_text = format_grant(grant)
+        with atomic_writer(args.outfile) as out:
+            cfg.save_state(rotated)
+            out.write(grant_text)
     print(
         f"grant {grant_id} for [{req.start_date.isoformat()}, {today.isoformat()}] "
         f"-> {args.outfile}; new epoch {rotated.epoch_date.isoformat()}"

@@ -170,6 +170,16 @@ def pseudonymize(hash_key: SecretKey32, plaintext: bytes) -> bytes:
     return state.finalize()[:TOKEN_LEN]
 
 
+def load_modules(*, hmac: bool) -> None:
+    """Import the AEAD's module, and the HMAC's if `hmac`, building no cipher:
+    a process about to fork loads them once for all its children."""
+    from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305  # noqa: F401
+
+    if hmac:
+        from cryptography.hazmat.primitives.hashes import SHA256  # noqa: F401
+        from cryptography.hazmat.primitives.hmac import HMAC  # noqa: F401
+
+
 def aead_seal(key: SecretKey32, plaintext: bytes, aad: bytes = b"") -> bytes:
     """`nonce || ciphertext || tag`, under a fresh random nonce."""
     nonce = os.urandom(NONCE_LEN)

@@ -43,6 +43,12 @@ class CorruptState(PrivlogError):
     exit_code = 6
 
 
+class LockHeld(PrivlogError):
+    """Another command holds the lock of the state or keystore this one would write."""
+
+    exit_code = 7
+
+
 class UnsupportedVersion(CorruptState):
     """A persisted file declares a version this build does not understand."""
 

@@ -23,12 +23,13 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import privlog
+from privlog import client as client_mod
 from privlog.cli import client_main, server_main
 from privlog.client_cli import _BUCKETS, _bucket, _percentiles
 from privlog.corpus import BenchConfig, generate_corpus
-from privlog.crypto import SecretKey32, aead_seal, dh_derive_keypair
+from privlog.crypto import SecretKey32, aead_open, aead_seal, dh_derive_keypair
 from privlog.dice import DeviceIdentity, format_identity
-from privlog.errors import CorruptState
+from privlog.errors import AuthFailure, CorruptState
 from privlog.kvfile import b64, parse_kv
 from privlog.pii import PiiType
 from privlog.server import (
@@ -1024,7 +1025,7 @@ def test_readme_exit_codes_match_error_classes():
     classes = {name: cls for name, cls in vars(errors).items()
                if isinstance(cls, type) and issubclass(cls, errors.PrivlogError)}
     own = [(cls.exit_code, name) for name, cls in classes.items() if "exit_code" in vars(cls)]
-    assert len(own) == 6
+    assert len(own) == 7
     assert [pair for pair in own if pair not in listed] == []
     assert [(code, name) for code, name in listed
             if name not in classes or classes[name].exit_code != code] == []
@@ -1548,10 +1549,11 @@ print("loaded", [m for m in ("privlog.client", "privlog.dice", "privlog.server")
 
 def test_each_cli_loads_only_its_own_engine(ws):
     """Every client command runs in one child that never imports
-    `privlog.server` or any module defining a server command or the
-    recover split; every server command runs in another that never
-    imports `privlog.client`, `privlog.dice` or any module defining a
-    client command or protect's latency histogram."""
+    `privlog.server` or any module defining a server command or recover's
+    share; every server command runs in another that never imports
+    `privlog.client`, `privlog.dice` or any module defining a client
+    command, protect's share or its latency histogram. The split into
+    shares itself is shared, in `privlog.cli`."""
     _write_log(ws / "raw.log", BenchConfig(line_count=60, pii_density="high", day_span=3, seed=5))
     assert server_main(["offer", "--keystore", str(ws / "server.kv"), "--grant-id", "case-1",
                         "--out", str(ws / "offer.kv")]) == 0
@@ -1578,8 +1580,9 @@ def test_each_cli_loads_only_its_own_engine(ws):
     ]
     for main, argvs, loaded, other_side in (
             ("client_main", client_argvs, ["privlog.client", "privlog.dice"],
-             ["_cmd_recover", "_fork_share"]),
-            ("server_main", server_argvs, ["privlog.server"], ["_cmd_protect", "_bucket"])):
+             ["_cmd_recover", "_recover_share"]),
+            ("server_main", server_argvs, ["privlog.server"],
+             ["_cmd_protect", "_protect_share", "_bucket"])):
         out = _child(_RUN_ONE_SIDE.format(main=main, argvs=argvs, linkage=p["linkage.csv"],
                                           other_side=other_side))
         assert out.returncode == 0, out.stderr
@@ -1680,14 +1683,20 @@ def test_out_may_be_a_link_to_a_commands_file(ws):
 
 def test_out_may_be_the_input_a_command_streams(ws):
     """`protect --in`, `recover --in` and `report --events` are read to their
-    end before the output replaces them, so each may be the --out path."""
+    end before the output replaces them, so each may be the --out path;
+    `protect` split into shares too, each of which reads the input from
+    its start."""
     _dense_investigation(ws)
-    assert _client(ws, "init", "--force", "--today", DAY1.isoformat()) == 0  # a fresh epoch
-    (ws / "log").write_bytes((ws / "raw.log").read_bytes())
-    assert _client(ws, "protect", "--in", str(ws / "log"), "--out", str(ws / "log")) == 0
-    protected = (ws / "log").read_text().splitlines()
-    assert len(protected) == len((ws / "raw.log").read_text().splitlines())
-    assert sum('<PII type="' in line for line in protected) > 0
+    for shares in (1, 3):
+        assert _client(ws, "init", "--force", "--today", DAY1.isoformat()) == 0  # a fresh epoch
+        (ws / "log").write_bytes((ws / "raw.log").read_bytes())
+        with _split_into(shares):
+            assert _client(ws, "protect", "--in", str(ws / "log"), "--out", str(ws / "log")) == 0
+        protected = (ws / "log").read_text().splitlines()
+        assert len(protected) == len((ws / "raw.log").read_text().splitlines())
+        assert sum('<PII type="' in line for line in protected) > 0
+        assert [_ELEMENT_TEXT.sub("", line) for line in protected] == \
+            [_ELEMENT_TEXT.sub("", line) for line in (ws / "prot.log").read_text().splitlines()]
 
     assert _recover(ws, "prot.log", "events.csv") == 0
     (ws / "rows").write_bytes((ws / "prot.log").read_bytes())
@@ -1778,12 +1787,13 @@ def _split_log_line(draw) -> str:
 
 @contextlib.contextmanager
 def _split_into(shares: int):
-    """`recover` splits any input into `shares` shares, all pinned to this
-    process's first CPU; one share is the serial path. Yields `privlog.server_cli`."""
-    import privlog.server_cli as cli_mod
+    """`protect` and `recover` split any input into `shares` shares, all
+    pinned to this process's first CPU; one share is the serial path.
+    Yields `privlog.cli`."""
+    import privlog.cli as cli_mod
 
     cpu = min(os.sched_getaffinity(0))
-    with mock.patch.object(cli_mod, "RECOVER_SPLIT_MIN_BYTES", 0), \
+    with mock.patch.object(cli_mod, "SPLIT_MIN_BYTES", 0), \
             mock.patch.object(cli_mod, "_share_cpus", lambda: [cpu] * shares):
         yield cli_mod
 
@@ -1899,3 +1909,249 @@ def test_recover_split_child_without_result_fails(ws, monkeypatch):
     assert "ended with status 3 and no result" in stderr
     assert events is None
     _assert_no_process_left(ws, mask)
+
+
+# --- protect splits a large input too ---------------------------------------
+
+_SPLIT_EPOCH = date(2024, 12, 28)
+# Logged days: before the epoch, around new year, and half a year away.
+_PROTECT_DAYS = [date(2024, 12, 24) + timedelta(days=n) for n in range(14)] + [
+    date(2025, 6, 30), date(2025, 7, 2)]
+_BODIES = ["mail alice@example.com to 10.1.2.3", "call +1 415 555 0100 now",
+           "mac 00:1a:2b:3c:4d:5e", "nothing to hide", "bob@example.org, é"]
+_ELEMENT_TEXT = re.compile(r'<PII type="(\w+)">([A-Za-z0-9+/=]+)</PII>')
+
+
+@st.composite
+def _protect_log(draw) -> str:
+    lines = draw(st.lists(st.tuples(
+        st.sampled_from(_PROTECT_DAYS), st.sampled_from(["iso", "year-less", "year-less", "undated"]),
+        st.sampled_from(_BODIES), st.sampled_from(["\n", "\r\n"])), max_size=10))
+    if draw(st.booleans()):  # in order, so that stream mode gets past the first lines
+        lines.sort()
+    text = [_new_year_line(day, kind == "year-less", body, ending) if kind != "undated"
+            else f"    at com.example.Mailer.send({body}){ending}"
+            for day, kind, body, ending in lines]
+    if text and draw(st.booleans()):
+        text[-1] = text[-1].rstrip("\n")
+    return "".join(text)
+
+
+_SPLIT_FILES: dict = {}
+
+
+def _split_files() -> dict:
+    """An identity and a state at _SPLIT_EPOCH, and the state's day keys to
+    the end of 2025; made once."""
+    if not _SPLIT_FILES:
+        identity = DeviceIdentity(uds=b"\x31" * 32, measurement=b"\x32" * 32, device_id="split")
+        state = client_mod.init_client(identity, dh_derive_keypair(b"\x33" * 32, b"srv").public,
+                                       _SPLIT_EPOCH)
+        _SPLIT_FILES.update({"identity.kv": format_identity(identity),
+                             "state.kv": client_mod.save_state(state),
+                             "keys": client_mod.advance_to(state, date(2025, 12, 31))[1]})
+    return _SPLIT_FILES
+
+
+def _opened(protected: bytes) -> list:
+    """The lines of a protected log, each element replaced by its type, the
+    day whose key opens it and its token."""
+    keys = _split_files()["keys"]
+
+    def open_element(m):
+        box = base64.b64decode(m[2])
+        for day, key in keys.items():
+            with contextlib.suppress(AuthFailure):
+                return f"[{m[1]} {day} {aead_open(key, box).hex()}]"
+        raise AssertionError(f"no day key opens {m[0]}")
+
+    return [_ELEMENT_TEXT.sub(open_element, line)
+            for line in protected.decode().splitlines(keepends=True)]
+
+
+def _protect_split(tmp: Path, shares: int, mode: str = "stream") -> tuple:
+    """Exit code, stdout without its latency line, stderr, state bytes and
+    output bytes (None if none) of `protect` on tmp/raw.log under
+    `_split_into(shares)`, from the state in tmp/state0.kv."""
+    (tmp / "state.kv").write_bytes((tmp / "state0.kv").read_bytes())
+    out = tmp / "prot.log"
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with _split_into(shares), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = client_main(["--identity", str(tmp / "identity.kv"), "--state", str(tmp / "state.kv"),
+                            "--year", "2024", "protect", "--in", str(tmp / "raw.log"),
+                            "--out", str(out), "--mode", mode])
+    printed = "".join(line for line in stdout.getvalue().splitlines(keepends=True)
+                      if not line.startswith("latency "))
+    return (code, printed, stderr.getvalue(), (tmp / "state.kv").read_bytes(),
+            out.read_bytes() if out.exists() else None)
+
+
+def _protect_ws(tmp: Path, raw: bytes) -> None:
+    files = _split_files()
+    (tmp / "identity.kv").write_text(files["identity.kv"])
+    (tmp / "state0.kv").write_text(files["state.kv"])
+    (tmp / "raw.log").write_bytes(raw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(log=_protect_log(), shares=st.sampled_from([2, 3]),
+       mode=st.sampled_from(["stream", "batch"]))
+def test_protect_split_matches_serial(log, shares, mode):
+    """`protect` split into 2 or 3 shares saves the serial run's state byte
+    for byte, prints its summary, exits with its code and stderr, and
+    writes its lines: each element, once opened, has the same type, day key
+    and token. The logs mix ISO, year-less and undated lines, pre-epoch
+    lines, a new-year roll, a jump of half a year, CRLF endings and a last
+    line without "\\n"; fewer lines than shares too."""
+    mask = os.sched_getaffinity(0)
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        _protect_ws(tmp, log.encode())
+        serial = _protect_split(tmp, 1, mode)
+        split = _protect_split(tmp, shares, mode)
+        assert split[:4] == serial[:4]
+        assert (split[4] is None) == (serial[4] is None)
+        if serial[4] is not None:
+            assert _opened(split[4]) == _opened(serial[4])
+        _assert_no_process_left(tmp, mask)
+
+
+def _protect_failure_ws(tmp: Path, lines: list) -> None:
+    _protect_ws(tmp, "".join(lines).encode())
+    with _split_into(3) as cli_mod:
+        assert len({start for _, start in cli_mod._shares(str(tmp / "raw.log"))}) == 3
+
+
+def _dated_lines(count: int) -> list:
+    return [_new_year_line(_SPLIT_EPOCH + timedelta(days=n * 3 // count), False,
+                           "mail alice@example.com", "\n") for n in range(count)]
+
+
+def _assert_protect_failed(tmp: Path, result: tuple, code: int, mask: set) -> None:
+    assert result[0] == code
+    assert result[3] == (tmp / "state0.kv").read_bytes()
+    assert result[4] is None
+    _assert_no_process_left(tmp, mask)
+
+
+def test_protect_split_out_of_order_in_the_last_share(tmp_path):
+    """A stream-mode line dated before the chain, in the last of 3 shares:
+    exit 3 and the serial run's stderr, naming the line in the whole file
+    and pointing to --mode batch; no output, no temp file, the state
+    unchanged, no child left, the CPU mask restored."""
+    lines = _dated_lines(30)
+    lines[-1] = _new_year_line(_SPLIT_EPOCH, False, "mail alice@example.com", "\n")
+    _protect_failure_ws(tmp_path, lines)
+    mask = os.sched_getaffinity(0)
+    serial = _protect_split(tmp_path, 1)
+    assert "line 30: " in serial[2] and "--mode batch" in serial[2]
+    split = _protect_split(tmp_path, 3)
+    assert split == serial
+    _assert_protect_failed(tmp_path, split, 3, mask)
+
+
+@pytest.mark.parametrize("bad_line", ["first", "last"])
+def test_protect_split_bad_byte_fails_as_serial(tmp_path, bad_line):
+    """A line that is not UTF-8, in share 0 or in the last of 3 shares:
+    exit 6 and the serial run's stderr, naming the same line; no output,
+    no temp file, the state unchanged, no child left, the CPU mask
+    restored."""
+    lines = _dated_lines(30)
+    at = 1 if bad_line == "first" else len(lines) - 1
+    _protect_failure_ws(tmp_path, lines)
+    raw = (tmp_path / "raw.log").read_bytes().splitlines(keepends=True)
+    raw[at] = raw[at].replace(b" ", b" caf\xe9 ", 1)
+    (tmp_path / "raw.log").write_bytes(b"".join(raw))
+    mask = os.sched_getaffinity(0)
+    serial = _protect_split(tmp_path, 1)
+    assert f"line {at + 1} is not valid UTF-8" in serial[2]
+    split = _protect_split(tmp_path, 3)
+    assert split == serial
+    _assert_protect_failed(tmp_path, split, 6, mask)
+
+
+def test_protect_split_child_without_result_fails(tmp_path, monkeypatch):
+    """A child that dies before it sends its result fails the run: exit 1
+    naming its status, no output, no temp file, the state unchanged, no
+    child left, the CPU mask restored."""
+    _protect_failure_ws(tmp_path, _dated_lines(30))
+    parent, protect_line = os.getpid(), client_mod.ProtectSession.protect_line
+
+    def dies_in_a_child(self, line):
+        if os.getpid() != parent:
+            os._exit(3)
+        return protect_line(self, line)
+
+    monkeypatch.setattr(client_mod.ProtectSession, "protect_line", dies_in_a_child)
+    mask = os.sched_getaffinity(0)
+    result = _protect_split(tmp_path, 3)
+    assert result[1] == ""
+    assert "ended with status 3 and no result" in result[2]
+    _assert_protect_failed(tmp_path, result, 1, mask)
+
+
+# --- one writer at a time for each state file and keystore ------------------
+
+def test_grant_while_protect_holds_the_state_is_refused(ws, capsys, monkeypatch):
+    """A `grant` run while `protect` holds the state (here from inside its
+    first `protect_line`) exits 7 naming LockHeld and writes nothing; the
+    state ends as `protect` leaves it, at the old epoch and the log's last
+    day. Without the lock, the grant rotated the state and `protect` then
+    saved the old epoch over the rotation."""
+    _init_and_offer(ws)
+    (ws / "raw.log").write_text("".join(
+        f"{D(n).isoformat()} 12:00:00.000 I T: mail a@b.org\n" for n in (1, 2, 3)))
+    grant = ["grant", "--server-offer", str(ws / "offer.kv"), "--start", D(1).isoformat(),
+             "--today", D(1).isoformat(), "--out", str(ws / "grant.kv")]
+    inner = []
+    protect_line = client_mod.ProtectSession.protect_line
+
+    def grant_first(self, line):
+        if not inner:
+            inner.append(_client(ws, *grant))
+        return protect_line(self, line)
+
+    monkeypatch.setattr(client_mod.ProtectSession, "protect_line", grant_first)
+    capsys.readouterr()
+    assert _client(ws, "protect", "--in", str(ws / "raw.log"), "--out", str(ws / "prot.log")) == 0
+    assert inner == [7]
+    assert "error LockHeld: " in capsys.readouterr().err
+    assert not (ws / "grant.kv").exists()
+    state = parse_kv((ws / "state.kv").read_text(), "state")
+    assert (state["epoch_date"], state["chain_date"]) == (D(1).isoformat(), D(3).isoformat())
+    monkeypatch.undo()
+    grant[grant.index("--today") + 1] = D(3).isoformat()
+    assert _client(ws, *grant) == 0  # the lock ends with the command
+
+
+def test_offer_while_accept_holds_the_keystore_is_refused(ws, capsys, monkeypatch):
+    """An `offer` run while `accept` holds the keystore (here from inside
+    `accept_grant`) exits 7 naming LockHeld and writes nothing; the
+    keystore ends as `accept` leaves it, its offer consumed. Without the
+    lock, `accept` saved the keystore it loaded and lost the new offer."""
+    import privlog.server as server_mod
+
+    _init_and_offer(ws)
+    assert _client(ws, "grant", "--server-offer", str(ws / "offer.kv"), "--start", D(1).isoformat(),
+                   "--today", D(1).isoformat(), "--out", str(ws / "grant.kv")) == 0
+    offer = ["offer", "--keystore", str(ws / "server.kv"), "--grant-id", "g-2",
+             "--out", str(ws / "offer2.kv")]
+    inner = []
+    accept_grant = server_mod.accept_grant
+
+    def offer_first(*args):
+        inner.append(server_main(offer))
+        return accept_grant(*args)
+
+    monkeypatch.setattr(server_mod, "accept_grant", offer_first)
+    capsys.readouterr()
+    assert server_main(["accept", "--keystore", str(ws / "server.kv"), "--grant", str(ws / "grant.kv"),
+                        "--expect-device", "pixel-lab", "--out", str(ws / "window.kv")]) == 0
+    assert inner == [7]
+    assert "error LockHeld: " in capsys.readouterr().err
+    assert not (ws / "offer2.kv").exists()
+    assert not [key for key in parse_kv((ws / "server.kv").read_text(), "ks")
+                if key.startswith("eph.")]
+    monkeypatch.undo()
+    assert server_main(offer) == 0
