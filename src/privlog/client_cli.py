@@ -15,8 +15,7 @@ from time import perf_counter_ns
 from typing import List, Optional, Sequence
 
 from . import client as client_mod, dice
-from .cli import _check_out, _in_shares, _locked, _parse_year, _read, _read_lines
-from .crypto import load_modules
+from .cli import _and_lock, _check_out, _in_shares, _locked, _parse_year, _read, _read_lines
 from .errors import CorruptState, OutOfOrderDate
 from .grant import format_grant, parse_offer
 from .kvfile import atomic_write, atomic_writer, b64, b64_decode, iso_date, parse_kv
@@ -37,7 +36,7 @@ class ClientConfig:
             raise CorruptState("no state path: set state= in config or --state")
         # The files an output must not replace; config entries under their flags.
         self.files = [("--config", args.config), ("--identity", identity_path),
-                      ("--state", self.state_path)]
+                      *_and_lock("--state", self.state_path)]
 
         server_pub_b64 = args.server_pub or fields.get("server_pub")
         self.server_pub: Optional[bytes] = None
@@ -164,8 +163,7 @@ def _cmd_protect(args) -> int:
         with atomic_writer(args.outfile) as out:
             outcomes = _in_shares(
                 args.infile, out,
-                functools.partial(_protect_share, args, state, cfg.assumed_year or today.year, near),
-                functools.partial(load_modules, hmac=True))
+                functools.partial(_protect_share, args, state, cfg.assumed_year or today.year, near))
         cfg.save_state(client_mod.advance_to(state, date.fromordinal(outcomes[-1][4]))[0])
 
     fields, lines, skipped_pre_epoch = (sum(outcome[i] for outcome in outcomes) for i in range(3))

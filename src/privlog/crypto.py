@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 from typing import NamedTuple, Optional, Tuple, Union
 
-from .errors import AuthFailure, InvalidLength, WeakKey
+from .errors import AuthFailure, CorruptState
 
 KEY_LEN = 32
 NONCE_LEN = 12
@@ -52,7 +52,7 @@ class SecretKey32:
 
     def __init__(self, data: Union[bytes, bytearray]):
         if len(data) != KEY_LEN:
-            raise InvalidLength(f"secret key must be {KEY_LEN} bytes, got {len(data)}")
+            raise CorruptState(f"secret key must be {KEY_LEN} bytes, got {len(data)}")
         self._buf = bytearray(data)
         self._aead = self._hmac = None
 
@@ -110,7 +110,7 @@ class DhKeyPair(_DhKeyPairFields):
 
     def __new__(cls, private: bytes, public: bytes):
         if len(private) != 32 or len(public) != 32:
-            raise InvalidLength("X25519 keys must be 32 bytes")
+            raise CorruptState("X25519 keys must be 32 bytes")
         return super().__new__(cls, private, public)
 
     def __repr__(self) -> str:
@@ -133,7 +133,7 @@ def kdf(
 ) -> bytes:
     """HKDF-SHA256 with a domain-separation label as the info field."""
     if not KDF_MIN_LEN <= out_len <= KDF_MAX_LEN:
-        raise InvalidLength(
+        raise CorruptState(
             f"kdf output length {out_len} outside [{KDF_MIN_LEN}, {KDF_MAX_LEN}]"
         )
     from cryptography.hazmat.primitives.hashes import SHA256
@@ -159,7 +159,7 @@ PREFIX_MAX = 0xFFFF
 def length_prefixed(raw: bytes) -> bytes:
     """`raw` behind its 2-byte big-endian length, for unambiguous concatenation."""
     if len(raw) > PREFIX_MAX:
-        raise InvalidLength(f"length-prefixed field longer than {PREFIX_MAX} bytes")
+        raise CorruptState(f"length-prefixed field longer than {PREFIX_MAX} bytes")
     return len(raw).to_bytes(2, "big") + raw
 
 
@@ -170,14 +170,10 @@ def pseudonymize(hash_key: SecretKey32, plaintext: bytes) -> bytes:
     return state.finalize()[:TOKEN_LEN]
 
 
-def load_modules(*, hmac: bool) -> None:
-    """Import the AEAD's module, and the HMAC's if `hmac`, building no cipher:
-    a process about to fork loads them once for all its children."""
+def load_modules() -> None:
+    """Import the AEAD's module, building no cipher: a process about to fork
+    loads it once for all its children."""
     from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305  # noqa: F401
-
-    if hmac:
-        from cryptography.hazmat.primitives.hashes import SHA256  # noqa: F401
-        from cryptography.hazmat.primitives.hmac import HMAC  # noqa: F401
 
 
 def aead_seal(key: SecretKey32, plaintext: bytes, aad: bytes = b"") -> bytes:
@@ -187,9 +183,9 @@ def aead_seal(key: SecretKey32, plaintext: bytes, aad: bytes = b"") -> bytes:
 
 
 def aead_open(key: SecretKey32, sealed: bytes, aad: bytes = b"") -> bytes:
-    """Inverse of `aead_seal`: InvalidLength if too short, AuthFailure if forged."""
+    """Inverse of `aead_seal`: CorruptState if too short, AuthFailure if forged."""
     if len(sealed) < NONCE_LEN + TAG_LEN:
-        raise InvalidLength(f"sealed value too short: {len(sealed)} bytes")
+        raise CorruptState(f"sealed value too short: {len(sealed)} bytes")
     cipher = key.aead()
     try:
         return cipher.decrypt(sealed[:NONCE_LEN], sealed[NONCE_LEN:], aad)
@@ -214,7 +210,7 @@ def dh_derive_keypair(seed: Optional[bytes], label: bytes) -> DhKeyPair:
     if seed is None:
         seed = os.urandom(32)
     if len(seed) != 32:
-        raise InvalidLength("keypair seed must be 32 bytes")
+        raise CorruptState("keypair seed must be 32 bytes")
     from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
     private = clamp_scalar(kdf(None, seed, label, 32))
     public = X25519PrivateKey.from_private_bytes(private).public_key().public_bytes_raw()
@@ -224,14 +220,14 @@ def dh_derive_keypair(seed: Optional[bytes], label: bytes) -> DhKeyPair:
 def dh_shared(private: bytes, peer_public: bytes) -> SecretKey32:
     """Raw X25519 agreement. Rejects the all-zero (low order) result."""
     if len(private) != 32 or len(peer_public) != 32:
-        raise InvalidLength("X25519 inputs must be 32 bytes")
+        raise CorruptState("X25519 inputs must be 32 bytes")
     from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
     try:
         shared = X25519PrivateKey.from_private_bytes(private).exchange(
             X25519PublicKey.from_public_bytes(peer_public)
         )
     except ValueError as exc:
-        raise WeakKey("X25519 produced a weak shared secret") from exc
+        raise CorruptState("X25519 produced a weak shared secret") from exc
     if shared == b"\x00" * 32:
-        raise WeakKey("X25519 produced an all-zero shared secret")
+        raise CorruptState("X25519 produced an all-zero shared secret")
     return SecretKey32(shared)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .crypto import SecretKey32, kdf, length_prefixed
-from .errors import CorruptState, InvalidLength
+from .errors import CorruptState
 from .kvfile import b64, b64_field, format_kv, parse_kv, require
 
 MAX_DEVICE_ID_LEN = 64
@@ -28,11 +28,11 @@ class DeviceIdentity(_DeviceIdentityFields):
 
     def __new__(cls, uds: bytes, measurement: bytes, device_id: str):
         if len(uds) != 32 or len(measurement) != 32:
-            raise InvalidLength("uds and measurement must be 32 bytes")
+            raise CorruptState("uds and measurement must be 32 bytes")
         if not device_id or len(device_id) > MAX_DEVICE_ID_LEN:
-            raise InvalidLength("device_id must be 1..64 characters")
+            raise CorruptState("device_id must be 1..64 characters")
         if not device_id.isascii() or not device_id.isprintable():
-            raise InvalidLength("device_id must be printable ASCII")
+            raise CorruptState("device_id must be printable ASCII")
         return super().__new__(cls, uds, measurement, device_id)
 
     def __repr__(self) -> str:
@@ -65,7 +65,7 @@ def parse_identity(text: str) -> DeviceIdentity:
     device_id = require(fields, "device_id", "identity file")
     try:
         return DeviceIdentity(uds=uds, measurement=measurement, device_id=device_id)
-    except InvalidLength as exc:
+    except CorruptState as exc:
         raise CorruptState(f"identity file: {exc}") from exc
 
 

@@ -1,6 +1,6 @@
 """Error types shared across the toolkit. Each class carries the exit code the
-CLIs end with when it reaches them, stable for scripting; a subclass keeps its
-parent's code."""
+CLIs end with when it reaches them, stable for scripting: one class per code.
+The message names the cause."""
 
 
 class PrivlogError(Exception):
@@ -13,10 +13,6 @@ class AuthFailure(PrivlogError):
     """AEAD authentication failed: wrong key, wrong AAD, or tampering."""
 
     exit_code = 4
-
-
-class InvalidSpans(PrivlogError):
-    """Replacement spans overlap or do not line up with their fields."""
 
 
 class OutOfOrderDate(PrivlogError):
@@ -47,15 +43,3 @@ class LockHeld(PrivlogError):
     """Another command holds the lock of the state or keystore this one would write."""
 
     exit_code = 7
-
-
-class UnsupportedVersion(CorruptState):
-    """A persisted file declares a version this build does not understand."""
-
-
-class InvalidLength(CorruptState):
-    """A key, nonce, sealed value or length-prefixed field has the wrong byte length."""
-
-
-class WeakKey(CorruptState):
-    """Key agreement produced an all-zero shared secret (low-order point)."""

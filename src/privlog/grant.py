@@ -16,7 +16,7 @@ from typing import NamedTuple, Tuple
 from .crypto import (
     NONCE_LEN, PREFIX_MAX, SecretKey32, aead_open, aead_seal, kdf, length_prefixed,
 )
-from .errors import CorruptState, InvalidLength
+from .errors import CorruptState
 from .kvfile import (
     b64, b64_field, date_field, format_kv, iso_date, parse_kv, parse_versioned, require,
 )
@@ -36,11 +36,11 @@ class Grant(NamedTuple):
 
 
 def check_grant_id(grant_id: str) -> str:
-    """`grant_id` if an offer may carry it: InvalidLength if longer than the
-    2-byte length that prefixes it in the AAD, CorruptState unless it is
+    """`grant_id` if an offer may carry it: CorruptState if longer than the
+    2-byte length that prefixes it in the AAD, or unless it is
     [A-Za-z0-9._-]+."""
     if len(grant_id) > PREFIX_MAX:
-        raise InvalidLength(f"grant_id of {len(grant_id)} characters is longer than {PREFIX_MAX}")
+        raise CorruptState(f"grant_id of {len(grant_id)} characters is longer than {PREFIX_MAX}")
     if not grant_id or not all((c.isascii() and c.isalnum()) or c in "._-" for c in grant_id):
         raise CorruptState(f"grant_id {grant_id!r} must be [A-Za-z0-9._-]+")
     return grant_id

@@ -19,7 +19,7 @@ from datetime import date
 from pathlib import Path
 from typing import Dict, Iterator, TextIO, Union
 
-from .errors import CorruptState, UnsupportedVersion
+from .errors import CorruptState
 
 
 def parse_kv(text: str, what: str = "file") -> Dict[str, str]:
@@ -37,11 +37,11 @@ def parse_kv(text: str, what: str = "file") -> Dict[str, str]:
 
 
 def parse_versioned(text: str, what: str, version: str) -> Dict[str, str]:
-    """`parse_kv`, then require field `v` to be `version` (else UnsupportedVersion)."""
+    """`parse_kv`, then require field `v` to be `version` (else CorruptState)."""
     fields = parse_kv(text, what)
     found = require(fields, "v", what)
     if found != version:
-        raise UnsupportedVersion(f"{what} version {found!r}")
+        raise CorruptState(f"{what} version {found!r}")
     return fields
 
 

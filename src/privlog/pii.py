@@ -31,7 +31,7 @@ from binascii import a2b_base64, b2a_base64
 from datetime import date
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .errors import InvalidSpans
+from .errors import PrivlogError
 
 class PiiType(enum.Enum):
     EMAIL = "EMAIL"
@@ -294,14 +294,14 @@ def encode_protected_line(
 
     `spans` must be in order and disjoint, as `detect_pii` returns them."""
     if len(spans) != len(fields):
-        raise InvalidSpans(f"{len(spans)} spans but {len(fields)} fields")
+        raise PrivlogError(f"{len(spans)} spans but {len(fields)} fields")
     pos = 0
     parts = []
     for span, field in zip(spans, fields):
         if span.start < pos:
-            raise InvalidSpans(f"span at {span.start} overlaps or precedes the one before")
+            raise PrivlogError(f"span at {span.start} overlaps or precedes the one before")
         if not 0 <= span.start < span.end <= len(line):
-            raise InvalidSpans(f"span [{span.start}, {span.end}) out of bounds")
+            raise PrivlogError(f"span [{span.start}, {span.end}) out of bounds")
         parts.append(line[pos : span.start])
         parts.append(render_field(field))
         pos = span.end

@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from . import server as server_mod
-from .cli import _check_out, _in_shares, _locked, _parse_year, _read, _read_lines
-from .crypto import TOKEN_LEN, load_modules
+from .cli import _and_lock, _check_out, _in_shares, _locked, _parse_year, _read, _read_lines
+from .crypto import TOKEN_LEN
 from .errors import CorruptState
 from .grant import format_offer, parse_grant
 from .kvfile import atomic_write, atomic_writer, b64, b64_decode
@@ -40,7 +40,7 @@ def _cmd_keygen(args) -> int:
 
 
 def _cmd_offer(args) -> int:
-    _check_out(args.outfile, [("--keystore", args.keystore)])
+    _check_out(args.outfile, _and_lock("--keystore", args.keystore))
     with _locked(args.keystore):
         keys = _load_keystore(args.keystore)
         pub = server_mod.create_offer(keys, args.grant_id)
@@ -51,7 +51,7 @@ def _cmd_offer(args) -> int:
 
 
 def _cmd_accept(args) -> int:
-    _check_out(args.outfile, [("--keystore", args.keystore), ("--grant", args.grant)])
+    _check_out(args.outfile, [*_and_lock("--keystore", args.keystore), ("--grant", args.grant)])
     with _locked(args.keystore):
         keys = _load_keystore(args.keystore)
         grant = parse_grant(_read(args.grant, "grant file"))
@@ -107,8 +107,7 @@ def _cmd_recover(args) -> int:
         fh.write(server_mod.EVENTS_HEADER_LINE)
         outcomes = _in_shares(
             args.infile, fh,
-            functools.partial(_recover_share, window, args.infile, year),
-            functools.partial(load_modules, hmac=False))
+            functools.partial(_recover_share, window, args.infile, year))
     recovered = sum(tokens for tokens, _ in outcomes)
     skipped = {reason: sum(counts[reason] for _, counts in outcomes) for reason in outcomes[0][1]}
     print(f"recovered {recovered} tokens -> {args.outfile}")

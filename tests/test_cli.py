@@ -571,13 +571,18 @@ _FILE_CASES = {
         ["report", "--events", str(ws / "events.csv"), "--out", p]),
     "timeline-out": lambda ws, p: server_main(
         ["report", "--events", str(ws / "events.csv"), "--timeline", _TOKEN, "--out", p]),
+    "init-state-lock": lambda ws, p: _client(
+        ws, "--state", p, "init", "--force", "--today", DAY1.isoformat()),
+    "keygen-keystore-lock": lambda ws, p: server_main(
+        ["keygen", "--keystore", p, "--server-id", "lab-server"]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_FILE_CASES))
 def test_missing_file_or_directory_exits_6(ws, capsys, case):
-    """An input that does not exist, or an output in a directory that does
-    not, is CorruptState naming the path given, not a traceback."""
+    """An input that does not exist, or an output, a state or a keystore
+    (whose lock file is made first) in a directory that does not, is
+    CorruptState naming the path given, not a traceback."""
     _protected_one_line(ws)
     path = str(ws / "nodir" / "file")
     capsys.readouterr()
@@ -854,23 +859,24 @@ _ZERO_KEY = base64.b64encode(bytes(32)).decode()  # a low-order X25519 point
 _LONG = "a" * 70_000  # longer than a 2-byte length prefix can hold
 
 
-@pytest.mark.parametrize("command, field, value, error", [
-    ("init", "server_pub", _ZERO_KEY, "WeakKey"),
-    ("grant", "server_eph_pub", _ZERO_KEY, "WeakKey"),
-    ("grant", "grant_id", _LONG, "InvalidLength"),
-    ("grant", "grant_id", "g\u00e9", "CorruptState"),
-    ("grant", "grant_id", "", "CorruptState"),
-    ("accept", "client_eph_pub", _ZERO_KEY, "WeakKey"),
-    ("accept", "server_id", _LONG, "InvalidLength"),
+@pytest.mark.parametrize("command, field, value, cause", [
+    ("init", "server_pub", _ZERO_KEY, "weak"),
+    ("grant", "server_eph_pub", _ZERO_KEY, "weak"),
+    ("grant", "grant_id", _LONG, "longer than"),
+    ("grant", "grant_id", "g\u00e9", "must be [A-Za-z0-9._-]+"),
+    ("grant", "grant_id", "", "must be [A-Za-z0-9._-]+"),
+    ("accept", "client_eph_pub", _ZERO_KEY, "weak"),
+    ("accept", "server_id", _LONG, "longer than"),
 ], ids=["init-weak-server_pub", "grant-weak-server_eph_pub", "grant-long-grant_id",
         "grant-non-ascii-grant_id", "grant-empty-grant_id",
         "accept-weak-client_eph_pub", "accept-long-server_id"])
-def test_rejected_input_exits_6_and_writes_nothing(ws, capsys, command, field, value, error):
+def test_rejected_input_exits_6_and_writes_nothing(ws, capsys, command, field, value, cause):
     """`field=` set to `value` in the file `command` reads (config, offer or
-    grant) is a rejected input: exit 6 naming `error`, and every file in the
-    workspace, the state and the keystore among them, stays as it was. An
-    offer's grant id is held to the rule the server's `offer` keeps, so an
-    offer no server could have made rotates nothing."""
+    grant) is a rejected input: CorruptState, exit 6, a message naming
+    `cause`, and every file in the workspace, the state and the keystore
+    among them, stays as it was. An offer's grant id is held to the rule
+    the server's `offer` keeps, so an offer no server could have made
+    rotates nothing."""
     def swap(path):
         text = path.read_text()
         old = parse_kv(text, "f")[field]
@@ -898,7 +904,8 @@ def test_rejected_input_exits_6_and_writes_nothing(ws, capsys, command, field, v
     before = {p.name: p.read_bytes() for p in ws.iterdir()}
     capsys.readouterr()
     assert run() == 6
-    assert capsys.readouterr().err.startswith(f"error {error}: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error CorruptState: ") and cause in err
     assert {p.name: p.read_bytes() for p in ws.iterdir()} == before
 
 
@@ -1014,9 +1021,9 @@ def test_server_id_its_file_cannot_hold_exits_6(ws, capsys, command, server_id):
 
 
 def test_readme_exit_codes_match_error_classes():
-    """The README's "Exit codes" paragraph lists, as `N` ClassName, each
-    error class that sets its own `exit_code`, and lists no pair that is
-    not a class's code."""
+    """Every error class sets its own `exit_code`, one class per code, and
+    the README's "Exit codes" paragraph lists, as `N` ClassName, each class
+    and no pair that is not a class's code."""
     from privlog import errors
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -1024,8 +1031,9 @@ def test_readme_exit_codes_match_error_classes():
     listed = [(int(code), name) for code, name in re.findall(r"`(\d+)`\s+([A-Z]\w*)", paragraph)]
     classes = {name: cls for name, cls in vars(errors).items()
                if isinstance(cls, type) and issubclass(cls, errors.PrivlogError)}
-    own = [(cls.exit_code, name) for name, cls in classes.items() if "exit_code" in vars(cls)]
-    assert len(own) == 7
+    assert [name for name, cls in classes.items() if "exit_code" not in vars(cls)] == []
+    own = [(cls.exit_code, name) for name, cls in classes.items()]
+    assert len({code for code, _ in own}) == len(own) == 7
     assert [pair for pair in own if pair not in listed] == []
     assert [(code, name) for code, name in listed
             if name not in classes or classes[name].exit_code != code] == []
@@ -1641,17 +1649,30 @@ _ACCEPT2 = ["accept", "--keystore", "{ws}/server.kv", "--grant", "{ws}/grant2.kv
     ("server", [*_ACCEPT2, "--out", "{ws}/grant2.kv"], "--grant"),
     ("server", ["recover", "--keys", "{ws}/window.kv", "--in", "{ws}/prot.log",
                 "--out", "{ws}/window.kv"], "--keys"),
+    ("client", ["protect", "--in", "{ws}/raw.log", "--out", "{ws}/state.kv.lock"], "--state"),
+    ("client", ["protect", "--in", "{ws}/raw.log", "--out", "{ws}/dir-link/state.kv.lock"],
+     "--state"),
+    ("client", [*_GRANT3, "--out", "{ws}/state.kv.lock"], "--state"),
+    ("server", ["offer", "--keystore", "{ws}/server.kv", "--grant-id", "g-4",
+                "--out", "{ws}/server.kv.lock"], "--keystore"),
+    ("server", [*_ACCEPT2, "--out", "{ws}/server.kv.lock"], "--keystore"),
 ], ids=["protect-state", "protect-state-dir-link", "protect-identity",
         "protect-identity-link", "protect-config", "grant-state", "init-identity", "init-config",
         "grant-offer", "offer-keystore", "accept-keystore", "accept-grant",
-        "recover-keys"])
+        "recover-keys", "protect-state-lock", "protect-state-lock-dir-link", "grant-state-lock",
+        "offer-keystore-lock", "accept-keystore-lock"])
 def test_out_that_is_a_commands_own_file_is_refused(ws, capsys, side, argv, flag):
     """An --out (or init's --state) whose write would replace the config,
     identity, state, keystore, grant, offer or window keys the command
-    takes, by its own path, through a linked directory or through a symlink
-    the command reads, exits 6 naming both flags, and no file changes."""
+    takes, or the lock file of the state or keystore it locks, by its own
+    path, through a linked directory or through a symlink the command
+    reads, exits 6 naming both flags, and no file changes. A lock file
+    replaced while its command held it would let a second command lock
+    the new file and run beside the first."""
     _own_files_ws(ws)
     files = {path: path.read_bytes() for path in ws.iterdir() if path.is_file()}
+    locks = {path: path.stat().st_ino for path in ws.glob("*.lock")}
+    assert sorted(path.name for path in locks) == ["server.kv.lock", "state.kv.lock"]
     capsys.readouterr()
     argv = [arg.format(ws=ws) for arg in argv]
     code = _client(ws, *argv) if side == "client" else server_main(argv)
@@ -1659,6 +1680,7 @@ def test_out_that_is_a_commands_own_file_is_refused(ws, capsys, side, argv, flag
     assert code == 6, err
     assert err.startswith("error CorruptState: --") and f" and {flag} " in err
     assert {path: path.read_bytes() for path in ws.iterdir() if path.is_file()} == files
+    assert {path: path.stat().st_ino for path in ws.glob("*.lock")} == locks
 
 
 def test_out_may_be_a_link_to_a_commands_file(ws):
@@ -2089,6 +2111,57 @@ def test_protect_split_child_without_result_fails(tmp_path, monkeypatch):
     assert result[1] == ""
     assert "ended with status 3 and no result" in result[2]
     _assert_protect_failed(tmp_path, result, 1, mask)
+
+
+@pytest.mark.parametrize("command", ["protect", "recover"])
+def test_split_child_that_raises_another_error_fails(ws, capfd, monkeypatch, command):
+    """A child that ends on an error that is not a PrivlogError, here a
+    RuntimeError on a line of the last of 3 shares, prints its traceback
+    and sends no result: exit 1, no output, no temp file, the state
+    unchanged, no child left, the CPU mask restored."""
+    import privlog.server as server_mod
+
+    def fails_on_the_marked_line(real):
+        def call(line):
+            if line.endswith(" boom"):
+                raise RuntimeError("boom in the last share")
+            return real(line)
+        return call
+
+    out = ws / "x.out"
+    if command == "protect":
+        lines = _dated_lines(30)
+        lines[-1] = lines[-1].replace("\n", " boom\n")
+        _protect_failure_ws(ws, lines)
+        (ws / "state.kv").write_bytes((ws / "state0.kv").read_bytes())
+        monkeypatch.setattr(client_mod, "detect_pii", fails_on_the_marked_line(client_mod.detect_pii))
+        main, argv = client_main, ["--identity", str(ws / "identity.kv"), "--state",
+                                   str(ws / "state.kv"), "--year", "2024", "protect",
+                                   "--in", str(ws / "raw.log"), "--out", str(out)]
+    else:
+        _dense_investigation(ws)
+        lines = (ws / "prot.log").read_text().splitlines(keepends=True)
+        at = max(i for i, line in enumerate(lines) if "<PII" in line)
+        lines[at] = lines[at].replace("\n", " boom\n")
+        (ws / "prot.log").write_text("".join(lines))
+        monkeypatch.setattr(server_mod, "parse_protected_line",
+                            fails_on_the_marked_line(server_mod.parse_protected_line))
+        main, argv = server_main, ["recover", "--keys", str(ws / "window.kv"), "--in",
+                                   str(ws / "prot.log"), "--out", str(out), "--year", "2024"]
+    state = (ws / "state.kv").read_bytes()
+    mask = os.sched_getaffinity(0)
+    capfd.readouterr()
+    with _split_into(3):
+        code = main(argv)
+    stdout, stderr = capfd.readouterr()
+    assert code == 1, stderr
+    assert stdout == ""
+    assert "Traceback (most recent call last)" in stderr
+    assert "RuntimeError: boom in the last share" in stderr
+    assert "ended with status 1 and no result" in stderr
+    assert not out.exists()
+    assert (ws / "state.kv").read_bytes() == state
+    _assert_no_process_left(ws, mask)
 
 
 # --- one writer at a time for each state file and keystore ------------------

@@ -39,7 +39,6 @@ from privlog.errors import (
     CorruptState,
     InvalidWindow,
     OutOfOrderDate,
-    UnsupportedVersion,
 )
 from privlog.kvfile import parse_kv
 from privlog.pii import parse_protected_line
@@ -576,7 +575,7 @@ def test_state_missing_field(client_state):
 
 def test_state_unsupported_version(client_state):
     text = save_state(client_state).replace("v=1", "v=99", 1)
-    with pytest.raises(UnsupportedVersion):
+    with pytest.raises(CorruptState, match="version '99'"):
         load_state(text)
 
 

@@ -14,7 +14,7 @@ from privlog.dice import (
     format_identity,
     parse_identity,
 )
-from privlog.errors import CorruptState, InvalidLength
+from privlog.errors import CorruptState
 
 
 def test_cdi_deterministic(identity):
@@ -67,13 +67,13 @@ def test_measurement_sensitivity(identity):
 
 
 def test_identity_constraints():
-    with pytest.raises(InvalidLength):
+    with pytest.raises(CorruptState, match="uds and measurement must be 32 bytes"):
         DeviceIdentity(uds=b"\x01" * 31, measurement=b"\x02" * 32, device_id="x")
-    with pytest.raises(InvalidLength):
+    with pytest.raises(CorruptState, match=r"device_id must be 1\.\.64 characters"):
         DeviceIdentity(uds=b"\x01" * 32, measurement=b"\x02" * 32, device_id="")
-    with pytest.raises(InvalidLength):
+    with pytest.raises(CorruptState, match=r"device_id must be 1\.\.64 characters"):
         DeviceIdentity(uds=b"\x01" * 32, measurement=b"\x02" * 32, device_id="a" * 65)
-    with pytest.raises(InvalidLength):
+    with pytest.raises(CorruptState, match="device_id must be printable ASCII"):
         DeviceIdentity(uds=b"\x01" * 32, measurement=b"\x02" * 32, device_id="naïve")
 
 

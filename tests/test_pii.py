@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from privlog.corpus import BenchConfig, generate_corpus
-from privlog.errors import InvalidSpans
+from privlog.errors import PrivlogError
 from privlog.pii import (
     PATTERNS,
     PRIORITY,
@@ -466,7 +466,7 @@ def test_encode_rejects_overlap():
         PiiSpan(PiiType.EMAIL, 3, 8, "defgh"),
     ]
     fields = [_random_field(), _random_field()]
-    with pytest.raises(InvalidSpans):
+    with pytest.raises(PrivlogError, match="overlaps or precedes"):
         encode_protected_line(line, spans, fields)
 
 
@@ -474,17 +474,17 @@ def test_encode_rejects_spans_out_of_order():
     """Spans must come in order, as `detect_pii` returns them; none is re-sorted."""
     line = "abcdefghij"
     spans = [PiiSpan(PiiType.EMAIL, 6, 9, "ghi"), PiiSpan(PiiType.EMAIL, 0, 3, "abc")]
-    with pytest.raises(InvalidSpans):
+    with pytest.raises(PrivlogError, match="overlaps or precedes"):
         encode_protected_line(line, spans, [_random_field(), _random_field()])
 
 
 def test_encode_rejects_span_past_the_end():
-    with pytest.raises(InvalidSpans):
+    with pytest.raises(PrivlogError, match="out of bounds"):
         encode_protected_line("abc", [PiiSpan(PiiType.EMAIL, 1, 4, "bc")], [_random_field()])
 
 
 def test_encode_rejects_misaligned_counts():
-    with pytest.raises(InvalidSpans):
+    with pytest.raises(PrivlogError, match="1 spans but 0 fields"):
         encode_protected_line("abc", [PiiSpan(PiiType.EMAIL, 0, 3, "abc")], [])
 
 
