@@ -92,7 +92,9 @@ def _check_out(outfile: str, files: Sequence[Tuple[str, Optional[str]]],
     one of them, or a symlink to one of them at `outfile`, is replaced
     alone and may be the output. Run before any file is written. The one
     input a command streams to its end before its output's rename may
-    share the path."""
+    share the path. A name that ends in ".lock" is refused too: it may be
+    the lock file of another command's state or keystore (see `_locked`),
+    which a write would replace while that command holds it."""
     for name, path in files:
         try:
             same = path is not None and _entry(outfile) in (_entry(path), os.path.realpath(path))
@@ -100,6 +102,8 @@ def _check_out(outfile: str, files: Sequence[Tuple[str, Optional[str]]],
             same = False
         if same:
             raise CorruptState(f"{flag} {outfile!r} and {name} {path!r} are the same file")
+    if os.path.basename(outfile).endswith(".lock"):
+        raise CorruptState(f"{flag} {outfile!r} ends in '.lock', the name of a lock file")
 
 
 def _and_lock(flag: str, path: str) -> List[Tuple[str, str]]:

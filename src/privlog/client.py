@@ -51,19 +51,26 @@ class _ClientStateFields(NamedTuple):
     chain_key: SecretKey32
     chain_date: date
     epoch_date: date
+    # The offer key and the grant file text of the grant that ended the last
+    # epoch, or empty: `grant` answers that offer again with the same bytes.
+    pending_offer: bytes = b""
+    pending_grant: str = ""
 
 
 class ClientState(_ClientStateFields):
     """The device's persisted keys; each key's repr is redacted. `_replace`
-    skips the constructor's check: use it only to move the chain forward."""
+    skips the constructor's check: use it only to move the chain forward or
+    to attach a pending grant."""
 
     __slots__ = ()
 
     def __new__(cls, root_key: SecretKey32, hash_key: SecretKey32, chain_key: SecretKey32,
-                chain_date: date, epoch_date: date):
+                chain_date: date, epoch_date: date, pending_offer: bytes = b"",
+                pending_grant: str = ""):
         if chain_date < epoch_date:
             raise CorruptState("chain_date precedes epoch_date")
-        return super().__new__(cls, root_key, hash_key, chain_key, chain_date, epoch_date)
+        return super().__new__(cls, root_key, hash_key, chain_key, chain_date, epoch_date,
+                               pending_offer, pending_grant)
 
 
 class GrantRequest(NamedTuple):
@@ -151,6 +158,10 @@ class ProtectSession:
         self.assumed_year = assumed_year
         self._last_date = near or state.chain_date
         self._cache: Dict[date, SecretKey32] = {}
+        # The date text of the last line keyed and its key, while a line that
+        # starts with that text has that key (see `_key_for`); else None.
+        self._day_text: Optional[str] = None
+        self._day_key: Optional[SecretKey32] = None
         # A token depends only on the value and the hash key, which a session
         # never changes: each distinct value is hashed once. Nothing sealed is kept.
         self._tokens: Dict[str, bytes] = {}
@@ -167,9 +178,22 @@ class ProtectSession:
         """The key of the day that `line` is sealed under, or None if it is
         dated before the epoch. Moves the running year, the last date and,
         for a day not yet cached, the chain: the one date-and-chain rule of
-        `protect_line` and `skip`."""
+        `protect_line` and `skip`.
+
+        A line that starts with the date text of the last line keyed takes
+        that line's key unread, when that line was dated on the chain date.
+        It is exact: `extract_date` reads the same text with the same
+        running year and last date, so such a line is dated that day, or is
+        undated and sealed under the chain date, the same day; either way
+        nothing moves. Any other line forgets the text, and the text is
+        kept only while the session cache holds its key."""
+        text = self._day_text
+        if text is not None and line.startswith(text):
+            return self._day_key
+        self._day_text = self._day_key = None
         line_date, self.assumed_year = extract_date(line, self.assumed_year, self._last_date)
-        if line_date is None:
+        dated = line_date is not None
+        if not dated:
             line_date = self._state.chain_date
         else:
             self._last_date = line_date
@@ -183,6 +207,10 @@ class ProtectSession:
             else:
                 self._cache.update(new_keys)
             key = self._cache[line_date]
+        if dated and line_date == self._state.chain_date:
+            # The two date forms differ at the third character: MM-DD, or YYYY-MM-DD.
+            self._day_text = line[:5] if line[2] == "-" else line[:10]
+            self._day_key = key
         return key
 
     def skip(self, lines: Iterable[str]) -> None:
@@ -275,6 +303,10 @@ def create_grant(
 
 
 def save_state(state: ClientState) -> str:
+    """The state file; `pending_offer=` and `pending_grant=` (the grant
+    file's text in base64) only while a grant is pending."""
+    pending = [("pending_offer", b64(state.pending_offer)),
+               ("pending_grant", b64(state.pending_grant.encode()))] if state.pending_grant else []
     return format_kv(
         [
             ("v", STATE_VERSION),
@@ -283,18 +315,29 @@ def save_state(state: ClientState) -> str:
             ("chain_key", b64(state.chain_key.bytes)),
             ("chain_date", state.chain_date.isoformat()),
             ("epoch_date", state.epoch_date.isoformat()),
+            *pending,
         ]
     )
 
 
 def load_state(text: str) -> ClientState:
     """Read a state file; keys it does not read (such as the `dh_priv=`,
-    `dh_pub=` and `init_nonce=` of earlier writers) are ignored."""
+    `dh_pub=` and `init_nonce=` of earlier writers) are ignored, and one
+    without a pending grant has none."""
     fields = parse_versioned(text, "state file", STATE_VERSION)
+    pending_offer, pending_grant = b"", ""
+    if "pending_grant" in fields:
+        pending_offer = b64_field(fields, "pending_offer", "state file", 32)
+        try:
+            pending_grant = b64_field(fields, "pending_grant", "state file").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptState("state file: field 'pending_grant' is not UTF-8") from exc
     return ClientState(
         root_key=SecretKey32(b64_field(fields, "root_key", "state file", 32)),
         hash_key=SecretKey32(b64_field(fields, "hash_key", "state file", 32)),
         chain_key=SecretKey32(b64_field(fields, "chain_key", "state file", 32)),
         chain_date=date_field(fields, "chain_date", "state file"),
         epoch_date=date_field(fields, "epoch_date", "state file"),
+        pending_offer=pending_offer,
+        pending_grant=pending_grant,
     )

@@ -189,14 +189,21 @@ def _cmd_grant(args) -> int:
             server_id=cfg.server_id,
             grant_id=grant_id,
         )
+        if state.pending_grant and state.pending_offer == offer_pub:
+            # The run that answered this offer rotated; its grant file may be lost.
+            atomic_write(args.outfile, state.pending_grant)
+            print(f"grant {grant_id} released again -> {args.outfile}; "
+                  f"epoch {state.epoch_date.isoformat()}")
+            return 0
         grant, rotated = client_mod.create_grant(state, req, cfg.identity, today)
         # Format the grant and open its file before rotating, so a grant that
         # file cannot hold, or a path it cannot be written to, rotates nothing.
-        # Rotate before releasing it: a crash in between loses the grant but
-        # can never leave a state able to re-issue this epoch.
+        # Rotate before releasing it, and keep it in the rotated state: a crash
+        # in between leaves no state able to re-issue this epoch, and running
+        # `grant` again on this offer writes the same grant.
         grant_text = format_grant(grant)
         with atomic_writer(args.outfile) as out:
-            cfg.save_state(rotated)
+            cfg.save_state(rotated._replace(pending_offer=offer_pub, pending_grant=grant_text))
             out.write(grant_text)
     print(
         f"grant {grant_id} for [{req.start_date.isoformat()}, {today.isoformat()}] "

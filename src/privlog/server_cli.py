@@ -28,6 +28,7 @@ def _load_keystore(path: str) -> server_mod.ServerKeys:
 
 
 def _cmd_keygen(args) -> int:
+    _check_out(args.keystore, [], "--keystore")
     keys = server_mod.keygen(args.server_id)
     text = server_mod.save_server_keys(keys)
     with _locked(args.keystore):
@@ -125,6 +126,8 @@ def _cmd_report(args) -> int:
         token = b64_decode(args.timeline, "--timeline token", TOKEN_LEN)
     elif not args.outfile:
         raise CorruptState("report needs --out (or --timeline TOKEN)")
+    if args.outfile:
+        _check_out(args.outfile, [])
     events = server_mod.read_events_csv(_read_lines(args.events, "events csv"))
     if token is not None:
         rows = server_mod.timeline(events, token)

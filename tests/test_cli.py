@@ -4,6 +4,7 @@ import ast
 import base64
 import contextlib
 import csv
+import fcntl
 import importlib
 import io
 import math
@@ -19,7 +20,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 import privlog
@@ -38,6 +39,8 @@ from privlog.server import (
 
 DAY1 = date(2024, 5, 1)
 STATE_KEYS = {"v", "root_key", "hash_key", "chain_key", "chain_date", "epoch_date"}
+# A state that a grant rotated also holds that grant, for `grant` to write again.
+PENDING_GRANT_KEYS = {"pending_offer", "pending_grant"}
 _SHORT_KEY = base64.b64encode(b"\x09" * 31).decode()  # one byte short of an X25519 key
 
 
@@ -431,26 +434,51 @@ def _crash_at_write(monkeypatch, crash_at, run):
 
 def test_grant_crash_atomicity(ws, monkeypatch):
     """A crash between the state rotation and the grant write must never
-    leave both the old epoch on disk and a released grant file."""
+    leave both the old epoch on disk and a released grant file. After a
+    crash at the grant write, the rotated state holds the grant: `grant` on
+    the same offer writes it again, byte for byte, and exits 0, so accept
+    and recover open the old epoch's fields. The next grant replaces it."""
+    (ws / "raw.log").write_text("05-01 10:00:00.000  1000  1000 I T: mail alice@example.com\n")
     assert _client(ws, "init", "--today", DAY1.isoformat()) == 0
+    assert _client(ws, "protect", "--in", str(ws / "raw.log"), "--out", str(ws / "prot.log")) == 0
     assert server_main([
         "offer", "--keystore", str(ws / "server.kv"),
         "--grant-id", "g-crash", "--out", str(ws / "offer.kv"),
     ]) == 0
     state_before = (ws / "state.kv").read_text()
+    grant = ["grant", "--server-offer", str(ws / "offer.kv"), "--start", DAY1.isoformat(),
+             "--today", DAY1.isoformat(), "--out", str(ws / "grant.kv")]
 
     for crash_at in (1, 2):  # 1: state write, 2: grant write
         (ws / "state.kv").write_text(state_before)
         (ws / "grant.kv").unlink(missing_ok=True)
-        _crash_at_write(monkeypatch, crash_at, lambda: _client(
-            ws, "grant", "--server-offer", str(ws / "offer.kv"),
-            "--start", DAY1.isoformat(), "--today", DAY1.isoformat(),
-            "--out", str(ws / "grant.kv")))
+        _crash_at_write(monkeypatch, crash_at, lambda: _client(ws, *grant))
 
         state_now = (ws / "state.kv").read_text()
         grant_released = (ws / "grant.kv").exists()
         old_epoch_on_disk = state_now == state_before
         assert not (grant_released and old_epoch_on_disk)
+
+    rotated = (ws / "state.kv").read_bytes()
+    assert set(parse_kv(rotated.decode(), "state")) == STATE_KEYS | PENDING_GRANT_KEYS
+    assert not (ws / "grant.kv").exists()
+    assert _client(ws, *grant) == 0
+    released = (ws / "grant.kv").read_bytes()
+    assert _client(ws, *grant) == 0
+    assert (ws / "grant.kv").read_bytes() == released
+    assert (ws / "state.kv").read_bytes() == rotated
+    assert server_main(["accept", "--keystore", str(ws / "server.kv"), "--grant", str(ws / "grant.kv"),
+                        "--expect-device", "pixel-lab", "--out", str(ws / "window.kv")]) == 0
+    assert _recover(ws, "prot.log", "events.csv") == 0
+    rows = (ws / "events.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1:3] for row in rows] == [[DAY1.isoformat(), "EMAIL"]]
+
+    assert server_main(["offer", "--keystore", str(ws / "server.kv"), "--grant-id", "g-next",
+                        "--out", str(ws / "offer2.kv")]) == 0
+    assert _client(ws, "grant", "--server-offer", str(ws / "offer2.kv"), "--start", D(2).isoformat(),
+                   "--today", D(2).isoformat(), "--out", str(ws / "grant2.kv")) == 0
+    pending = parse_kv((ws / "state.kv").read_text(), "state")["pending_grant"]
+    assert base64.b64decode(pending) == (ws / "grant2.kv").read_bytes() != released
 
 
 def test_atomic_write_leaves_no_partial_file(ws, monkeypatch):
@@ -1257,8 +1285,10 @@ def _trace_targets():
 def test_every_trace_target_is_called(ws, monkeypatch):
     """perfbench patches each target by the name its caller imported; a
     call made some other way would bypass the patch and read as 0 calls.
-    Each engine reads a line's date in one traced call: once per input
-    line of `protect`, and once per "<PII" line of a serial `recover`."""
+    Each engine reads a line's date in one traced call: `protect` once per
+    input line that does not start with the date text of the line before
+    (every line here is dated, in order and inside the epoch, so that is
+    the last keyed line's), and a serial `recover` once per "<PII" line."""
     calls = Counter()
     for target, attr, _ in _trace_targets():
         module, _, cls = target.partition(":")
@@ -1289,7 +1319,11 @@ def test_every_trace_target_is_called(ws, monkeypatch):
     assert server_main(["report", "--events", str(ws / "events.csv"), "--timeline", token]) == 0
 
     assert {f"{t}.{a}" for t, a, _ in _trace_targets()} - set(calls) == set()
-    assert calls["privlog.client.extract_date"] == len((ws / "raw.log").read_text().splitlines())
+    raw = (ws / "raw.log").read_text().splitlines()
+    dates = [oracles.extract_date(line, 2024) for line in raw]
+    assert None not in dates and dates == sorted(dates) and dates[0] >= DAY1
+    new_text = [n == 0 or line[:5] != raw[n - 1][:5] for n, line in enumerate(raw)]
+    assert calls["privlog.client.extract_date"] == sum(new_text) == len(set(dates)) < len(raw)
     pii_lines = [line for line in (ws / "prot.log").read_text().splitlines() if "<PII" in line]
     assert calls["privlog.server.extract_date"] == len(pii_lines) > 0
 
@@ -1612,6 +1646,17 @@ def test_installed_entry_points_resolve():
         assert out.stdout.startswith(f"usage: {name} "), out.stdout
 
 
+def test_sources_parse_as_python_3_10():
+    """pyproject.toml promises Python 3.10: every source under src/, tests/
+    and scripts/ parses with 3.10's grammar, on whichever Python runs this."""
+    root = Path(__file__).resolve().parents[1]
+    assert 'requires-python = ">=3.10"' in (root / "pyproject.toml").read_text()
+    paths = sorted(p for top in ("src", "tests", "scripts") for p in (root / top).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 def _own_files_ws(ws) -> None:
     """A grant accepted into window.kv; then grant2.kv answering a second
     offer, not yet accepted, and offer3.kv, not yet answered."""
@@ -1681,6 +1726,45 @@ def test_out_that_is_a_commands_own_file_is_refused(ws, capsys, side, argv, flag
     assert err.startswith("error CorruptState: --") and f" and {flag} " in err
     assert {path: path.read_bytes() for path in ws.iterdir() if path.is_file()} == files
     assert {path: path.stat().st_ino for path in ws.glob("*.lock")} == locks
+
+
+@pytest.mark.parametrize("side, argv, flag", [
+    ("client", ["protect", "--in", "{ws}/raw.log", "--out", "{ws}/held.kv.lock"], "--out"),
+    ("client", [*_GRANT3, "--out", "{ws}/held.kv.lock"], "--out"),
+    ("client", ["--state", "{ws}/held.kv.lock", *_INIT], "--state"),
+    ("server", ["keygen", "--keystore", "{ws}/held.kv.lock", "--force"], "--keystore"),
+    ("server", ["offer", "--keystore", "{ws}/server.kv", "--grant-id", "g-4",
+                "--out", "{ws}/held.kv.lock"], "--out"),
+    ("server", [*_ACCEPT2, "--out", "{ws}/held.kv.lock"], "--out"),
+    ("server", ["recover", "--keys", "{ws}/window.kv", "--in", "{ws}/prot.log",
+                "--out", "{ws}/held.kv.lock"], "--out"),
+    ("server", ["report", "--events", "{ws}/events.csv", "--out", "{ws}/held.kv.lock"], "--out"),
+    ("server", ["report", "--events", "{ws}/events.csv", "--timeline", _TOKEN,
+                "--out", "{ws}/held.kv.lock"], "--out"),
+], ids=["protect", "grant", "init", "keygen", "offer", "accept", "recover", "report",
+        "report-timeline"])
+def test_out_named_like_a_lock_file_is_refused(ws, capsys, side, argv, flag):
+    """An --out (or init's --state, or keygen's --keystore) whose name ends
+    in ".lock" may be the lock file that another command holds for its own
+    state or keystore: replacing it would let a third command lock the new
+    file and run beside the holder. It exits 6 naming the flag, before
+    anything is written, rotated or consumed, and the held lock file keeps
+    its inode."""
+    _own_files_ws(ws)
+    assert _recover(ws, "prot.log", "events.csv") == 0
+    held = ws / "held.kv.lock"
+    with open(held, "w") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        files = {path: path.read_bytes() for path in ws.iterdir() if path.is_file()}
+        inode = held.stat().st_ino
+        capsys.readouterr()
+        argv = [arg.format(ws=ws) for arg in argv]
+        code = _client(ws, *argv) if side == "client" else server_main(argv)
+        err = capsys.readouterr().err
+        assert code == 6, err
+        assert err.startswith(f"error CorruptState: {flag} ") and "ends in '.lock'" in err
+        assert {path: path.read_bytes() for path in ws.iterdir() if path.is_file()} == files
+        assert held.stat().st_ino == inode
 
 
 def test_out_may_be_a_link_to_a_commands_file(ws):
@@ -1964,14 +2048,16 @@ _SPLIT_FILES: dict = {}
 
 def _split_files() -> dict:
     """An identity and a state at _SPLIT_EPOCH, and the state's day keys to
-    the end of 2025; made once."""
+    the last day a drawn log can reach; made once. A year-less line is read
+    at most one year past the running year and moves it on by at most one,
+    so a log of at most 10 lines read from 2024 stays inside 2034."""
     if not _SPLIT_FILES:
         identity = DeviceIdentity(uds=b"\x31" * 32, measurement=b"\x32" * 32, device_id="split")
         state = client_mod.init_client(identity, dh_derive_keypair(b"\x33" * 32, b"srv").public,
                                        _SPLIT_EPOCH)
         _SPLIT_FILES.update({"identity.kv": format_identity(identity),
                              "state.kv": client_mod.save_state(state),
-                             "keys": client_mod.advance_to(state, date(2025, 12, 31))[1]})
+                             "keys": client_mod.advance_to(state, date(2034, 12, 31))[1]})
     return _SPLIT_FILES
 
 
@@ -2019,6 +2105,10 @@ def _protect_ws(tmp: Path, raw: bytes) -> None:
 @settings(max_examples=100, deadline=None)
 @given(log=_protect_log(), shares=st.sampled_from([2, 3]),
        mode=st.sampled_from(["stream", "batch"]))
+@example(log="".join(_new_year_line(day, year_less, "mail alice@example.com to 10.1.2.3", "\n")
+                     for day, year_less in ((date(2025, 6, 30), False), (date(2024, 12, 24), True),
+                                            (date(2025, 1, 1), True))),
+         shares=2, mode="stream")  # rolls into 2026
 def test_protect_split_matches_serial(log, shares, mode):
     """`protect` split into 2 or 3 shares saves the serial run's state byte
     for byte, prints its summary, exits with its code and stderr, and

@@ -41,7 +41,7 @@ from privlog.errors import (
     OutOfOrderDate,
 )
 from privlog.kvfile import parse_kv
-from privlog.pii import parse_protected_line
+from privlog.pii import extract_date, parse_protected_line
 
 DAY1 = date(2024, 5, 1)
 
@@ -273,6 +273,96 @@ def test_protect_stream_keeps_only_newest_key(client_state):
     session.protect_line(logcat(D(1), "a"))
     session.protect_line(logcat(D(3), "b"))
     assert list(session.day_keys) == [D(3)]
+
+
+# Date texts: year-less ones around two new years, a leap day and half a
+# year away, and the ISO dates of those days in three years (2025-02-29 names
+# no day). Tails: a logcat or ISO header, one that leaves the line undated
+# ("05-01x …", "2024-05-01T…") and the end of the line.
+_MONTH_DAYS = ["12-30", "12-31", "01-01", "01-02", "02-28", "02-29", "03-01", "06-30", "07-02"]
+_DATE_TEXTS = _MONTH_DAYS + [f"{year}-{md}" for year in (2023, 2024, 2025) for md in _MONTH_DAYS]
+_TAILS = [" 12:00:00.000  1000  1000 I T: x", " 12:00:00.000 I T: x", "x 12:00:00.000 I T: x",
+          "T12:00:00 x", "_x", "", " 1:2"]
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+_KEYED_EPOCHS = [date(2023, 12, 31), date(2024, 2, 28), date(2024, 12, 30)]
+_KEYED_STATES: dict = {}
+
+
+@st.composite
+def _keyed_lines(draw) -> list:
+    """Lines whose date texts often repeat the line before's, with any tail;
+    some in Arabic-Indic digits, some with no date at all."""
+    lines = []
+    text = ""
+    for again, date_text, tail, unicode_digits in draw(st.lists(st.tuples(
+            st.booleans(), st.sampled_from(_DATE_TEXTS + ["    at x", "12", "-"]),
+            st.sampled_from(_TAILS), st.integers(0, 7)), max_size=30)):
+        if not (again and text):
+            text = date_text.translate(_ARABIC_INDIC) if unicode_digits == 0 else date_text
+        lines.append(text + tail)
+    return lines
+
+
+def _keyed_state(epoch: date):
+    if epoch not in _KEYED_STATES:
+        identity = DeviceIdentity(uds=b"\x05" * 32, measurement=b"\x06" * 32, device_id="keyed")
+        _KEYED_STATES[epoch] = init_client(identity, dh_derive_keypair(b"\x07" * 32, b"srv").public,
+                                           epoch)
+    return _KEYED_STATES[epoch]
+
+
+def _keys_read_line_by_line(state, mode: str, year: int, near, lines: list) -> tuple:
+    """What a session does to `lines` when it reads every line's date with
+    `extract_date`: per line, the bytes of its day key, "pre-epoch", or
+    "OutOfOrderDate" (and no line after it); then the chain date and key, the
+    running year and the last date."""
+    last = near or state.chain_date
+    cache: dict = {}
+    out = []
+    for line in lines:
+        day, year = extract_date(line, year, last)
+        if day is None:
+            day = state.chain_date
+        else:
+            last = day
+            if day < state.epoch_date:
+                out.append("pre-epoch")
+                continue
+        if day not in cache:
+            try:
+                state, keys = advance_to(state, day)
+            except OutOfOrderDate:
+                out.append("OutOfOrderDate")
+                break
+            cache = {day: keys[day]} if mode == MODE_STREAM else {**cache, **keys}
+        out.append(cache[day].bytes)
+    return out, (state.chain_date, state.chain_key.bytes, year, last)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines=_keyed_lines(), mode=st.sampled_from([MODE_STREAM, MODE_BATCH]),
+       epoch=st.sampled_from(_KEYED_EPOCHS), year=st.sampled_from([2023, 2024, 2025]),
+       near=st.sampled_from([None, date(2024, 7, 1)]))
+def test_session_keys_each_line_as_a_date_read_of_every_line(lines, mode, epoch, year, near):
+    """A session that reuses the last keyed line's key for a line starting
+    with that line's date text keys every line, skips it as pre-epoch or
+    raises OutOfOrderDate exactly as a date read of every line does, and
+    ends at the same chain date and key, running year and last date. The
+    lines mix undated ones whose text looks dated, Unicode digits, 02-29
+    across a new year, pre-epoch lines and, in batch mode, lines out of order."""
+    state = _keyed_state(epoch)
+    want, final = _keys_read_line_by_line(state, mode, year, near, lines)
+    session = ProtectSession(state, mode, year, near)
+    got = []
+    try:
+        for line in lines:
+            key = session._key_for(line)
+            got.append("pre-epoch" if key is None else key.bytes)
+    except OutOfOrderDate:
+        got.append("OutOfOrderDate")
+    assert got == want
+    assert (session.state.chain_date, session.state.chain_key.bytes, session.assumed_year,
+            session._last_date) == final
 
 
 @pytest.mark.parametrize("mode", [MODE_STREAM, MODE_BATCH])
@@ -556,6 +646,19 @@ def test_state_roundtrip(client_state):
 def test_state_roundtrip_after_ops(identity, server_keys, client_state):
     state, _ = advance_to(client_state, D(6))
     assert load_state(save_state(state)) == state
+
+
+def test_state_roundtrip_with_a_pending_grant(client_state):
+    """A state that carries the grant it released reads back with it; a
+    pending grant without its offer key is CorruptState."""
+    state = client_state._replace(pending_offer=b"\x09" * 32,
+                                  pending_grant="v=1\ngrant_id=g-\u00e9\n")
+    text = save_state(state)
+    assert load_state(text) == state
+    assert load_state(save_state(client_state)).pending_grant == ""
+    with pytest.raises(CorruptState, match="pending_offer"):
+        load_state("".join(l for l in text.splitlines(keepends=True)
+                           if not l.startswith("pending_offer=")))
 
 
 def test_state_tampered_base64(client_state):
