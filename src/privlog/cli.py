@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import fcntl
+import glob
+import itertools
 import marshal
 import os
 import stat
@@ -38,20 +40,22 @@ def _run(parser: argparse.ArgumentParser, argv: Optional[List[str]]) -> int:
         return exc.exit_code
 
 
-def _read_lines(path: str, what: str) -> Iterator[str]:
+def _read_lines(path: str, what: str, raw: int = 0) -> Iterator:
     """Lines of a UTF-8 file, split at "\n" only and untranslated, each with
-    its "\n" if it has one. A file that cannot be read, or a byte that is
-    not UTF-8, is CorruptState naming `what`, the path and the line."""
+    its "\n" if it has one: str, but the first `raw` lines as read, bytes.
+    A file that cannot be read, or a byte that is not UTF-8, is
+    CorruptState naming `what`, the path and the line."""
     try:
         fh = open(path, "rb")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise CorruptState(f"cannot read {what} {path!r}: {exc}") from exc
-    line_no = 0
+    line_no = raw
     # UTF-8 never encodes a newline inside a character: lines decode alone.
     try:
         with fh:
-            for line_no, raw in enumerate(fh, start=1):
-                yield raw.decode("utf-8")
+            yield from itertools.islice(fh, raw)
+            for line_no, line in enumerate(fh, start=raw + 1):
+                yield line.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorruptState(f"{what} {path!r} line {line_no} is not valid UTF-8") from exc
     except OSError as exc:  # raised reading the line after the last one yielded
@@ -120,7 +124,8 @@ def _locked(path: str) -> Iterator[None]:
     finds it held fails at once with LockHeld. The lock file is created
     if missing and never removed. The lock ends when the last descriptor
     of its open file closes, so a forked child, which ends by `os._exit`
-    and never unlocks, leaves it held."""
+    and never unlocks, leaves it held. Holding it, it removes each temp
+    file of `path` that only a killed writer can have left (README)."""
     try:
         if os.path.isdir(path):  # its write would be refused: make no lock beside it
             raise CorruptState(f"cannot write {path!r}: it is a directory")
@@ -136,6 +141,11 @@ def _locked(path: str) -> Iterator[None]:
         os.close(fd)
         raise LockHeld(f"{path!r} is in use: another command holds {lock!r}") from exc
     try:
+        # `atomic_writer`'s temp names: 8 random characters between these.
+        temps = glob.escape(f"{os.path.dirname(lock)}/.{Path(path).name}.") + "?" * 8 + ".tmp"
+        for stale in glob.glob(temps):
+            with contextlib.suppress(OSError):
+                os.unlink(stale)
         yield
     finally:
         os.close(fd)
@@ -149,9 +159,10 @@ SPLIT_MIN_BYTES = 512 * 1024
 # many bytes.
 _SPLIT_READ = 1 << 13
 
-# run_share(start, stop, fh): lines `start` to `stop` (to the end if None)
-# of the input, their output to `fh`; an outcome that marshal can carry.
-RunShare = Callable[[int, Optional[int], TextIO], object]
+# run_share(prefix, lines, start, fh): the raw input lines before `start`,
+# then the share's lines from `start` on, output to `fh`; an outcome that
+# marshal can carry.
+RunShare = Callable[[Iterator[bytes], Iterator[str], int, TextIO], object]
 
 
 def _share_cpus() -> List[int]:
@@ -188,7 +199,7 @@ def _shares(path: str) -> List[Tuple[int, int]]:
     return list(zip(cpus, starts))
 
 
-def _fork_share(stack: contextlib.ExitStack, run_share: RunShare, cpu: int, start: int,
+def _fork_share(stack: contextlib.ExitStack, run_share: Callable, cpu: int, start: int,
                 stop: Optional[int]) -> list:
     """Start a child that runs `run_share(start, stop, fh)` pinned to `cpu`;
     returns [pid, start, output, result]. The child writes its output to
@@ -265,11 +276,17 @@ def _in_shares(path: str, out: TextIO, run_share: RunShare) -> list:
     once share 0 is done. A share's error is raised in share order, so the
     output and any error are those of one pass over the input. When this
     process fails, it kills and reaps every child before it raises, and
-    its CPU mask is restored on every path. A share reads the input from
-    its first line, so an error in the lines before its share names the
-    same line as one pass."""
+    its CPU mask is restored on every path. A later share walks the lines
+    before it as bytes (`pii.walk_dates`): one that is not UTF-8 fails an
+    earlier share first."""
     shares = _shares(path)
     stops = [start - 1 for _, start in shares[1:]] + [None]
+
+    def share(start: int, stop: Optional[int], fh: TextIO):  # lines `start` to `stop`
+        lines = _read_lines(path, "input", start - 1)  # freed, so closed, on return
+        return run_share(itertools.islice(lines, start - 1),
+                         itertools.islice(lines, stop and stop - start + 1), start, fh)
+
     with contextlib.ExitStack() as stack:
         children = []
         if len(shares) > 1:
@@ -280,9 +297,9 @@ def _in_shares(path: str, out: TextIO, run_share: RunShare) -> list:
             load_modules()
             stack.callback(os.sched_setaffinity, 0, os.sched_getaffinity(0))
             for (cpu, start), stop in zip(shares[1:], stops[1:]):
-                children.append(_fork_share(stack, run_share, cpu, start, stop))
+                children.append(_fork_share(stack, share, cpu, start, stop))
             os.sched_setaffinity(0, {shares[0][0]})
-        outcomes = [run_share(1, stops[0], out)]
+        outcomes = [share(1, stops[0], out)]
         outcomes.extend(_join_share(child, out) for child in children)
     return outcomes
 

@@ -34,7 +34,7 @@ from .dice import DeviceIdentity, attestation_digest, derive_cdi
 from .errors import CorruptState, InvalidWindow, OutOfOrderDate
 from .grant import Grant, seal_window
 from .kvfile import b64, b64_field, date_field, format_kv, parse_versioned
-from .pii import detect_pii, encode_protected_line, extract_date, new_field
+from .pii import date_text, detect_pii, encode_protected_line, extract_date, new_field, walk_dates
 
 STATE_VERSION = "1"
 
@@ -177,16 +177,11 @@ class ProtectSession:
     def _key_for(self, line: str) -> Optional[SecretKey32]:
         """The key of the day that `line` is sealed under, or None if it is
         dated before the epoch. Moves the running year, the last date and,
-        for a day not yet cached, the chain: the one date-and-chain rule of
-        `protect_line` and `skip`.
-
-        A line that starts with the date text of the last line keyed takes
-        that line's key unread, when that line was dated on the chain date.
-        It is exact: `extract_date` reads the same text with the same
-        running year and last date, so such a line is dated that day, or is
-        undated and sealed under the chain date, the same day; either way
-        nothing moves. Any other line forgets the text, and the text is
-        kept only while the session cache holds its key."""
+        for a day not yet cached, the chain, by the date rule of
+        `pii.walk_dates` with the chain date as its latest day: a line that
+        starts with the date text of the last line keyed on the chain date
+        is that day or undated, sealed under the chain date either way, so
+        it takes that line's key unread (README)."""
         text = self._day_text
         if text is not None and line.startswith(text):
             return self._day_key
@@ -208,17 +203,18 @@ class ProtectSession:
                 self._cache.update(new_keys)
             key = self._cache[line_date]
         if dated and line_date == self._state.chain_date:
-            # The two date forms differ at the third character: MM-DD, or YYYY-MM-DD.
-            self._day_text = line[:5] if line[2] == "-" else line[:10]
-            self._day_key = key
+            self._day_text, self._day_key = date_text(line), key
         return key
 
-    def skip(self, lines: Iterable[str]) -> None:
-        """Read `lines` as `protect_line` would, protecting and counting
-        nothing: a session that then protects the lines after them is where
-        one over the whole log would be."""
-        for line in lines:
-            self._key_for(line)
+    def walk(self, lines: Iterable[bytes]) -> None:
+        """Move over `lines`, raw, as `protect_line` would (`pii.walk_dates`),
+        protecting and counting nothing: a session that then protects the
+        lines after them is where one over the whole log would be."""
+        self.assumed_year, self._last_date, self._day_text, latest = walk_dates(
+            lines, self.assumed_year, self._last_date, self._day_text, self._state.chain_date)
+        self._state, keys = advance_to(self._state, latest)
+        self._cache = keys if self.mode == MODE_BATCH else {latest: keys[latest]}
+        self._day_key = keys[latest] if self._day_text else None
 
     def protect_line(self, line: str) -> Tuple[Optional[str], int]:
         """Protect one line; returns (protected line, number of fields protected).

@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 from datetime import date
 from pathlib import Path
 from time import perf_counter_ns
 from typing import List, Optional, Sequence
 
 from . import client as client_mod, dice
-from .cli import _and_lock, _check_out, _in_shares, _locked, _parse_year, _read, _read_lines
+from .cli import _and_lock, _check_out, _in_shares, _locked, _parse_year, _read
 from .errors import CorruptState, OutOfOrderDate
 from .grant import format_grant, parse_offer
 from .kvfile import atomic_write, atomic_writer, b64, b64_decode, iso_date, parse_kv
@@ -113,16 +112,13 @@ def _latency_line(counts: List[int]) -> str:
 
 
 def _protect_share(args, state: client_mod.ClientState, year: int, near: Optional[date],
-                   start: int, stop: Optional[int], fh) -> tuple:
-    """Protect input lines `start` to `stop` (to the end if None) into `fh`,
-    as one session over the whole input would; returns its fields, lines,
-    pre-epoch lines, latency counts and the chain date's ordinal. The lines
-    before `start` are read too (`ProtectSession.skip`): they move the
-    running year, the last date and the chain, and a read error names its
-    line in the whole file."""
+                   prefix, lines, start: int, fh) -> tuple:
+    """Protect input `lines` from line `start` into `fh`, as one session
+    over the whole input would, after walking the `prefix` before them
+    (`ProtectSession.walk`); returns its fields, lines, pre-epoch lines,
+    latency counts and the chain date's ordinal."""
     session = client_mod.ProtectSession(state, args.mode, year, near)
-    lines = itertools.islice(_read_lines(args.infile, "input"), stop)
-    session.skip(raw.removesuffix("\n") for raw in itertools.islice(lines, start - 1))
+    session.walk(prefix)
     latencies = [0] * _BUCKETS
     line_no = start - 1
     fields = skipped_pre_epoch = 0

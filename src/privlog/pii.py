@@ -29,7 +29,7 @@ import functools
 import re
 from binascii import a2b_base64, b2a_base64
 from datetime import date
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import PrivlogError
 
@@ -277,6 +277,31 @@ def extract_date(line: str, year: int, last: date) -> Tuple[Optional[date], int]
     if other is None:
         return day, year
     return other, max(year, other_year)
+
+
+def date_text(line: str) -> str:
+    """A dated line's date text: `MM-DD`, or `YYYY-MM-DD` (a digit third)."""
+    return line[:5] if line[2] == "-" else line[:10]
+
+
+def walk_dates(lines: Iterable[bytes], year: int, last: date, text: Optional[str],
+               latest: Optional[date]) -> Tuple[int, date, Optional[str], Optional[date]]:
+    """The running year, last date, date text and latest day after raw UTF-8
+    `lines`, as one pass moves them (README). A line that starts with the
+    date text is not decoded; a dated line keeps its text unless it is
+    before `latest` (if None, always). Bad UTF-8 is replaced: a pass fails there."""
+    prefix = text and text.encode()
+    for raw in lines:
+        if prefix and raw.startswith(prefix):
+            continue
+        line = raw.decode("utf-8", "replace")
+        day, year = extract_date(line, year, last)
+        prefix = None
+        if day is not None:
+            last = day
+            if latest is None or day >= latest:
+                latest, prefix = latest and day, date_text(line).encode()
+    return year, last, prefix and prefix.decode(), latest
 
 
 _OPEN = {t: f'<PII type="{t.value}">' for t in PiiType}

@@ -29,7 +29,7 @@ from .grant import Grant, check_grant_id, open_window
 from .kvfile import (
     b64, b64_decode, b64_field, csv_field, format_kv, iso_date, parse_versioned, require,
 )
-from .pii import PiiType, extract_date, parse_protected_line
+from .pii import PiiType, date_text, extract_date, parse_protected_line, walk_dates
 
 KEYSTORE_VERSION = "1"
 WINDOW_VERSION = "1"
@@ -58,13 +58,14 @@ def keygen(server_id: str, seed: Optional[bytes] = None) -> ServerKeys:
 
 
 def create_offer(keys: ServerKeys, grant_id: str, seed: Optional[bytes] = None) -> bytes:
-    """Mint the single-use ephemeral keypair for one grant; returns its public key."""
+    """Mint the single-use ephemeral keypair for one grant; returns its public
+    key. An outstanding offer's key is returned again, and none is minted."""
     try:
         check_grant_id(grant_id)
     except CorruptState as exc:
         raise InvalidWindow(str(exc)) from exc
-    if grant_id in keys.ephemeral:
-        raise InvalidWindow(f"grant_id {grant_id!r} already has an outstanding offer")
+    if grant_id in keys.ephemeral:  # its offer file may have been lost
+        return keys.ephemeral[grant_id].public
     pair = dh_derive_keypair(seed, b"server-ephemeral")
     keys.ephemeral[grant_id] = pair
     return pair.public
@@ -141,83 +142,87 @@ class RecoveredEvent(NamedTuple):
 _event = functools.partial(tuple.__new__, RecoveredEvent)
 
 
+def _opened(key: SecretKey32, fields: list) -> list:
+    """The (type, token) of each field that opens under `key`, in order."""
+    opened = []
+    for pii_type, box in fields:
+        try:
+            opened.append((pii_type, aead_open(key, box)))
+        except AuthFailure:
+            pass
+    return opened
+
+
 def recover_tokens(
     window: WindowKeys,
     lines: Iterable[str],
     assumed_year: int,
     emit: Optional[Callable[[tuple], object]] = None,
     start_line: int = 1,
+    prefix: Iterable[bytes] = (),
 ) -> Tuple[List[RecoveredEvent], Dict[str, int]]:
     """Decrypt every in-window protected field; tally everything else.
 
-    Failures are per field, never fatal: a mixed corpus is expected to
-    contain lines outside the window and fields sealed under other
-    epochs, and those must not abort recovery of the rest. Year-less
-    dates are read as in `ProtectSession`, the first nearest the window's
-    first day. Templates exclude a trailing "\n" or "\r\n".
+    Failures are per field, never fatal. Every line is dated by the
+    client's rule (`pii.walk_dates`, README), the first nearest the
+    window's first day; a line that starts with the last dated line's
+    date text is read in full only where it matters. Templates exclude a
+    trailing "\n" or "\r\n". A line counts under the first rule that stops it:
+    - `lines_no_pii`: no "<PII". `lines_out_of_window`: a date with no
+      window key. Neither is parsed;
+    - `lines_no_pii` again: no valid element; `fields_malformed` counts
+      the malformed elements of every line parsed;
+    - an undated line opens under the last dated line's key, else under
+      the first other window key, earliest first, that opens one of its
+      fields, and is reported on that key's day; `lines_no_date` if none;
+    - `fields_auth_failed`: each other field that does not open.
 
-    Each line is counted under the first rule that stops it:
-    - `lines_no_pii`: no "<PII" in the line, which every element starts
-      with. The line is neither parsed nor read for its date;
-    - `lines_no_date`: no date. `lines_out_of_window`: a date with no
-      window key; like every dated line from here on, it moves the
-      running year. Neither kind is parsed, so `fields_malformed` counts
-      only elements on dated lines inside the window;
-    - `lines_no_pii` again: a dated line in the window with no valid
-      element. `fields_auth_failed`: each field that does not open.
-
-    Each line with a field that opens goes to `emit` as soon as it is
-    done, as one `(line_no, day, template, [(pii_type, token), ...])`
-    record with its pairs in line order, and the returned list stays
-    empty. With no `emit`, the list holds one RecoveredEvent per pair.
-    The counters are complete when the call returns.
-
-    `lines` always starts at the file's first line. The lines before
-    `start_line` run through the same rules with no window key, so none
-    is parsed; they only move the running year and the last date, and
-    their counts are dropped. So a caller that recovers one share of a
-    file passes the file's lines up to the share's last, and the share's
-    first line as `start_line`, and gets that share's records and
-    counters with the line numbers of the whole file.
+    Each line with a field that opens goes to `emit` when it is done, as
+    one `(line_no, day, template, [(pii_type, token), ...])` record, and
+    the returned list stays empty; with no `emit`, it holds one
+    RecoveredEvent per pair. `lines` start at the file's line `start_line`,
+    after its raw lines `prefix`, which are only walked for their dates.
     """
     records: list = []
     if emit is None:
         emit = records.append
-    year = assumed_year
-    last_date = min(window.days, default=date.min)
-    lines = iter(lines)
-    # The lines before `start_line` run with no day keys, and their counts are dropped.
-    for days, first, stop in (({}, 1, start_line - 1), (window.days, start_line, None)):
-        no_pii = no_date = out_of_window = auth_failed = malformed = 0
-        key = days.get(last_date)  # the key of `last_date`, looked up when it changes
-        for line_no, line in enumerate(itertools.islice(lines, stop), start=first):
-            if "<PII" not in line:
-                no_pii += 1
-                continue
-            line = line.removesuffix("\n").removesuffix("\r")
-            day, year = extract_date(line, year, last_date)
-            if day is None:
+    days = window.days
+    year, last, text, _ = walk_dates(prefix, assumed_year, min(days, default=date.min), None, None)
+    key = days.get(last)  # the key of `last`, looked up when it changes
+    no_pii = no_date = out_of_window = auth_failed = malformed = 0
+    for line_no, line in enumerate(lines, start=start_line):
+        read = text is None or not line.startswith(text)
+        if read:
+            day, year = extract_date(line, year, last)
+            text = None if day is None else date_text(line)
+            if day is not None and day != last:
+                last, key = day, days.get(day)
+        if "<PII" not in line:
+            no_pii += 1
+            continue
+        if not read:  # the day of `text`, or undated: read in full only where it matters
+            day = last if key is not None else extract_date(line, year, last)[0]
+        if day is not None and key is None:
+            out_of_window += 1
+            continue
+        template, fields, warnings = parse_protected_line(line.removesuffix("\n").removesuffix("\r"))
+        malformed += len(warnings)
+        if not fields:
+            no_pii += 1
+            continue
+        opened = _opened(key, fields) if key is not None else []
+        if opened:
+            day = last
+        elif day is None or not read and extract_date(line, year, last)[0] is None:
+            for day, other in sorted(days.items()):
+                if other is not key and (opened := _opened(other, fields)):
+                    break
+            else:
                 no_date += 1
                 continue
-            if day != last_date:
-                last_date = day
-                key = days.get(day)
-            if key is None:
-                out_of_window += 1
-                continue
-            template, fields, warnings = parse_protected_line(line)
-            malformed += len(warnings)
-            if not fields:
-                no_pii += 1
-                continue
-            opened = []
-            for pii_type, box in fields:
-                try:
-                    opened.append((pii_type, aead_open(key, box)))
-                except AuthFailure:
-                    auth_failed += 1
-            if opened:
-                emit((line_no, day, template, opened))
+        auth_failed += len(fields) - len(opened)
+        if opened:
+            emit((line_no, day, template, opened))
     events = [_event((line_no, day, pii_type, token, template))
               for line_no, day, template, opened in records for pii_type, token in opened]
     return events, {"lines_no_pii": no_pii, "lines_no_date": no_date,

@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import sys
 from contextlib import nullcontext
 from datetime import date
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from . import server as server_mod
 from .cli import _and_lock, _check_out, _in_shares, _locked, _parse_year, _read, _read_lines
@@ -75,12 +74,9 @@ def _cmd_accept(args) -> int:
     return 0
 
 
-def _recover_share(window, path: str, year: int, start: int, stop: Optional[int],
-                   fh) -> Tuple[int, Dict[str, int]]:
-    """Recover input lines `start` to `stop` (to the end if None), their rows
-    to `fh`; the tokens recovered and the skip counters. The lines before
-    `start` are read too: they set the running year, and a read error names
-    its line in the whole file."""
+def _recover_share(window, year: int, prefix, lines, start: int, fh) -> Tuple[int, Dict[str, int]]:
+    """Recover input `lines` from line `start`, after the `prefix` before
+    them, their rows to `fh`; the tokens recovered and the skip counters."""
     recovered = 0
 
     def emit(record):
@@ -88,10 +84,7 @@ def _recover_share(window, path: str, year: int, start: int, stop: Optional[int]
         recovered += len(record[3])
         server_mod.write_events_csv((record,), fh)
 
-    # A share that stops early leaves the reader suspended; it closes its
-    # file when it is freed, on return.
-    lines = itertools.islice(_read_lines(path, "input"), stop)
-    _, skipped = server_mod.recover_tokens(window, lines, year, emit, start)
+    _, skipped = server_mod.recover_tokens(window, lines, year, emit, start, prefix)
     return recovered, skipped
 
 
@@ -106,9 +99,7 @@ def _cmd_recover(args) -> int:
     year = _parse_year(args.year, "--year") or _parse_year(default, "window start year")
     with atomic_writer(args.outfile) as fh:
         fh.write(server_mod.EVENTS_HEADER_LINE)
-        outcomes = _in_shares(
-            args.infile, fh,
-            functools.partial(_recover_share, window, args.infile, year))
+        outcomes = _in_shares(args.infile, fh, functools.partial(_recover_share, window, year))
     recovered = sum(tokens for tokens, _ in outcomes)
     skipped = {reason: sum(counts[reason] for _, counts in outcomes) for reason in outcomes[0][1]}
     print(f"recovered {recovered} tokens -> {args.outfile}")

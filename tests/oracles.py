@@ -20,13 +20,19 @@ single scan. `fill_template` is the inverse of both.
 `read_events_csv` is the reference events-CSV reader: csv.reader, then each
 row checked on its own, with no cache and no record type.
 
-`recover` is the reference recovery: the reference parser and date
-reader above, each field opened by `cryptography`'s ChaCha20Poly1305
-called directly, and each row written by csv.writer. It reads every date
-in the year it is given and never rolls the year.
+`recover` is the reference recovery, written from the README's rule: it
+reads every line's date in full with `read_dates` (no date-text
+shortcut), parses with the reference parser, opens each field by
+`cryptography`'s ChaCha20Poly1305 called directly, tries every window
+key of an undated line in turn, and writes each row by csv.writer.
 
 `extract_date` is the reference date reader. It reads a line's prefix
 character by character against a shape, with no regex and no cache.
+`read_dates` adds the running year of year-less dates (README).
+
+`ProtocolModel` is the protocol's life cycle as the README states it,
+with no key: which day and epoch each protected line is sealed under,
+and what a recover under each accepted window opens and counts.
 
 `grant_aad` is the grant's associated data, written from the README's
 "File formats", so tests that build or open a grant by hand do not take
@@ -39,7 +45,7 @@ import csv
 import hashlib
 import io
 import re
-from datetime import date
+from datetime import date, timedelta
 
 SHA256_BLOCK = 64
 
@@ -297,46 +303,62 @@ def recover(day_keys: dict, lines: list, year: int) -> tuple:
     """(events CSV text with its header, skip counters) for protected log
     `lines` under `day_keys`, a dict of date -> 32-byte key.
 
-    Each line is counted under the first rule that stops it: no "<PII" in
-    it, `lines_no_pii`; no date read in `year`, `lines_no_date`; a date with
-    no key, `lines_out_of_window`. Other lines lose a trailing "\n", then a
+    Every line's date is read by `read_dates`, the first nearest the
+    earliest key's day. Each line is counted under the first rule that
+    stops it: no "<PII" in it, `lines_no_pii`; a date with no key,
+    `lines_out_of_window`. Other lines lose a trailing "\n", then a
     trailing "\r", and are parsed: each malformed element counts in
-    `fields_malformed`, a line with no valid element in `lines_no_pii`, and
-    each field that does not open in `fields_auth_failed`. Each field that
-    opens is one row, in line order.
+    `fields_malformed`, and a line with no valid element in
+    `lines_no_pii`. A dated line's fields open under its day's key. An
+    undated line's open under the key of the last dated line's day, or
+    else under the first other key, earliest day first, that opens any of
+    them, and its rows carry that key's day; if none opens any,
+    `lines_no_date`. Each other field that does not open counts in
+    `fields_auth_failed`. Each field that opens is one row, in line order.
     """
     from cryptography.exceptions import InvalidTag
     from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
+    def opened(day, fields):
+        cipher, tokens = ChaCha20Poly1305(day_keys[day]), []
+        for label, box in fields:
+            try:
+                tokens.append((label, cipher.decrypt(box[:12], box[12:], None)))
+            except InvalidTag:
+                pass
+        return tokens
+
+    first = min(day_keys, default=date.min)
     skipped = dict.fromkeys(SKIP_COUNTERS, 0)
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(EVENTS_COLUMNS)
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, (line, day, last) in enumerate(zip(lines, *read_dates(lines, year, first)),
+                                                start=1):
         if "<PII" not in line:
             skipped["lines_no_pii"] += 1
             continue
-        line = line.removesuffix("\n").removesuffix("\r")
-        day = extract_date(line, year)
-        if day is None:
-            skipped["lines_no_date"] += 1
-            continue
-        if day not in day_keys:
+        if day is not None and day not in day_keys:
             skipped["lines_out_of_window"] += 1
             continue
-        template, fields, warnings = parse_protected_line(line)
+        template, fields, warnings = parse_protected_line(line.removesuffix("\n").removesuffix("\r"))
         skipped["fields_malformed"] += len(warnings)
         if not fields:
             skipped["lines_no_pii"] += 1
             continue
-        cipher = ChaCha20Poly1305(day_keys[day])
-        for label, box in fields:
-            try:
-                token = cipher.decrypt(box[:12], box[12:], None)
-            except InvalidTag:
-                skipped["fields_auth_failed"] += 1
-                continue
-            writer.writerow([line_no, day.isoformat(), label, base64.b64encode(token).decode(),
+        candidates = [day] if day is not None else (
+            [last] * (last in day_keys) + sorted(d for d in day_keys if d != last))
+        tokens = []
+        for found in candidates:
+            tokens = opened(found, fields)
+            if tokens:
+                break
+        if day is None and not tokens:
+            skipped["lines_no_date"] += 1
+            continue
+        skipped["fields_auth_failed"] += len(fields) - len(tokens)
+        for label, token in tokens:
+            writer.writerow([line_no, found.isoformat(), label, base64.b64encode(token).decode(),
                              template])
     return out.getvalue(), skipped
 
@@ -376,6 +398,30 @@ def extract_date(line: str, assumed_year: int):
     return None
 
 
+def read_dates(lines: list, year: int, last: date) -> tuple:
+    """Each line's date or None, and the last dated line's date before it
+    (`last` at first), in two lists. A year-less date is read in the
+    running year, `year` at first; if that lies more than 182 days from
+    the last dated line's, it is read in the year on the other side of
+    that date instead, if that year is in [1970, 9999] and has the day.
+    Only a later year moves the running year on."""
+    days, lasts = [], []
+    for line in lines:
+        lasts.append(last)
+        day = extract_date(line, year)
+        if day is not None and not _starts_with_shape(line, "DDDD-DD-DD") \
+                and abs((day - last).days) > 182:
+            other = year - 1 if day > last else year + 1
+            if 1970 <= other <= 9999:
+                moved = _date_or_none(other, day.month, day.day)
+                if moved is not None:
+                    day, year = moved, max(year, other)
+        days.append(day)
+        if day is not None:
+            last = day
+    return days, lasts
+
+
 # --- grant context -----------------------------------------------------------
 
 
@@ -386,3 +432,58 @@ def grant_aad(server_id: str, device_id: str, attest_digest: bytes, grant_id: st
     fields = (server_id.encode(), device_id.encode(), attest_digest, grant_id.encode(),
               grant_date.isoformat().encode())
     return b"".join(len(field).to_bytes(2, "big") + field for field in fields)
+
+
+# --- protocol model ----------------------------------------------------------
+
+
+class ProtocolModel:
+    """Each protected log's lines, as (line number, dated, day, epoch,
+    values), and each accepted grant's (epoch, first day, last day). A
+    line is sealed under its date, or the chain date if undated; the chain
+    date is the latest date sealed, from the epoch's first day. A grant
+    over [start, today] ends the epoch; the next starts the day after."""
+
+    def __init__(self, epoch_date: date, year: int):
+        self.epoch, self.epoch_date, self.chain, self.year = 0, epoch_date, epoch_date, year
+        self.logs, self.windows = {}, {}
+
+    def protect(self, log: str, lines: list, values: list) -> bool:
+        """Record `lines`, whose dates never fall, protected into `log`;
+        False, and nothing recorded, if protect refuses them: a date after
+        the epoch's first day but before the chain date is out of reach."""
+        days, _ = read_dates(lines, self.year, self.chain)
+        chain, sealed = self.chain, []
+        for day, vals in zip(days, values):
+            if day is not None and day < self.epoch_date:
+                continue
+            if day is not None and day < self.chain:
+                return False
+            chain = max(chain, day or chain)
+            sealed.append((len(sealed) + 1, day is not None, day or chain, self.epoch, vals))
+        self.chain, self.logs[log] = chain, sealed
+        return True
+
+    def grant(self, name: str, start: date, today: date) -> None:
+        self.windows[name] = (self.epoch, start, today)
+        self.epoch, self.epoch_date = self.epoch + 1, today + timedelta(days=1)
+        self.chain = self.epoch_date
+
+    def recover(self, log: str, window: str) -> tuple:
+        """The (line number, day, value) of each field the window opens, in
+        line order, and the skip counters."""
+        epoch, first, last = self.windows[window]
+        opened, skipped = [], dict.fromkeys(SKIP_COUNTERS, 0)
+        for line_no, dated, day, line_epoch, vals in self.logs[log]:
+            inside = first <= day <= last
+            if not vals:
+                skipped["lines_no_pii"] += 1
+            elif dated and not inside:
+                skipped["lines_out_of_window"] += 1
+            elif line_epoch == epoch and inside:
+                opened += [(line_no, day, value) for value in vals]
+            elif dated:
+                skipped["fields_auth_failed"] += len(vals)
+            else:
+                skipped["lines_no_date"] += 1
+        return opened, skipped

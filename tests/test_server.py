@@ -236,19 +236,24 @@ def test_recover_window_enforcement(identity, server_keys, client_state):
 
 def test_recover_no_date_line(identity, server_keys, client_state):
     """A continuation line with no date prefix is sealed under the client's
-    chain-date key; recover cannot date it, so it counts and drops it."""
-    _, window, _ = _protected_corpus(identity, server_keys, client_state)
+    chain-date key. recover opens it under the last dated line's key and
+    reports it on that day; an undated line that no window key opens, here
+    one sealed in the next epoch, counts as `lines_no_date`."""
+    _, window, rotated = _protected_corpus(identity, server_keys, client_state)
+    raw = ("    at com.example.Mailer.send(user9@test.org)",
+           f"{D(4).isoformat()} 12:00:00.000 E Mailer: send failed",
+           "    at com.example.Mailer.send(user9@test.org)",
+           f"{D(4).isoformat()} 12:00:01.000 I Mailer: retry queued")
     session = ProtectSession(client_state, assumed_year=2024)
-    session_lines = [session.protect_line(raw)[0] for raw in (
-        f"{D(4).isoformat()} 12:00:00.000 E Mailer: send failed",
-        "    at com.example.Mailer.send(user9@test.org)",
-        f"{D(4).isoformat()} 12:00:01.000 I Mailer: retry queued",
-    )]
+    session_lines = [session.protect_line(line)[0] for line in raw[1:]]
     (_, box), = parse_protected_line(session_lines[1])[1]
-    assert aead_open(window.days[D(4)], box)
+    token = aead_open(window.days[D(4)], box)
     events, skipped = recover_tokens(window, session_lines, 2024)
-    assert events == []
-    assert skipped["lines_no_date"] == 1
+    assert [(e.line_no, e.date, e.token) for e in events] == [(2, D(4), token)]
+    assert skipped["lines_no_date"] == 0
+    later = ProtectSession(rotated, assumed_year=2024).protect_line(raw[0])[0]
+    events, skipped = recover_tokens(window, [later], 2024)
+    assert events == [] and skipped["lines_no_date"] == 1
 
 
 def test_recover_tampered_field_counts_auth(identity, server_keys, client_state):
@@ -320,8 +325,11 @@ def test_recover_out_of_window_malformed_line_is_not_parsed(identity, server_key
     assert skipped["lines_no_pii"] == 0
 
 
-def test_recover_parses_only_dated_lines_in_window(identity, server_keys, client_state,
-                                                   monkeypatch):
+def test_recover_parses_undated_lines_and_dated_lines_in_window(identity, server_keys,
+                                                                client_state, monkeypatch):
+    """Lines without "<PII" and dated lines outside the window are never
+    parsed. An undated line is: its fields open under the last dated
+    line's key."""
     import privlog.server as server_mod
 
     lines, window, _ = _protected_corpus(identity, server_keys, client_state)
@@ -335,9 +343,9 @@ def test_recover_parses_only_dated_lines_in_window(identity, server_keys, client
     undated = lines[4][lines[4].index(" I ") :]
     plain = [logcat(D(5), "no fields here"), "no date and no fields"]
     events, skipped = recover_tokens(window, [*plain, undated, *lines], 2024)
-    assert parsed == lines[2:]  # days 3-7
-    assert len(events) == 5
-    assert skipped == {"lines_no_pii": 2, "lines_no_date": 1, "lines_out_of_window": 2,
+    assert parsed == [undated, *lines[2:]]  # the undated line, then days 3-7
+    assert [e.date for e in events] == [D(5), *(D(n) for n in range(3, 8))]
+    assert skipped == {"lines_no_pii": 2, "lines_no_date": 0, "lines_out_of_window": 2,
                        "fields_auth_failed": 0, "fields_malformed": 0}
 
 
@@ -565,17 +573,18 @@ def _new_year_log_line(draw) -> str:
 @settings(max_examples=200, deadline=None)
 @given(lines=st.lists(_new_year_log_line(), max_size=12), year=st.sampled_from([2024, 2025]))
 def test_recover_from_every_start_line_adds_up_to_one_pass(lines, year):
-    """For every k, recovering lines 1 to k-1, then the whole log from
-    `start_line=k`, gives one pass's events in order and counters that sum
-    to its counters: the lines before `start_line` move the running year
-    and the last date as in one pass. The logs mix ISO, undated and
-    out-of-window lines, year-less lines across new year and half a year
-    away, lines without "<PII" and malformed elements."""
+    """For every k, recovering lines 1 to k-1, then lines from k with the
+    lines before them as the walked `prefix`, gives one pass's events in
+    order and counters that sum to its counters: the walk moves the
+    running year, the last date and the date text as one pass does. The logs mix ISO, undated and out-of-window lines, year-less
+    lines across new year and half a year away, lines without "<PII" and
+    malformed elements."""
     window = WindowKeys("g-year", {day: SecretKey32(key) for day, key in _NEW_YEAR_KEYS.items()})
     events, skipped = recover_tokens(window, lines, year)
     for k in range(1, len(lines) + 2):
         head, head_skipped = recover_tokens(window, lines[:k - 1], year)
-        tail, tail_skipped = recover_tokens(window, lines, year, start_line=k)
+        tail, tail_skipped = recover_tokens(window, lines[k - 1:], year, start_line=k,
+                                            prefix=[line.encode() for line in lines[:k - 1]])
         assert head + tail == events
         assert {reason: head_skipped[reason] + tail_skipped[reason] for reason in skipped} == skipped
 
