@@ -18,10 +18,12 @@ same plaintext stable across grants.
 
 from __future__ import annotations
 
+import os
 from datetime import date, timedelta
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .crypto import (
+    NONCE_LEN,
     SecretKey32,
     aead_seal,
     dh_derive_keypair,
@@ -231,13 +233,16 @@ class ProtectSession:
             return line, 0
         tokens = self._tokens
         fields = []
-        for pii_type, _, _, text in spans:
+        # One draw for the line, split in field order; nothing kept for the next (README).
+        nonces = os.urandom(NONCE_LEN * len(spans))
+        for at, (pii_type, _, _, text) in zip(range(0, len(nonces), NONCE_LEN), spans):
             token = tokens.get(text)
             if token is None:
                 if len(tokens) >= TOKEN_CACHE_SIZE:
                     tokens.clear()
                 token = tokens[text] = pseudonymize(self._state.hash_key, text.encode())
-            fields.append(new_field((pii_type, aead_seal(key, token))))
+            nonce = nonces[at:at + NONCE_LEN]
+            fields.append(new_field((pii_type, aead_seal(key, token, b"", nonce))))
         return encode_protected_line(line, spans, fields), len(spans)
 
 

@@ -176,10 +176,12 @@ def load_modules() -> None:
     from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305  # noqa: F401
 
 
-def aead_seal(key: SecretKey32, plaintext: bytes, aad: bytes = b"") -> bytes:
-    """`nonce || ciphertext || tag`, under a fresh random nonce."""
-    nonce = os.urandom(NONCE_LEN)
-    return nonce + key.aead().encrypt(nonce, plaintext, aad)
+def aead_seal(key: SecretKey32, plaintext: bytes, aad: bytes = b"",
+              nonce: Optional[bytes] = None) -> bytes:
+    """`nonce || ciphertext || tag`, under `nonce` (fresh random bytes, used
+    once) or else a fresh random one. An empty AAD reaches the cipher as None."""
+    nonce = nonce or os.urandom(NONCE_LEN)
+    return nonce + key.aead().encrypt(nonce, plaintext, aad or None)
 
 
 def aead_open(key: SecretKey32, sealed: bytes, aad: bytes = b"") -> bytes:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 import re
 from binascii import a2b_base64, b2a_base64
 from datetime import date
@@ -165,13 +166,34 @@ def _token_types(piece: str) -> List[PiiType]:
     return types
 
 
-# The candidates of each piece of at most PIECE_MAX_LEN characters, at
-# offsets within it and keyed on its whole text (README). Emptied once it
-# holds PIECE_CACHE_SIZE pieces. Only ints are kept, in tuples, which the
-# garbage collector stops tracking.
+# The candidates of each piece of at most PIECE_MAX_LEN characters and their
+# winners (`_resolve`), at offsets within it and keyed on its whole text
+# (README). Emptied once it holds PIECE_CACHE_SIZE pieces. Only ints are kept,
+# in tuples, which the garbage collector stops tracking.
 PIECE_CACHE_SIZE = 1024
 PIECE_MAX_LEN = 64
-_PIECES: Dict[str, Tuple[Tuple[int, int, int, int], ...]] = {}
+_PIECES: Dict[str, Tuple[tuple, tuple]] = {}
+_NO_MATCH: Tuple[tuple, tuple] = ((), ())
+_START = operator.itemgetter(1)
+
+
+def _resolve(candidates: List[Tuple[int, int, int, int]]) -> Tuple[tuple, tuple]:
+    """`candidates` (start - end, start, priority index, end) and those that
+    win, in start order: longer spans win, then earlier starts, then the
+    fixed priority order. One tuple serves as both if none overlap."""
+    if len(candidates) < 2:
+        return (tuple(candidates),) * 2 if candidates else _NO_MATCH
+    chosen = []
+    for candidate in sorted(candidates):
+        _, start, _, end = candidate
+        for _, s, _, e in chosen:
+            if start < e and s < end:
+                break
+        else:
+            chosen.append(candidate)
+    chosen.sort(key=_START)
+    winners = tuple(chosen)
+    return (winners if len(winners) == len(candidates) else tuple(candidates)), winners
 
 
 def detect_pii(line: str) -> List[PiiSpan]:
@@ -196,6 +218,8 @@ def detect_pii(line: str) -> List[PiiSpan]:
         for m in finditer(line, max(0, core - 5)):
             start, end = m.span()
             candidates.append((start - end, start, rank, end))
+    # Only a PHONE match spans a space: without one, each piece's winners are the line's (README).
+    spans = None if candidates else []
     # No piece of a logcat header passes a precheck (README): skip them.
     header = _HEADER.match(line)
     pos = header.end() + 1 if header else 0
@@ -207,28 +231,27 @@ def detect_pii(line: str) -> List[PiiSpan]:
         if stop - pos > 2 and not piece.isalpha():
             found = _PIECES.get(piece)
             if found is None:
-                found = ()
+                found = []
                 for pii_type in _token_types(piece):
                     finditer, rank = _SCANS[pii_type]
                     for m in finditer(piece):
                         start, end = m.span()
-                        found += ((start - end, start, rank, end),)
+                        found.append((start - end, start, rank, end))
+                found = _resolve(found)
                 if stop - pos <= PIECE_MAX_LEN:
                     if len(_PIECES) >= PIECE_CACHE_SIZE:
                         _PIECES.clear()
                     _PIECES[piece] = found
-            for length, start, rank, end in found:
-                candidates.append((length, start + pos, rank, end + pos))
+            if spans is None:
+                for length, start, rank, end in found[0]:
+                    candidates.append((length, start + pos, rank, end + pos))
+            else:
+                for _, start, rank, end in found[1]:
+                    spans.append(_span((PRIORITY[rank], start + pos, end + pos, piece[start:end])))
         pos = stop + 1
-    candidates.sort()
-    chosen = []
-    for _, start, rank, end in candidates:
-        for s, e, _ in chosen:
-            if start < e and s < end:
-                break
-        else:
-            chosen.append((start, end, rank))
-    return [_span((PRIORITY[rank], s, e, line[s:e])) for s, e, rank in sorted(chosen)]
+    if spans is not None:
+        return spans
+    return [_span((PRIORITY[rank], s, e, line[s:e])) for _, s, rank, e in _resolve(candidates)[1]]
 
 
 # Each captures its month and day as one group: one fewer group to read per line.
@@ -307,11 +330,6 @@ def walk_dates(lines: Iterable[bytes], year: int, last: date, text: Optional[str
 _OPEN = {t: f'<PII type="{t.value}">' for t in PiiType}
 
 
-def render_field(field: ProtectedField) -> str:
-    pii_type, box = field
-    return f'{_OPEN[pii_type]}{b2a_base64(box, newline=False).decode("ascii")}</PII>'
-
-
 def encode_protected_line(
     line: str, spans: List[PiiSpan], fields: List[ProtectedField]
 ) -> str:
@@ -322,14 +340,14 @@ def encode_protected_line(
         raise PrivlogError(f"{len(spans)} spans but {len(fields)} fields")
     pos = 0
     parts = []
-    for span, field in zip(spans, fields):
-        if span.start < pos:
-            raise PrivlogError(f"span at {span.start} overlaps or precedes the one before")
-        if not 0 <= span.start < span.end <= len(line):
-            raise PrivlogError(f"span [{span.start}, {span.end}) out of bounds")
-        parts.append(line[pos : span.start])
-        parts.append(render_field(field))
-        pos = span.end
+    for (_, start, end, _), (pii_type, box) in zip(spans, fields):
+        if start < pos:
+            raise PrivlogError(f"span at {start} overlaps or precedes the one before")
+        if not 0 <= start < end <= len(line):
+            raise PrivlogError(f"span [{start}, {end}) out of bounds")
+        parts += (line[pos:start], _OPEN[pii_type], b2a_base64(box, newline=False).decode("ascii"),
+                  "</PII>")
+        pos = end
     parts.append(line[pos:])
     return "".join(parts)
 
@@ -359,8 +377,8 @@ def parse_protected_line(
     """Extract protected fields; malformed elements stay in the template.
 
     Returns (template, fields, warnings). The template holds a <PII#i>
-    placeholder per recovered field; substituting each field back (via
-    render_field) reproduces the input line exactly.
+    placeholder per recovered field; substituting each field back (as
+    `encode_protected_line` renders it) reproduces the input line exactly.
     """
     pieces = _ELEMENT.split(line)
     fields: List[ProtectedField] = []

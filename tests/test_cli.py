@@ -2196,6 +2196,19 @@ def test_protect_split_matches_serial(log, shares, mode):
         _assert_no_process_left(tmp, mask)
 
 
+@pytest.mark.parametrize("shares", [2, 3])
+def test_protect_split_writes_no_nonce_twice(tmp_path, shares):
+    """Each share draws its own nonces after the fork: across the shares of
+    a split `protect`, every element's nonce is distinct."""
+    body = "mail alice@example.com to 10.1.2.3 from 00:1a:2b:3c:4d:5e"
+    _protect_ws(tmp_path, "".join(_new_year_line(_SPLIT_EPOCH + timedelta(days=n // 20), False,
+                                                 body, "\n") for n in range(60)).encode())
+    code, _, _, _, out = _protect_split(tmp_path, shares)
+    assert code == 0
+    nonces = [base64.b64decode(m[2])[:12] for m in _ELEMENT_TEXT.finditer(out.decode())]
+    assert len(nonces) == 180 and len(set(nonces)) == len(nonces)
+
+
 def _protect_failure_ws(tmp: Path, lines: list) -> None:
     _protect_ws(tmp, "".join(lines).encode())
     with _split_into(3) as cli_mod:

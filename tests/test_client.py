@@ -392,6 +392,29 @@ def test_protect_wire_bytes_match_oracle_pieces(client_state, monkeypatch, mode,
         assert session.protect_line(line) == ("".join(parts) + line[pos:], len(spans))
 
 
+def test_protect_draws_one_nonce_block_per_line(client_state, monkeypatch):
+    """A line with n fields draws its n nonces in one `os.urandom(12 n)`,
+    a line without fields draws none, and no nonce is written twice."""
+    lines, _ = generate_corpus(BenchConfig(line_count=400, pii_density="high", day_span=5, seed=23))
+    draws = []
+
+    def recorded(size, _urandom=os.urandom):
+        draws.append(size)
+        return _urandom(size)
+
+    monkeypatch.setattr(os, "urandom", recorded)
+    session = ProtectSession(client_state, assumed_year=2024)
+    nonces, counts = [], set()
+    for line in lines:
+        draws.clear()
+        out, count = session.protect_line(line)
+        assert draws == ([12 * count] if count else []), line
+        nonces += [box[:12] for _, box in parse_protected_line(out)[1]]
+        counts.add(count)
+    assert {0, 1, 2, 3} <= counts
+    assert len(nonces) > 1000 and len(set(nonces)) == len(nonces)
+
+
 def test_protect_returns_field_count(client_state):
     session = ProtectSession(client_state, assumed_year=2024)
     msgs = ["a@b.co from 10.0.0.5", "nothing", "imei 352099001761481"]

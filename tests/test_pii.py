@@ -33,7 +33,6 @@ from privlog.pii import (
     encode_protected_line,
     extract_date,
     parse_protected_line,
-    render_field,
 )
 
 SAMPLE_LINE = (
@@ -294,6 +293,43 @@ def test_memoised_scan_equals_a_fresh_one(line, edge):
             assert _as_tuples(detect_pii(text)) == oracles.detect_pii(text), text
 
 
+# Pieces whose own candidates overlap: a fifth dotted group, MAC or IPv6, an
+# SSN beside the groups of a dashed card, a URL that holds an email (and
+# ends where a PHONE value can start), an email that holds an IPv4.
+_OVERLAPPING = st.one_of(
+    _groups(_run("0123456789", 1, 3), ["."], 3, 5, _run("0123456789", 1, 3)),
+    _groups(_run(_HEX, 2, 2), [":", "-"], 5, 7, _run(_HEX, 2, 2)),
+    _groups(_run(_DIGIT, 2, 4), ["-"], 2, 4, _run(_DIGIT, 2, 4)),
+    _cat(st.sampled_from(["http://", "https://"]), _run(_WORD, 1, 2), "@", _run(_WORD, 1, 2), ".",
+         _run("abcXYZ", 2, 3), st.sampled_from(["", "/", "/1.2.3.4", "/+12", "/555", "/(555"])),
+    _cat(_run(_WORD, 1, 3), st.sampled_from(["", "+"]), "1.2.3.4@", _run(_WORD, 1, 3), ".co"),
+)
+_PHONES = st.sampled_from(["555 867 5309", "+12 (555) 867-5309", "+1 (555) 867-5309",
+                           "(555) 867-5309", "+1 555.867.5309", ") 867-5309"])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(pieces=st.lists(_OVERLAPPING | _SHAPES, min_size=1, max_size=5), phone=_PHONES,
+       at=st.integers(0, 5), glue=st.booleans())
+@example(pieces=["visit", "http://a@b.co/", "now"], phone="+12 (555) 867-5309", at=2, glue=True)
+@example(pieces=["http://x@y.co/"], phone="+1 (555) 867-5309", at=1, glue=True)
+def test_piece_winners_resolve_a_line_without_phone(pieces, phone, at, glue):
+    """Only a PHONE match spans a space, so on a line without one no two
+    pieces' candidates overlap and each piece's own winners are the line's.
+    A PHONE match can beat a piece's winner and free a candidate that the
+    winner beat (the examples: the URL loses to the PHONE value, and the
+    email it held wins). Each line, without and with a PHONE value (at a
+    piece boundary or run on from the piece before it), from a cold memo
+    and a warm one, in either order, gives the reference spans."""
+    at = min(at, len(pieces))
+    plain = " ".join(pieces)
+    phoned = f"{' '.join(pieces[:at])}{'' if glue else ' '}{phone} {' '.join(pieces[at:])}"
+    for lines in ((plain, phoned), (phoned, plain)):
+        _PIECES.clear()
+        for line in lines * 2:
+            assert _as_tuples(detect_pii(line)) == oracles.detect_pii(line), line
+
+
 def _ascii_copy(line):
     """`line` with each Unicode digit read as its ASCII digit and every other
     non-ASCII character as `?`: the same digit shapes, on an ASCII line."""
@@ -454,7 +490,7 @@ def test_encode_sample_line_shape():
 
 def test_encoded_payload_is_60_chars():
     field = _random_field()
-    rendered = render_field(field)
+    rendered = encode_protected_line("a@b.co", [PiiSpan(PiiType.EMAIL, 0, 6, "a@b.co")], [field])
     m = re.fullmatch(r'<PII type="EMAIL">([A-Za-z0-9+/=]+)</PII>', rendered)
     assert m and len(m.group(1)) == 60
 
