@@ -10,8 +10,17 @@ Each file is the standard output of one `perfbench/run.py` run: its
 sides are paired by workload and seed. For each workload and end-to-end
 metric named in BENCHMARK.json, the output gives each side's median,
 quartiles (inclusive method) and [min, max], and how many pairs the change
-won in the metric's better direction. Traced runs (`--trace 1`) give the
-per-layer metrics of one seed for each side, as reported.
+won in the metric's better direction, and two verdicts:
+
+- `gain_resolved`: the change won at least 9 of 10 pairs, and its median
+  is better than the parent's by more than the parent's interquartile
+  range;
+- `beyond_bound`: the change's median is worse than the parent's by more
+  than the metric's `bound` in BENCHMARK.json, a fraction of the parent's
+  median.
+
+Traced runs (`--trace 1`) give the per-layer metrics of one seed for each
+side, as reported.
 
 A run is never dropped silently: a second untraced run of the same
 workload and seed on one side, an untraced run with no partner on the
@@ -77,13 +86,15 @@ def main():
                  for s in entry["seeds"]]
         for metric in spec["end_to_end"]:
             name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
-            parent = [p[name] for p, _ in pairs]
-            change = [c[name] for _, c in pairs]
+            parent, change = summary([p[name] for p, _ in pairs]), summary([c[name] for _, c in pairs])
+            won = sum(sign * (c[name] - p[name]) > 0 for p, c in pairs)
+            gain = sign * (change["median"] - parent["median"])
             entry[name] = {
                 "unit": metric["unit"], "better": metric["better"],
-                "parent": summary(parent), "change": summary(change),
-                "change_won": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
-                "median_change_pct": 100 * (statistics.median(change) / statistics.median(parent) - 1),
+                "parent": parent, "change": change, "change_won": won,
+                "median_change_pct": 100 * (change["median"] / parent["median"] - 1),
+                "gain_resolved": 10 * won >= 9 * len(pairs) and gain > parent["q3"] - parent["q1"],
+                "beyond_bound": -gain > metric["bound"] * abs(parent["median"]),
             }
     per_layer = {}
     for side, table in traced.items():

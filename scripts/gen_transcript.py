@@ -3,7 +3,9 @@
 
 The chain runs in-process in a temporary directory, under a fixed device
 identity and an `os.urandom` replaced by a seeded stream, so every key,
-nonce and file comes out the same on every run:
+nonce and file comes out the same on every run. Each process forked for a
+share reseeds the stream from the number of forks so far, so that no two
+processes draw the same nonces, as no two draw them in a real run:
 
 - `keygen`, then `init` on EPOCH;
 - `protect` of each input in stream and batch mode, serially and forced
@@ -12,8 +14,8 @@ nonce and file comes out the same on every run:
   offer, `accept`;
 - `recover` of every protected output, serially, and of each input's
   serial stream output split into 2 and 3 shares;
-- `report` and `--timeline` on each input's serial stream events, and
-  `state`.
+- `report` and `--timeline` on each input's serial stream events, serially
+  and forced into 2 and 3 shares, each to the same output, and `state`.
 
 The inputs are small `generate_corpus` logs at each density and
 hand-written lines: CRLF endings, an unterminated last line, undated
@@ -91,6 +93,29 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+class _Stream:
+    """`os.urandom`'s stand-in: a seeded stream, which each forked child
+    reseeds from the count of forks that the parent advances."""
+
+    active = None  # the stream of the chain that runs now
+
+    def __init__(self):
+        self.rng, self.forks = random.Random(SEED), 0
+
+    @classmethod
+    def before_fork(cls):
+        if cls.active:
+            cls.active.forks += 1
+
+    @classmethod
+    def in_child(cls):
+        if cls.active:
+            cls.active.rng.seed(f"{SEED} fork {cls.active.forks}")
+
+
+os.register_at_fork(before=_Stream.before_fork, after_in_child=_Stream.in_child)
+
+
 class _Chain:
     """Runs commands in the current directory and records each one."""
 
@@ -107,6 +132,8 @@ class _Chain:
         stdout = io.StringIO()
         cpu = min(os.sched_getaffinity(0))
         with mock.patch.object(cli_mod, "SPLIT_MIN_BYTES", 0 if shares > 1 else cli_mod.SPLIT_MIN_BYTES), \
+                mock.patch.object(cli_mod, "SPLIT_MIN_EVENTS_BYTES",
+                                  0 if shares > 1 else cli_mod.SPLIT_MIN_EVENTS_BYTES), \
                 mock.patch.object(cli_mod, "_share_cpus", lambda: [cpu] * shares), \
                 contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
@@ -124,12 +151,12 @@ def run_chain(workdir: Path) -> dict:
     from privlog.dice import DeviceIdentity, format_identity
     from privlog.kvfile import parse_kv
 
-    rng = random.Random(SEED)
+    stream = _Stream.active = _Stream()
     chain = _Chain()
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        with mock.patch("os.urandom", rng.randbytes):
+        with mock.patch("os.urandom", stream.rng.randbytes):
             client = lambda *argv: [*("--config", "client.cfg"), *argv]  # noqa: E731
             identity = DeviceIdentity(uds=b"\x11" * 32, measurement=b"\x22" * 32,
                                       device_id="pixel-lab")
@@ -180,18 +207,22 @@ def run_chain(workdir: Path) -> dict:
                               ["recover", "--keys", "window.kv", "--in", prot,
                                "--out", f"{prot}.{shares}.csv"], shares)
                 events = f"{prot}.csv"
-                chain.run(f"report {events}", server_main,
-                          ["report", "--events", events, "--out", f"{prot}.linkage.csv"])
-                rows = Path(f"{prot}.linkage.csv").read_text().splitlines()
-                if len(rows) > 1:
-                    token = rows[1].split(",")[0]
-                    chain.run(f"timeline {events}", server_main,
-                              ["report", "--events", events, "--timeline", token])
-                    chain.run(f"timeline {events} to file", server_main,
-                              ["report", "--events", events, "--timeline", token,
-                               "--out", f"{prot}.timeline.csv"])
+                for shares in (1, 2, 3):
+                    at = f" in {shares}" if shares > 1 else ""
+                    chain.run(f"report {events}{at}", server_main,
+                              ["report", "--events", events, "--out", f"{prot}.linkage.csv"],
+                              shares)
+                    rows = Path(f"{prot}.linkage.csv").read_text().splitlines()
+                    if len(rows) > 1:
+                        token = rows[1].split(",")[0]
+                        chain.run(f"timeline {events}{at}", server_main,
+                                  ["report", "--events", events, "--timeline", token], shares)
+                        chain.run(f"timeline {events} to file{at}", server_main,
+                                  ["report", "--events", events, "--timeline", token,
+                                   "--out", f"{prot}.timeline.csv"], shares)
             chain.run("state", client_main, client("state"))
     finally:
+        _Stream.active = None
         os.chdir(cwd)
     return chain.entries
 

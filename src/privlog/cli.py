@@ -27,6 +27,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from . import errors
 from .errors import CorruptState, LockHeld, PrivlogError
+from .kvfile import check_replaceable
 from .pii import YEAR_MAX, YEAR_MIN
 
 
@@ -98,7 +99,8 @@ def _check_out(outfile: str, files: Sequence[Tuple[str, Optional[str]]],
     input a command streams to its end before its output's rename may
     share the path. A name that ends in ".lock" is refused too: it may be
     the lock file of another command's state or keystore (see `_locked`),
-    which a write would replace while that command holds it."""
+    which a write would replace while that command holds it. So is an
+    entry that no write may replace (`kvfile.check_replaceable`)."""
     for name, path in files:
         try:
             same = path is not None and _entry(outfile) in (_entry(path), os.path.realpath(path))
@@ -108,6 +110,7 @@ def _check_out(outfile: str, files: Sequence[Tuple[str, Optional[str]]],
             raise CorruptState(f"{flag} {outfile!r} and {name} {path!r} are the same file")
     if os.path.basename(outfile).endswith(".lock"):
         raise CorruptState(f"{flag} {outfile!r} ends in '.lock', the name of a lock file")
+    check_replaceable(outfile)
 
 
 def _and_lock(flag: str, path: str) -> List[Tuple[str, str]]:
@@ -155,6 +158,9 @@ def _locked(path: str) -> Iterator[None]:
 # forking a process per CPU and walking each to its share cost about as much
 # as the split saves (measured on a 2-CPU VM; see the README).
 SPLIT_MIN_BYTES = 512 * 1024
+# The same for `report`'s events CSV, whose rows cost less to read than
+# lines to protect or recover: its split breaks even at about 1 MiB.
+SPLIT_MIN_EVENTS_BYTES = 1024 * 1024
 # The input is counted and the children's output is copied in reads of this
 # many bytes.
 _SPLIT_READ = 1 << 13
@@ -173,17 +179,19 @@ def _share_cpus() -> List[int]:
     return sorted(os.sched_getaffinity(0))
 
 
-def _shares(path: str) -> List[Tuple[int, int]]:
+def _shares(path: str, min_bytes: Optional[int] = None) -> List[Tuple[int, int]]:
     """The (CPU, first line) of each share `_in_shares` splits `path` into:
     one per CPU of `_share_cpus`, of about equal bytes, each starting at the
     line that holds its first byte. One share alone, whose CPU is unused,
     when a split cannot help: one CPU, an input that is not a regular file
-    or is smaller than SPLIT_MIN_BYTES, or one that cannot be read here
-    (the one pass over it then names the line that fails)."""
+    or is smaller than `min_bytes` (SPLIT_MIN_BYTES if None), or one that
+    cannot be read here (the one pass over it then names the line that
+    fails)."""
     cpus = _share_cpus()
     try:
         st = os.stat(path)
-        if len(cpus) < 2 or not stat.S_ISREG(st.st_mode) or st.st_size < SPLIT_MIN_BYTES:
+        least = SPLIT_MIN_BYTES if min_bytes is None else min_bytes
+        if len(cpus) < 2 or not stat.S_ISREG(st.st_mode) or st.st_size < least:
             return [(cpus[0], 1)]
         starts = [1]
         newlines = pos = 0
@@ -266,40 +274,39 @@ def _join_share(child: list, fh: TextIO) -> object:
     return outcome
 
 
-def _in_shares(path: str, out: TextIO, run_share: RunShare) -> list:
-    """Run `run_share` over the input `path` in one share per CPU (see
-    `_shares`), its output to `out` in share order; each share's outcome,
-    in order. Share 0 runs in this process, pinned to its CPU, and writes
-    straight to `out`. Each later share runs in a child forked for it and
-    pinned to its own CPU (see `_fork_share`), after the AEAD's module is
-    loaded, which every share would otherwise load again; its output follows
-    once share 0 is done. A share's error is raised in share order, so the
-    output and any error are those of one pass over the input. When this
-    process fails, it kills and reaps every child before it raises, and
-    its CPU mask is restored on every path. A later share walks the lines
-    before it as bytes (`pii.walk_dates`): one that is not UTF-8 fails an
-    earlier share first."""
-    shares = _shares(path)
+def _in_shares(path: str, out: TextIO, run_share: RunShare, what: str = "input",
+               min_bytes: Optional[int] = None) -> list:
+    """Run `run_share` over the input `path` (named `what` in an error) in
+    one share per CPU (see `_shares`, given `min_bytes`), its output to
+    `out` in share order; each share's outcome, in order. Share 0 runs in
+    this process, pinned to its CPU, and writes straight to `out`. Each
+    later share runs in a child forked for it and pinned to its own CPU
+    (see `_fork_share`); its output follows once share 0 is done. A share
+    that holds no line, as a line that spans its cut leaves it, is not run
+    and has no outcome; the last share always runs. A module
+    that every share needs is loaded by the caller first, or each child
+    loads it again. A share's error is raised in share order, so the output
+    and any error are those of one pass over the input. When this process
+    fails, it kills and reaps every child before it raises, and its CPU
+    mask is restored on every path. A later share gets the lines before it
+    as bytes: one that is not UTF-8 fails an earlier share first."""
+    shares = _shares(path, min_bytes)
     stops = [start - 1 for _, start in shares[1:]] + [None]
 
     def share(start: int, stop: Optional[int], fh: TextIO):  # lines `start` to `stop`
-        lines = _read_lines(path, "input", start - 1)  # freed, so closed, on return
+        lines = _read_lines(path, what, start - 1)  # freed, so closed, on return
         return run_share(itertools.islice(lines, start - 1),
                          itertools.islice(lines, stop and stop - start + 1), start, fh)
 
     with contextlib.ExitStack() as stack:
         children = []
         if len(shares) > 1:
-            # Imported here: a top-level import raised peak RSS by about 0.1 MB
-            # when the modules compile from source (no bytecode cache).
-            from .crypto import load_modules
-
-            load_modules()
             stack.callback(os.sched_setaffinity, 0, os.sched_getaffinity(0))
             for (cpu, start), stop in zip(shares[1:], stops[1:]):
-                children.append(_fork_share(stack, share, cpu, start, stop))
+                if stop is None or stop >= start:
+                    children.append(_fork_share(stack, share, cpu, start, stop))
             os.sched_setaffinity(0, {shares[0][0]})
-        outcomes = [share(1, stops[0], out)]
+        outcomes = [share(1, stops[0], out)] if stops[0] != 0 else []
         outcomes.extend(_join_share(child, out) for child in children)
     return outcomes
 

@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence
 
 from . import client as client_mod, dice
 from .cli import _and_lock, _check_out, _in_shares, _locked, _parse_year, _read
+from .crypto import load_modules
 from .errors import CorruptState, OutOfOrderDate
 from .grant import format_grant, parse_offer
 from .kvfile import atomic_write, atomic_writer, b64, b64_decode, iso_date, parse_kv
@@ -156,6 +157,7 @@ def _cmd_protect(args) -> int:
     near = today if cfg.assumed_year is None else None
     with _locked(cfg.state_path):
         state = cfg.load_state()
+        load_modules()  # once, before any share forks
         with atomic_writer(args.outfile) as out:
             outcomes = _in_shares(
                 args.infile, out,

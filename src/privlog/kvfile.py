@@ -13,6 +13,7 @@ import base64
 import contextlib
 import os
 import re
+import stat
 import tempfile
 from binascii import b2a_base64
 from datetime import date
@@ -115,13 +116,28 @@ def csv_field(text: str) -> str:
     return text
 
 
+def check_replaceable(path: Union[str, Path]) -> None:
+    """CorruptState unless a write may replace the entry at `path`: none
+    there, a regular file, or a symlink to one or to nothing. A directory
+    would be refused by the rename only after the whole write. A device,
+    FIFO or socket, or a symlink to one, is never a file to replace: a run
+    as root would replace the system's /dev/stdout link."""
+    try:
+        mode = os.stat(path).st_mode
+    except (OSError, ValueError):  # none there; or a path the write names as it fails
+        return
+    if stat.S_ISDIR(mode):
+        raise CorruptState(f"cannot write {str(path)!r}: it is a directory")
+    if not stat.S_ISREG(mode):
+        raise CorruptState(f"cannot write {str(path)!r}: it is not a regular file")
+
+
 @contextlib.contextmanager
 def atomic_writer(path: Union[str, Path]) -> Iterator[TextIO]:
     """A UTF-8 text file streaming into a temp file that replaces `path`
     only if the block ends without an exception."""
     path = Path(path)
-    if path.is_dir():  # `os.replace` would refuse it only after the whole write
-        raise CorruptState(f"cannot write {str(path)!r}: it is a directory")
+    check_replaceable(path)
     try:
         fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
     except OSError as exc:  # its message names the temp file, not `path`

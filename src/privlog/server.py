@@ -260,6 +260,30 @@ def linkage_report(events: Iterable[RecoveredEvent]) -> List[LinkageGroup]:
     return groups
 
 
+_group = functools.partial(tuple.__new__, LinkageGroup)
+_TYPE = {t.value: t for t in PiiType}
+
+
+def merged_linkage(shares: Iterable[list]) -> List[LinkageGroup]:
+    """One report from the `linkage_report` groups of each share of the
+    events, in file order, with each type as its label and each date as
+    its ordinal: counts summed, the earliest first date and the latest last
+    date, and the type from the earliest share that holds the token."""
+    by_token: Dict[bytes, list] = {}
+    for groups in shares:
+        for token, label, count, first, last in groups:
+            group = by_token.get(token)
+            if group is None:
+                by_token[token] = [label, count, first, last]
+            else:
+                group[1:] = group[1] + count, min(group[2], first), max(group[3], last)
+    day = functools.cache(date.fromordinal)
+    groups = [_group((token, _TYPE[label], count, day(first), day(last)))
+              for token, (label, count, first, last) in by_token.items()]
+    groups.sort(key=lambda g: (-g.count, g.token))
+    return groups
+
+
 # Hits of one token held in memory at once; past this many, each sorted
 # run of hits moves to one temporary file and the runs are merged as read.
 TIMELINE_RUN_ROWS = 4096
@@ -272,37 +296,43 @@ def timeline(
     """The date, line number and template of each event of `token`, by
     date then line number, ties in event order. One pass that keeps only
     those, and at most TIMELINE_RUN_ROWS of them in memory."""
-    run_rows, spill, starts, hits = TIMELINE_RUN_ROWS, None, [], []
+    run_rows, spill, runs, hits = TIMELINE_RUN_ROWS, None, [], []
     for ev in events:
         if ev.token == token:
             hits.append((ev.date, ev.line_no, ev.template))
             if len(hits) == run_rows:
                 if spill is None:
                     spill = tempfile.TemporaryFile()
-                starts.append(spill.tell())
                 hits.sort(key=_when)
-                for day, line_no, template in hits:
-                    marshal.dump((day.toordinal(), line_no, template), spill)
+                runs.append((spill.tell(), dump_run(hits, spill)))
                 hits = []
     hits.sort(key=_when)
-    return _merged(spill, starts, run_rows, hits) if starts else hits
+    return _merged(spill, runs, hits) if runs else hits
 
 
-def _merged(
-    spill, starts: List[int], run_rows: int, hits: list
-) -> Iterator[Tuple[date, int, str]]:
-    """The spilled runs, each `run_rows` hits from its start in `spill`,
-    merged with the last `hits`; each run keeps its own place in the file."""
+def dump_run(hits: Iterable[Tuple[date, int, str]], fh) -> int:
+    """Write sorted timeline `hits` to the binary file `fh` as one run of
+    the spill format; how many."""
+    count = 0
+    for count, (day, line_no, template) in enumerate(hits, start=1):
+        marshal.dump((day.toordinal(), line_no, template), fh)
+    return count
 
-    def run(pos: int) -> Iterator[Tuple[date, int, str]]:
-        for _ in range(run_rows):
+
+def _merged(spill, runs: List[Tuple[int, int]], hits: list) -> Iterator[Tuple[date, int, str]]:
+    """The (start, length) `runs` of `spill`, merged with the last `hits`,
+    ties in run order; each run keeps its own place in the file, which is
+    closed at the end."""
+
+    def run(pos: int, rows: int) -> Iterator[Tuple[date, int, str]]:
+        for _ in range(rows):
             spill.seek(pos)
             ordinal, line_no, template = marshal.load(spill)
             pos = spill.tell()
             yield date.fromordinal(ordinal), line_no, template
 
     with spill:
-        yield from heapq.merge(*map(run, starts), hits, key=_when)
+        yield from heapq.merge(*itertools.starmap(run, runs), hits, key=_when)
 
 
 # --- persistence -------------------------------------------------------

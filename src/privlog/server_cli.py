@@ -7,16 +7,19 @@ loads no client command code (see cli.py).
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
+import itertools
 import sys
+import tempfile
 from contextlib import nullcontext
 from datetime import date
 from pathlib import Path
 from typing import Dict, Tuple
 
-from . import server as server_mod
+from . import cli, server as server_mod
 from .cli import _and_lock, _check_out, _in_shares, _locked, _parse_year, _read, _read_lines
-from .crypto import TOKEN_LEN
+from .crypto import TOKEN_LEN, load_modules
 from .errors import CorruptState
 from .grant import format_offer, parse_grant
 from .kvfile import atomic_write, atomic_writer, b64, b64_decode
@@ -97,6 +100,7 @@ def _cmd_recover(args) -> int:
     first, _ = window.span()
     default = str((first or date.today()).year)
     year = _parse_year(args.year, "--year") or _parse_year(default, "window start year")
+    load_modules()  # once, before any share forks
     with atomic_writer(args.outfile) as fh:
         fh.write(server_mod.EVENTS_HEADER_LINE)
         outcomes = _in_shares(args.infile, fh, functools.partial(_recover_share, window, year))
@@ -109,7 +113,28 @@ def _cmd_recover(args) -> int:
     return 0
 
 
+def _report_share(token, prefix, lines, start: int, fh):
+    """Check the events CSV's rows from line `start` on and reduce them: with
+    no `token`, to its linkage groups, each date as its ordinal and each type
+    as its label; else to the timeline of `token`, one sorted run written to
+    `fh` in the spill format, returned as (its bytes, its rows)."""
+    collections.deque(prefix, maxlen=0)
+    if start > 1:
+        lines = itertools.chain([server_mod.EVENTS_HEADER_LINE], lines)
+    events = server_mod.read_events_csv(lines)
+    if token is None:
+        return [(tok, pii_type.value, count, first.toordinal(), last.toordinal())
+                for tok, pii_type, count, first, last in server_mod.linkage_report(events)]
+    fh.flush()
+    begin = fh.buffer.tell()
+    rows = server_mod.dump_run(server_mod.timeline(events, token), fh.buffer)
+    return fh.buffer.tell() - begin, rows
+
+
 def _cmd_report(args) -> int:
+    """Report on the events CSV in one share of it per CPU (see
+    `cli._in_shares`), merged in file order; the output, the summary and any
+    error are those of one pass."""
     # Arguments are checked before the events file is read, and that file
     # is read to its end before any output is opened.
     token = None
@@ -119,14 +144,28 @@ def _cmd_report(args) -> int:
         raise CorruptState("report needs --out (or --timeline TOKEN)")
     if args.outfile:
         _check_out(args.outfile, [])
-    events = server_mod.read_events_csv(_read_lines(args.events, "events csv"))
-    if token is not None:
-        rows = server_mod.timeline(events, token)
-        out = atomic_writer(args.outfile) if args.outfile else nullcontext(sys.stdout)
-        with out as fh:
-            server_mod.write_timeline_csv(rows, fh)
-        return 0
-    groups = server_mod.linkage_report(events)
+    share = functools.partial(_report_share, token)
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as runs:
+        try:
+            outcomes = _in_shares(args.events, runs, share, "events csv",
+                                  cli.SPLIT_MIN_EVENTS_BYTES)
+        except CorruptState as exc:
+            # A share that ends inside a quoted field (a template holding
+            # "\n") fails as a file cut there: read it again in one share.
+            if not str(exc).endswith("unexpected end of data"):
+                raise
+            runs.seek(0)
+            runs.truncate()
+            outcomes = [share((), _read_lines(args.events, "events csv"), 1, runs)]
+        if token is not None:
+            sizes, counts = zip(*outcomes)
+            starts = itertools.accumulate(sizes, initial=0)
+            rows = server_mod._merged(runs.buffer, list(zip(starts, counts)), [])
+            out = atomic_writer(args.outfile) if args.outfile else nullcontext(sys.stdout)
+            with out as fh:
+                server_mod.write_timeline_csv(rows, fh)
+            return 0
+    groups = server_mod.merged_linkage(outcomes)
     with atomic_writer(args.outfile) as fh:
         server_mod.write_linkage_csv(groups, fh)
     total = sum(g.count for g in groups)

@@ -48,16 +48,17 @@ import re
 from datetime import date, timedelta
 
 SHA256_BLOCK = 64
+# Each byte XOR 0x36 and XOR 0x5C, as `bytes.translate` tables.
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
 def hmac_sha256(key: bytes, msg: bytes) -> bytes:
     if len(key) > SHA256_BLOCK:
         key = hashlib.sha256(key).digest()
     key = key.ljust(SHA256_BLOCK, b"\x00")
-    ipad = bytes(b ^ 0x36 for b in key)
-    opad = bytes(b ^ 0x5C for b in key)
-    inner = hashlib.sha256(ipad + msg).digest()
-    return hashlib.sha256(opad + inner).digest()
+    inner = hashlib.sha256(key.translate(_IPAD) + msg).digest()
+    return hashlib.sha256(key.translate(_OPAD) + inner).digest()
 
 
 def hmac_trunc16(key: bytes, msg: bytes) -> bytes:

@@ -10,6 +10,7 @@ import io
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -1017,9 +1018,9 @@ _PATH_CASES = ["identity-nul", "state-nul", "protect-out-dir", "offer-out-dir",
 def test_unusable_path_exits_6_and_writes_nothing(ws, capsys, case):
     """A path with a NUL byte in the client config, or an output that is an
     existing directory, exits 6 naming the path, with no traceback; every
-    file stays as it was, except the keystore that `offer` writes before
-    its offer. `grant` opens its output before it rotates the state, so the
-    same grant to a usable path then succeeds."""
+    file stays as it was: an `--out` is refused before anything is written,
+    so `offer` does not write its keystore. The same grant to a usable path
+    then succeeds."""
     cfg = ws / "client.cfg"
     out = ws / "out.d"
     out.mkdir()
@@ -1052,10 +1053,7 @@ def test_unusable_path_exits_6_and_writes_nothing(ws, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error CorruptState: ") and repr(path) in err
     assert "Traceback" not in err and ".tmp" not in err
-    after = _files(ws)
-    if case == "offer-out-dir":
-        assert after.pop("server.kv") != before.pop("server.kv")
-    assert after == before
+    assert _files(ws) == before
     if case == "grant-out-dir":
         assert _client(ws, *grant, str(ws / "grant.kv")) == 0
 
@@ -1620,10 +1618,20 @@ _HKDF = "cryptography.hazmat.primitives.kdf.hkdf"
 _AEAD = "cryptography.hazmat.primitives.ciphers.aead"
 
 
+# Run first in a child: `report` splits any events CSV into 2 shares.
+_SPLIT_REPORT = """
+import os
+import privlog.cli as cli
+cli.SPLIT_MIN_EVENTS_BYTES = 0
+cli._share_cpus = lambda: [min(os.sched_getaffinity(0))] * 2
+"""
+
+
 def test_forensic_commands_load_only_the_cryptography_they_call(ws):
     """`report` and `report --timeline` run in one child that loads no
-    `cryptography` module at all; a `recover` child loads the AEAD but
-    neither X25519 nor HKDF, which only the grant exchange needs."""
+    `cryptography` module at all, split into shares or not; a `recover`
+    child loads the AEAD but neither X25519 nor HKDF, which only the grant
+    exchange needs."""
     _dense_investigation(ws)
     p = {name: str(ws / name) for name in ("window.kv", "prot.log", "events.csv", "linkage.csv")}
     recover = ["recover", "--keys", p["window.kv"], "--in", p["prot.log"], "--out", p["events.csv"],
@@ -1637,10 +1645,11 @@ def test_forensic_commands_load_only_the_cryptography_they_call(ws):
     assert _AEAD in loaded
     assert _X25519 not in loaded and _HKDF not in loaded
 
-    out = _child(_RUN_SERVER_COMMANDS.format(argvs=reports, linkage=p["linkage.csv"]))
-    assert out.returncode == 0, out.stderr
-    assert "date,line_no,template" in out.stdout
-    assert out.stdout.splitlines()[-1] == "loaded []"
+    for split in ("", _SPLIT_REPORT):
+        out = _child(split + _RUN_SERVER_COMMANDS.format(argvs=reports, linkage=p["linkage.csv"]))
+        assert out.returncode == 0, out.stderr
+        assert "date,line_no,template" in out.stdout
+        assert out.stdout.splitlines()[-1] == "loaded []"
 
 
 _RUN_ONE_SIDE = """
@@ -1854,6 +1863,40 @@ def test_out_may_be_a_link_to_a_commands_file(ws):
     assert (ws / "keys-link.kv").read_bytes() != keys
 
 
+@pytest.mark.parametrize("via", ["fifo", "symlink-to-fifo"])
+def test_out_that_is_a_special_file_is_refused(ws, capsys, via):
+    """An output whose entry is a FIFO, or a symlink to one, exits 6 naming
+    it before anything is written, and the entry stays as it was: `report`
+    (linkage and timeline), `protect`, whose state does not advance, and
+    `offer`, whose keystore mints no key. A write replaces the entry at its
+    path, so without the check a run as root replaced /dev/stdout."""
+    _dense_investigation(ws)
+    assert _recover(ws, "prot.log", "events.csv") == 0
+    fifo = ws / "pipe"
+    os.mkfifo(fifo)
+    out = fifo if via == "fifo" else ws / "link"
+    if via != "fifo":
+        out.symlink_to(fifo)
+    runs = [
+        lambda: server_main(["report", "--events", str(ws / "events.csv"), "--out", str(out)]),
+        lambda: server_main(["report", "--events", str(ws / "events.csv"), "--timeline", _TOKEN,
+                             "--out", str(out)]),
+        lambda: _client(ws, "protect", "--in", str(ws / "raw.log"), "--out", str(out)),
+        lambda: server_main(["offer", "--keystore", str(ws / "server.kv"), "--grant-id", "g-fifo",
+                             "--out", str(out)]),
+    ]
+    before = {p.name: p.read_bytes() for p in ws.iterdir() if p.is_file()}
+    for run in runs:
+        capsys.readouterr()
+        assert run() == 6
+        out_, err = capsys.readouterr()
+        assert err == f"error CorruptState: cannot write {str(out)!r}: it is not a regular file\n"
+        assert out_ == ""
+        assert stat.S_ISFIFO(os.stat(out).st_mode) and out.is_symlink() == (via != "fifo")
+        assert {p.name: p.read_bytes() for p in ws.iterdir() if p.is_file()} == before
+        assert not list(ws.glob(".*.tmp"))
+
+
 def test_out_may_be_the_input_a_command_streams(ws):
     """`protect --in`, `recover --in` and `report --events` are read to their
     end before the output replaces them, so each may be the --out path;
@@ -1960,13 +2003,14 @@ def _split_log_line(draw) -> str:
 
 @contextlib.contextmanager
 def _split_into(shares: int):
-    """`protect` and `recover` split any input into `shares` shares, all
-    pinned to this process's first CPU; one share is the serial path.
-    Yields `privlog.cli`."""
+    """`protect`, `recover` and `report` split any input into `shares`
+    shares, all pinned to this process's first CPU; one share is the serial
+    path. Yields `privlog.cli`."""
     import privlog.cli as cli_mod
 
     cpu = min(os.sched_getaffinity(0))
     with mock.patch.object(cli_mod, "SPLIT_MIN_BYTES", 0), \
+            mock.patch.object(cli_mod, "SPLIT_MIN_EVENTS_BYTES", 0), \
             mock.patch.object(cli_mod, "_share_cpus", lambda: [cpu] * shares):
         yield cli_mod
 
@@ -2082,6 +2126,152 @@ def test_recover_split_child_without_result_fails(ws, monkeypatch):
     assert "ended with status 3 and no result" in stderr
     assert events is None
     _assert_no_process_left(ws, mask)
+
+
+# --- report splits a large events CSV too -----------------------------------
+
+_TOKENS = [bytes([n]) * 16 for n in range(1, 4)]
+
+
+def _report_split(tmp: Path, shares: int, timeline: bool = False, out: bool = True) -> tuple:
+    """Exit code, stdout, stderr and output bytes (None if none) of `report`
+    on tmp/events.csv under `_split_into(shares)`: the linkage report, or
+    the timeline of the first of `_TOKENS`, to tmp/out.csv or stdout."""
+    target = tmp / "out.csv"
+    target.unlink(missing_ok=True)
+    argv = ["report", "--events", str(tmp / "events.csv")]
+    if timeline:
+        argv += ["--timeline", b64(_TOKENS[0])]
+    if out:
+        argv += ["--out", str(target)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with _split_into(shares), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = server_main(argv)
+    return code, stdout.getvalue(), stderr.getvalue(), target.read_bytes() if target.exists() else None
+
+
+def _assert_report_split_as_serial(tmp: Path, shares: int) -> list:
+    """Every form of `report` on tmp/events.csv in `shares` shares is the
+    serial run's, and leaves no process, CPU mask or temp file behind;
+    the serial results, linkage first."""
+    mask = os.sched_getaffinity(0)
+    serial = []
+    for timeline, out in ((False, True), (True, True), (True, False)):
+        serial.append(_report_split(tmp, 1, timeline, out))
+        assert _report_split(tmp, shares, timeline, out) == serial[-1]
+    _assert_no_process_left(tmp, mask)
+    return serial
+
+
+def _events_text(rows) -> str:
+    """An events CSV of the (line_no, day, token, template) `rows`, as
+    `recover` writes it."""
+    fh = io.StringIO(newline="")
+    fh.write(EVENTS_HEADER_LINE)
+    write_events_csv([(n, day, template, [(PiiType.EMAIL, token)])
+                      for n, day, token, template in rows], fh)
+    return fh.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(1, 4), st.sampled_from([D(1), D(2), D(3)]),
+                               st.sampled_from(_TOKENS), st.text(alphabet='a,"\n', max_size=4)),
+                     max_size=14),
+       shares=st.sampled_from([2, 3]), run_rows=st.integers(1, 3))
+def test_report_split_matches_serial(rows, shares, run_rows):
+    """`report` and `--timeline` split into 2 or 3 shares write the serial
+    run's linkage CSV, timeline CSV and stdout, and exit with its code, on
+    events CSVs whose tokens recur across shares, whose (date, line_no)
+    repeat, so that ties fall across shares, and whose templates hold ','
+    '"' and "\\n", so that a share may end inside a quoted field; a token
+    has more hits than TIMELINE_RUN_ROWS, made small."""
+    import privlog.server as server_mod
+
+    with tempfile.TemporaryDirectory() as name, \
+            mock.patch.object(server_mod, "TIMELINE_RUN_ROWS", run_rows):
+        tmp = Path(name)
+        (tmp / "events.csv").write_text(_events_text(rows), newline="")
+        linkage, timeline, _ = _assert_report_split_as_serial(tmp, shares)
+        assert linkage[0] == timeline[0] == 0, (linkage, timeline)
+        hits = sorted((day, n, i) for i, (n, day, token, _) in enumerate(rows) if token == _TOKENS[0])
+        assert [row[:2] for row in oracles_rows(timeline[3])] == \
+            [[day.isoformat(), str(n)] for day, n, _ in hits]
+
+
+def oracles_rows(csv_bytes: bytes) -> list:
+    """The rows after the header of a CSV, as csv.reader reads them."""
+    return list(csv.reader(io.StringIO(csv_bytes.decode(), newline="")))[1:]
+
+
+def test_report_split_ties_and_spilled_runs(tmp_path, monkeypatch):
+    """Tokens in every share, the same (date, line_no) in every share and
+    more hits than TIMELINE_RUN_ROWS: the split writes the serial run's
+    bytes, ties in file order, and counts each token once over all shares."""
+    import privlog.server as server_mod
+
+    monkeypatch.setattr(server_mod, "TIMELINE_RUN_ROWS", 4)
+    rows = [(n % 5 + 1, D(3 - n // 3 % 3), _TOKENS[n % 3], f"tie {n}") for n in range(90)]
+    (tmp_path / "events.csv").write_text(_events_text(rows), newline="")
+    for shares in (2, 3):
+        with _split_into(shares) as cli_mod:
+            assert len(cli_mod._shares(str(tmp_path / "events.csv"))) == shares
+        linkage, timeline, stdout = _assert_report_split_as_serial(tmp_path, shares)
+    assert linkage[1].startswith("3 token groups over 90 events")
+    assert [row[2:] for row in oracles_rows(linkage[3])] == [["30", D(1).isoformat(),
+                                                             D(3).isoformat()]] * 3
+    got = [(row[0], int(row[1]), row[2]) for row in oracles_rows(timeline[3])]
+    assert got == sorted(got, key=lambda row: row[:2])
+    assert [t for _, _, t in got] == [t for _, _, t in sorted(
+        ((day.isoformat(), n, t) for n, day, token, t in rows if token == _TOKENS[0]),
+        key=lambda row: row[:2])]
+    assert stdout[1].encode() == timeline[3]
+
+
+def test_report_split_reads_a_quoted_newline_across_shares_again(tmp_path):
+    """A template holding "\\n" that spans the cut between two shares: share 0
+    ends inside the quoted field, so `report` reads the file again in one
+    share and writes the serial run's bytes."""
+    rows = [(1, D(1), _TOKENS[0], "x" * 40)] * 3 + [(2, D(2), _TOKENS[0], "a\n" * 200)] + \
+        [(3, D(3), _TOKENS[1], "y")] * 3
+    (tmp_path / "events.csv").write_text(_events_text(rows), newline="")
+    lines = (tmp_path / "events.csv").read_bytes().splitlines(keepends=True)
+    with _split_into(2) as cli_mod:
+        (_, _), (_, start) = cli_mod._shares(str(tmp_path / "events.csv"))
+    assert lines[start - 2] == b"a\n"  # the cut falls inside the quoted template
+    linkage, timeline, _ = _assert_report_split_as_serial(tmp_path, 2)
+    assert linkage[0] == timeline[0] == 0
+    assert oracles_rows(timeline[3])[3] == [D(2).isoformat(), "2", "a\n" * 200]
+
+
+@pytest.mark.parametrize("case", ["bad-rows", "cut-last-line", "bad-byte-late"])
+def test_report_split_fails_as_serial(tmp_path, case):
+    """A bad row in share 0 and another in share 1 fail with share 0's
+    error; a last line cut short, and a line that is not UTF-8 in the last
+    share, fail as one pass does, naming the same line. Exit 6, no output,
+    no temp file, no child left, the CPU mask restored."""
+    text = _events_text([(n, D(1 + n % 3), _TOKENS[n % 3], f"t{n}") for n in range(1, 60)])
+    data = text.encode()
+    lines = data.splitlines(keepends=True)
+    if case == "bad-rows":
+        lines[5] = lines[5].replace(b"2024", b"2O24", 1)
+        lines[-5] = lines[-5].replace(b",", b";", 1)
+    elif case == "cut-last-line":
+        lines[-1] = lines[-1][:-3]  # the row still parses
+    else:
+        lines[-3] = lines[-3].replace(b"t", b"caf\xe9", 1)
+    (tmp_path / "events.csv").write_bytes(b"".join(lines))
+    for shares in (2, 3):
+        with _split_into(shares) as cli_mod:
+            starts = [start for _, start in cli_mod._shares(str(tmp_path / "events.csv"))]
+        assert starts[1] - 1 > 6 and starts[-1] - 1 < len(lines) - 5
+        for timeline, out in ((False, True), (True, True), (True, False)):
+            serial = _report_split(tmp_path, 1, timeline, out)
+            assert serial[0] == 6 and serial[1] == "" and serial[3] is None, serial
+            assert _report_split(tmp_path, shares, timeline, out) == serial
+        _assert_no_process_left(tmp_path, os.sched_getaffinity(0))
+    expected = {"bad-rows": "is not an ISO date", "cut-last-line": "the file was cut",
+                "bad-byte-late": f"line {len(lines) - 2} is not valid UTF-8"}[case]
+    assert expected in serial[2]
 
 
 # --- protect splits a large input too ---------------------------------------

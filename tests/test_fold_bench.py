@@ -51,6 +51,37 @@ def test_fold_pairs_runs_by_workload_and_seed(monkeypatch, tmp_path):
     assert layers["change"] == {"seed": 11, "pii.detect_pii.us_per_call": 0.5}
 
 
+def _verdicts(monkeypatch, tmp_path, parent_scales, change_scales) -> dict:
+    """investigate_s's entry, on runs whose metrics are scaled per seed."""
+    parent = [_run(tmp_path, f"p{s}", "investigate", s, scale=k) for s, k in enumerate(parent_scales)]
+    change = [_run(tmp_path, f"c{s}", "investigate", s, scale=k) for s, k in enumerate(change_scales)]
+    return _fold(monkeypatch, tmp_path, parent, change)["end_to_end"]["investigate"]["investigate_s"]
+
+
+def test_fold_resolves_a_gain_of_nine_pairs_beyond_the_parents_iqr(monkeypatch, tmp_path):
+    """A gain is resolved when the change wins at least 9 of 10 pairs and
+    its median moves by more than the parent's IQR: not with 8 wins, nor
+    with 10 wins inside the IQR."""
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # IQR 0.45
+    lower = [p - 0.5 for p in parent]
+    entry = _verdicts(monkeypatch, tmp_path, parent, lower[:9] + [parent[9] + 0.1])
+    assert entry["change_won"] == 9 and entry["gain_resolved"]
+    entry = _verdicts(monkeypatch, tmp_path, parent, lower[:8] + [p + 0.1 for p in parent[8:]])
+    assert entry["change_won"] == 8 and not entry["gain_resolved"]
+    entry = _verdicts(monkeypatch, tmp_path, parent, [p - 0.4 for p in parent])
+    assert entry["change_won"] == 10 and not entry["gain_resolved"]
+
+
+def test_fold_flags_a_median_worse_than_its_bound(monkeypatch, tmp_path):
+    """investigate_s's bound is 25 %: a change median 30 % higher is beyond
+    it, one 20 % higher is not, and neither is a resolved gain."""
+    bound = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}["investigate_s"]
+    assert bound == 0.25
+    for worse, beyond in ((1.3, True), (1.2, False)):
+        entry = _verdicts(monkeypatch, tmp_path, [1.0, 1.0, 1.0], [worse] * 3)
+        assert entry["beyond_bound"] is beyond and not entry["gain_resolved"]
+
+
 def test_fold_rejects_a_second_run_of_one_seed(monkeypatch, tmp_path):
     parent = [_run(tmp_path, "p1", "investigate", 1), _run(tmp_path, "p1-again", "investigate", 1)]
     change = [_run(tmp_path, "c1", "investigate", 1)]

@@ -2,25 +2,35 @@
 
 A hypothesis state machine runs the CLI commands in a temporary
 directory: protect a drawn batch of ISO, year-less and undated lines,
-offer, grant, grant again on the same offer, accept, recover and take a
-snapshot of the state file. After each accept, recover and snapshot it
-checks:
+offer, grant, grant again on the same offer, accept, recover and report
+on what it recovers, take a snapshot of the state file, and try an
+accepted window's keys on later epochs. `report` and `--timeline` run in
+a drawn number of shares, 1 to 3, forced as scripts/gen_transcript.py
+forces them. After each step it checks:
 
 - the server opens exactly the fields whose day lies in an accepted
   window of their epoch, and counts every other line or field once;
 - the same value gives the same token across rotations;
+- each token's count, first date and last date in the linkage report,
+  and the order of its timeline, are the model's;
 - no snapshot of the state, ratcheted 400 steps from each key it holds,
-  opens a field of an earlier epoch.
+  opens a field of an earlier epoch (forward secrecy);
+- no accepted window's day keys, each ratcheted 400 steps, open a field
+  of a later epoch (post-compromise security). Each try takes the
+  window's last day key and one drawn day key, and one field of each
+  later day: a day's key opens all of its fields or none.
 """
 
 import base64
 import contextlib
+import csv
 import io
 import os
 import shutil
 import tempfile
 from datetime import date, timedelta
 from pathlib import Path
+from unittest import mock
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -28,6 +38,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
 import oracles
+import privlog.cli as cli_mod
 from privlog.cli import client_main, server_main
 from privlog.dice import DeviceIdentity, format_identity
 
@@ -52,6 +63,19 @@ def _batch(draw) -> tuple:
 
 def _kv(path: Path) -> dict:
     return dict(line.split("=", 1) for line in path.read_text().splitlines())
+
+
+def _opener(keys, boxes) -> str:
+    """The first of the (name, key) `keys` that opens one of `boxes`, or None."""
+    for name, key in keys:
+        cipher = ChaCha20Poly1305(key)
+        for box in boxes:
+            try:
+                cipher.decrypt(box[:12], box[12:], None)
+            except InvalidTag:
+                continue
+            return name
+    return None
 
 
 class ProtocolMachine(RuleBasedStateMachine):
@@ -90,6 +114,15 @@ class ProtocolMachine(RuleBasedStateMachine):
 
     def server(self, *argv) -> int:
         return self._run(server_main, list(argv))
+
+    def report(self, *argv, shares: int) -> list:
+        """The rows after the header of `report` run in `shares` shares, to stdout."""
+        cpu = min(os.sched_getaffinity(0))
+        with mock.patch.object(cli_mod, "SPLIT_MIN_EVENTS_BYTES",
+                               0 if shares > 1 else cli_mod.SPLIT_MIN_EVENTS_BYTES), \
+                mock.patch.object(cli_mod, "_share_cpus", lambda: [cpu] * shares):
+            assert self.server("report", "--events", "events.csv", *argv) == 0
+        return list(csv.reader(io.StringIO(self.stdout)))[1:]
 
     @rule(batch=_batch(), mode=st.sampled_from(["stream", "batch"]))
     def protect(self, batch, mode):
@@ -138,15 +171,15 @@ class ProtocolMachine(RuleBasedStateMachine):
         assert (self.dir / "grant.kv").read_bytes() == self.grant_file
 
     @precondition(lambda self: self.grant_file is not None)
-    @rule()
-    def accept(self):
+    @rule(shares=st.integers(1, 3))
+    def accept(self, shares):
         assert self.server("accept", "--keystore", "server.kv", "--grant", "grant.kv",
                            "--expect-device", "dev", "--out", f"{self.offer}.window") == 0
         self.offer = self.grant_file = None
-        self.recover()
+        self.recover(shares)
 
-    @rule()
-    def recover(self):
+    @rule(shares=st.integers(1, 3))
+    def recover(self, shares):
         accepted = [g for g in self.model.windows if (self.dir / f"{g}.window").exists()]
         for log in self.model.logs:
             for g in accepted:
@@ -160,9 +193,28 @@ class ProtocolMachine(RuleBasedStateMachine):
                 assert [(n, day) for n, day, _, _, _ in events] == [(n, d) for n, d, _ in expected]
                 for (_, _, value), (_, _, _, token, _) in zip(expected, events):
                     assert self.tokens.setdefault(value, token) == token
+                if expected:
+                    self.check_report(expected, shares)
 
-    @rule()
-    def snapshot(self):
+    def check_report(self, expected: list, shares: int) -> None:
+        """The linkage report and each token's timeline of events.csv, whose
+        fields are the model's `expected`."""
+        hits = {}
+        for line_no, day, value in expected:
+            hits.setdefault(base64.b64encode(self.tokens[value]).decode(), []).append((day, line_no))
+        self.report("--out", "linkage.csv", shares=shares)
+        linkage = list(csv.reader(io.StringIO((self.dir / "linkage.csv").read_text())))[1:]
+        assert {token: (int(count), first, last) for token, _, count, first, last in linkage} == \
+            {token: (len(days), min(days)[0].isoformat(), max(days)[0].isoformat())
+             for token, days in hits.items()}
+        for token, days in hits.items():
+            rows = self.report("--timeline", token, shares=shares)
+            assert [(day, int(line_no)) for day, line_no, _ in rows] == \
+                [(day.isoformat(), line_no) for day, line_no in sorted(days)]
+
+    @rule(pick=st.integers(0, 10**6))
+    def snapshot(self, pick):
+        self.compromise(pick)
         state = _kv(self.dir / "state.kv")
         boxes = []
         for log, lines in self.model.logs.items():
@@ -173,15 +225,32 @@ class ProtocolMachine(RuleBasedStateMachine):
         if not boxes:
             return
         for name in ("root_key", "hash_key", "chain_key"):
-            for _, mk in oracles.ratchet_chain(base64.b64decode(state[name]), 400):
-                cipher = ChaCha20Poly1305(mk)
-                for box in boxes:
-                    try:
-                        cipher.decrypt(box[:12], box[12:], None)
-                    except InvalidTag:
-                        continue
-                    raise AssertionError(f"state's {name} opens a field of an earlier epoch")
+            keys = [(name, mk) for _, mk in oracles.ratchet_chain(base64.b64decode(state[name]), 400)]
+            assert _opener(keys, boxes) is None, f"state's {name} opens a field of an earlier epoch"
+
+    def compromise(self, pick: int) -> None:
+        """Try an accepted window's day keys, drawn by `pick`, on later epochs."""
+        accepted = [g for g in self.model.windows if (self.dir / f"{g}.window").exists()]
+        if not accepted:
+            return
+        window = accepted[pick % len(accepted)]
+        epoch = self.model.windows[window][0]
+        boxes = {}  # one field of each later day
+        for log, lines in self.model.logs.items():
+            prot = (self.dir / f"{log}.prot").read_text().splitlines()
+            for (_, _, day, line_epoch, values), line in zip(lines, prot):
+                if line_epoch > epoch and values:
+                    boxes.setdefault((line_epoch, day), oracles.parse_protected_line(line)[1][0][1])
+        if not boxes:
+            return
+        days = sorted((key, base64.b64decode(value))
+                      for key, value in _kv(self.dir / f"{window}.window").items()
+                      if key.startswith("key."))
+        for day, key in {days[-1], days[pick % len(days)]}:
+            keys = [(day, mk) for _, mk in oracles.ratchet_chain(key, 400)]
+            opener = _opener(keys, boxes.values())
+            assert opener is None, f"{window}'s {opener} opens a field of a later epoch"
 
 
 TestProtocol = ProtocolMachine.TestCase
-TestProtocol.settings = settings(max_examples=100, stateful_step_count=15, deadline=None)
+TestProtocol.settings = settings(max_examples=100, stateful_step_count=20, deadline=None)
