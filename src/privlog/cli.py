@@ -281,15 +281,14 @@ def _in_shares(path: str, out: TextIO, run_share: RunShare, what: str = "input",
     `out` in share order; each share's outcome, in order. Share 0 runs in
     this process, pinned to its CPU, and writes straight to `out`. Each
     later share runs in a child forked for it and pinned to its own CPU
-    (see `_fork_share`); its output follows once share 0 is done. A share
-    that holds no line, as a line that spans its cut leaves it, is not run
-    and has no outcome; the last share always runs. A module
-    that every share needs is loaded by the caller first, or each child
-    loads it again. A share's error is raised in share order, so the output
-    and any error are those of one pass over the input. When this process
-    fails, it kills and reaps every child before it raises, and its CPU
-    mask is restored on every path. A later share gets the lines before it
-    as bytes: one that is not UTF-8 fails an earlier share first."""
+    (see `_fork_share`), after the caller loaded what every share needs;
+    its output follows once share 0 is done. A share left with no line by
+    a line that spans its cut is not run. A share's error is raised in
+    share order, so the output and any error are those of one pass over
+    the input. When this process fails, it kills and reaps every child
+    before it raises, and its CPU mask is restored on every path. A later
+    share gets the lines before it as bytes: one that is not UTF-8 fails
+    an earlier share first."""
     shares = _shares(path, min_bytes)
     stops = [start - 1 for _, start in shares[1:]] + [None]
 

@@ -117,11 +117,10 @@ def csv_field(text: str) -> str:
 
 
 def check_replaceable(path: Union[str, Path]) -> None:
-    """CorruptState unless a write may replace the entry at `path`: none
-    there, a regular file, or a symlink to one or to nothing. A directory
-    would be refused by the rename only after the whole write. A device,
-    FIFO or socket, or a symlink to one, is never a file to replace: a run
-    as root would replace the system's /dev/stdout link."""
+    """CorruptState unless a write may replace the entry at `path`: none,
+    a regular file, or a symlink to one or to nothing. Not a directory,
+    which the rename refuses only after the whole write, nor a device, FIFO
+    or socket (a run as root would replace the /dev/stdout link)."""
     try:
         mode = os.stat(path).st_mode
     except (OSError, ValueError):  # none there; or a path the write names as it fails

@@ -272,11 +272,8 @@ def merged_linkage(shares: Iterable[list]) -> List[LinkageGroup]:
     by_token: Dict[bytes, list] = {}
     for groups in shares:
         for token, label, count, first, last in groups:
-            group = by_token.get(token)
-            if group is None:
-                by_token[token] = [label, count, first, last]
-            else:
-                group[1:] = group[1] + count, min(group[2], first), max(group[3], last)
+            group = by_token.setdefault(token, [label, 0, first, last])
+            group[1:] = group[1] + count, min(group[2], first), max(group[3], last)
     day = functools.cache(date.fromordinal)
     groups = [_group((token, _TYPE[label], count, day(first), day(last)))
               for token, (label, count, first, last) in by_token.items()]

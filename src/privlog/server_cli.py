@@ -117,7 +117,7 @@ def _report_share(token, prefix, lines, start: int, fh):
     """Check the events CSV's rows from line `start` on and reduce them: with
     no `token`, to its linkage groups, each date as its ordinal and each type
     as its label; else to the timeline of `token`, one sorted run written to
-    `fh` in the spill format, returned as (its bytes, its rows)."""
+    the empty `fh` in the spill format, returned as (its bytes, its rows)."""
     collections.deque(prefix, maxlen=0)
     if start > 1:
         lines = itertools.chain([server_mod.EVENTS_HEADER_LINE], lines)
@@ -125,10 +125,8 @@ def _report_share(token, prefix, lines, start: int, fh):
     if token is None:
         return [(tok, pii_type.value, count, first.toordinal(), last.toordinal())
                 for tok, pii_type, count, first, last in server_mod.linkage_report(events)]
-    fh.flush()
-    begin = fh.buffer.tell()
     rows = server_mod.dump_run(server_mod.timeline(events, token), fh.buffer)
-    return fh.buffer.tell() - begin, rows
+    return fh.buffer.tell(), rows
 
 
 def _cmd_report(args) -> int:
@@ -151,11 +149,11 @@ def _cmd_report(args) -> int:
                                   cli.SPLIT_MIN_EVENTS_BYTES)
         except CorruptState as exc:
             # A share that ends inside a quoted field (a template holding
-            # "\n") fails as a file cut there: read it again in one share.
+            # "\n") fails as a file cut there: read it again in one share,
+            # whose run starts the file again.
             if not str(exc).endswith("unexpected end of data"):
                 raise
             runs.seek(0)
-            runs.truncate()
             outcomes = [share((), _read_lines(args.events, "events csv"), 1, runs)]
         if token is not None:
             sizes, counts = zip(*outcomes)

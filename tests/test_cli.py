@@ -2163,13 +2163,14 @@ def _assert_report_split_as_serial(tmp: Path, shares: int) -> list:
     return serial
 
 
-def _events_text(rows) -> str:
+def _events_text(rows, pii_types=(PiiType.EMAIL,)) -> str:
     """An events CSV of the (line_no, day, token, template) `rows`, as
-    `recover` writes it."""
+    `recover` writes it; the type of each row's token cycles through
+    `pii_types`."""
     fh = io.StringIO(newline="")
     fh.write(EVENTS_HEADER_LINE)
-    write_events_csv([(n, day, template, [(PiiType.EMAIL, token)])
-                      for n, day, token, template in rows], fh)
+    write_events_csv([(n, day, template, [(pii_types[i % len(pii_types)], token)])
+                      for i, (n, day, token, template) in enumerate(rows)], fh)
     return fh.getvalue()
 
 
@@ -2184,13 +2185,15 @@ def test_report_split_matches_serial(rows, shares, run_rows):
     events CSVs whose tokens recur across shares, whose (date, line_no)
     repeat, so that ties fall across shares, and whose templates hold ','
     '"' and "\\n", so that a share may end inside a quoted field; a token
-    has more hits than TIMELINE_RUN_ROWS, made small."""
+    has more hits than TIMELINE_RUN_ROWS, made small, and its type in the
+    linkage report is that of its first row."""
     import privlog.server as server_mod
 
     with tempfile.TemporaryDirectory() as name, \
             mock.patch.object(server_mod, "TIMELINE_RUN_ROWS", run_rows):
         tmp = Path(name)
-        (tmp / "events.csv").write_text(_events_text(rows), newline="")
+        (tmp / "events.csv").write_text(_events_text(rows, (PiiType.EMAIL, PiiType.IPV4)),
+                                        newline="")
         linkage, timeline, _ = _assert_report_split_as_serial(tmp, shares)
         assert linkage[0] == timeline[0] == 0, (linkage, timeline)
         hits = sorted((day, n, i) for i, (n, day, token, _) in enumerate(rows) if token == _TOKENS[0])
