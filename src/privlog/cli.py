@@ -159,8 +159,9 @@ def _locked(path: str) -> Iterator[None]:
 # as the split saves (measured on a 2-CPU VM; see the README).
 SPLIT_MIN_BYTES = 512 * 1024
 # The same for `report`'s events CSV, whose rows cost less to read than
-# lines to protect or recover: its split breaks even at about 1 MiB.
-SPLIT_MIN_EVENTS_BYTES = 1024 * 1024
+# lines cost to protect or recover: its split breaks even at about 1 MiB
+# and gains 4% at 1.5 MiB (see the README).
+SPLIT_MIN_EVENTS_BYTES = 1536 * 1024
 # The input is counted and the children's output is copied in reads of this
 # many bytes.
 _SPLIT_READ = 1 << 13
