@@ -27,7 +27,6 @@ from typing import Callable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from . import errors
 from .errors import CorruptState, LockHeld, PrivlogError
-from .kvfile import check_replaceable
 from .pii import YEAR_MAX, YEAR_MIN
 
 
@@ -110,6 +109,10 @@ def _check_out(outfile: str, files: Sequence[Tuple[str, Optional[str]]],
             raise CorruptState(f"{flag} {outfile!r} and {name} {path!r} are the same file")
     if os.path.basename(outfile).endswith(".lock"):
         raise CorruptState(f"{flag} {outfile!r} ends in '.lock', the name of a lock file")
+    # Imported here: at the top, it raised recover's peak RSS by about 0.15
+    # MB when the modules compile from source (no bytecode cache).
+    from .kvfile import check_replaceable
+
     check_replaceable(outfile)
 
 

@@ -264,19 +264,22 @@ _group = functools.partial(tuple.__new__, LinkageGroup)
 _TYPE = {t.value: t for t in PiiType}
 
 
-def merged_linkage(shares: Iterable[list]) -> List[LinkageGroup]:
+def merged_linkage(shares: List[list]) -> List[LinkageGroup]:
     """One report from the `linkage_report` groups of each share of the
-    events, in file order, with each type as its label and each date as
-    its ordinal: counts summed, the earliest first date and the latest last
-    date, and the type from the earliest share that holds the token."""
-    by_token: Dict[bytes, list] = {}
-    for groups in shares:
-        for token, label, count, first, last in groups:
-            group = by_token.setdefault(token, [label, 0, first, last])
-            group[1:] = group[1] + count, min(group[2], first), max(group[3], last)
+    events, in file order, those of a later share with each type as its
+    label and each date as its ordinal: counts summed, the earliest first
+    date and the latest last date, and the type from the earliest share
+    that holds the token. One share's groups are the report."""
+    if len(shares) == 1:
+        return shares[0]
+    by_token = {group[0]: list(group[1:]) for group in shares[0]}
     day = functools.cache(date.fromordinal)
-    groups = [_group((token, _TYPE[label], count, day(first), day(last)))
-              for token, (label, count, first, last) in by_token.items()]
+    for groups in shares[1:]:
+        for token, label, count, first, last in groups:
+            first, last = day(first), day(last)
+            group = by_token.setdefault(token, [_TYPE[label], 0, first, last])
+            group[1:] = group[1] + count, min(group[2], first), max(group[3], last)
+    groups = [_group((token, *group)) for token, group in by_token.items()]
     groups.sort(key=lambda g: (-g.count, g.token))
     return groups
 

@@ -449,16 +449,18 @@ class ProtocolModel:
         self.epoch, self.epoch_date, self.chain, self.year = 0, epoch_date, epoch_date, year
         self.logs, self.windows = {}, {}
 
-    def protect(self, log: str, lines: list, values: list) -> bool:
-        """Record `lines`, whose dates never fall, protected into `log`;
-        False, and nothing recorded, if protect refuses them: a date after
-        the epoch's first day but before the chain date is out of reach."""
+    def protect(self, log: str, lines: list, values: list, stream: bool) -> bool:
+        """Record `lines` protected into `log`; False, and nothing recorded,
+        if protect refuses them: a date after the epoch's first day but
+        before the chain date is out of reach. In stream mode that is the
+        chain date the log's dates so far have moved it to; in batch mode,
+        which keeps each day's key it derived, the one the log started at."""
         days, _ = read_dates(lines, self.year, self.chain)
         chain, sealed = self.chain, []
         for day, vals in zip(days, values):
             if day is not None and day < self.epoch_date:
                 continue
-            if day is not None and day < self.chain:
+            if day is not None and day < (chain if stream else self.chain):
                 return False
             chain = max(chain, day or chain)
             sealed.append((len(sealed) + 1, day is not None, day or chain, self.epoch, vals))

@@ -2174,6 +2174,11 @@ def _events_text(rows, pii_types=(PiiType.EMAIL,)) -> str:
     return fh.getvalue()
 
 
+def _csv_rows(csv_bytes: bytes) -> list:
+    """The rows after the header of a CSV, as csv.reader reads them."""
+    return list(csv.reader(io.StringIO(csv_bytes.decode(), newline="")))[1:]
+
+
 @settings(max_examples=60, deadline=None)
 @given(rows=st.lists(st.tuples(st.integers(1, 4), st.sampled_from([D(1), D(2), D(3)]),
                                st.sampled_from(_TOKENS), st.text(alphabet='a,"\n', max_size=4)),
@@ -2197,13 +2202,8 @@ def test_report_split_matches_serial(rows, shares, run_rows):
         linkage, timeline, _ = _assert_report_split_as_serial(tmp, shares)
         assert linkage[0] == timeline[0] == 0, (linkage, timeline)
         hits = sorted((day, n, i) for i, (n, day, token, _) in enumerate(rows) if token == _TOKENS[0])
-        assert [row[:2] for row in oracles_rows(timeline[3])] == \
+        assert [row[:2] for row in _csv_rows(timeline[3])] == \
             [[day.isoformat(), str(n)] for day, n, _ in hits]
-
-
-def oracles_rows(csv_bytes: bytes) -> list:
-    """The rows after the header of a CSV, as csv.reader reads them."""
-    return list(csv.reader(io.StringIO(csv_bytes.decode(), newline="")))[1:]
 
 
 def test_report_split_ties_and_spilled_runs(tmp_path, monkeypatch):
@@ -2220,9 +2220,9 @@ def test_report_split_ties_and_spilled_runs(tmp_path, monkeypatch):
             assert len(cli_mod._shares(str(tmp_path / "events.csv"))) == shares
         linkage, timeline, stdout = _assert_report_split_as_serial(tmp_path, shares)
     assert linkage[1].startswith("3 token groups over 90 events")
-    assert [row[2:] for row in oracles_rows(linkage[3])] == [["30", D(1).isoformat(),
+    assert [row[2:] for row in _csv_rows(linkage[3])] == [["30", D(1).isoformat(),
                                                              D(3).isoformat()]] * 3
-    got = [(row[0], int(row[1]), row[2]) for row in oracles_rows(timeline[3])]
+    got = [(row[0], int(row[1]), row[2]) for row in _csv_rows(timeline[3])]
     assert got == sorted(got, key=lambda row: row[:2])
     assert [t for _, _, t in got] == [t for _, _, t in sorted(
         ((day.isoformat(), n, t) for n, day, token, t in rows if token == _TOKENS[0]),
@@ -2243,7 +2243,7 @@ def test_report_split_reads_a_quoted_newline_across_shares_again(tmp_path):
     assert lines[start - 2] == b"a\n"  # the cut falls inside the quoted template
     linkage, timeline, _ = _assert_report_split_as_serial(tmp_path, 2)
     assert linkage[0] == timeline[0] == 0
-    assert oracles_rows(timeline[3])[3] == [D(2).isoformat(), "2", "a\n" * 200]
+    assert _csv_rows(timeline[3])[3] == [D(2).isoformat(), "2", "a\n" * 200]
 
 
 @pytest.mark.parametrize("case", ["bad-rows", "cut-last-line", "bad-byte-late"])
@@ -2252,9 +2252,9 @@ def test_report_split_fails_as_serial(tmp_path, case):
     error; a last line cut short, and a line that is not UTF-8 in the last
     share, fail as one pass does, naming the same line. Exit 6, no output,
     no temp file, no child left, the CPU mask restored."""
+    mask = os.sched_getaffinity(0)
     text = _events_text([(n, D(1 + n % 3), _TOKENS[n % 3], f"t{n}") for n in range(1, 60)])
-    data = text.encode()
-    lines = data.splitlines(keepends=True)
+    lines = text.encode().splitlines(keepends=True)
     if case == "bad-rows":
         lines[5] = lines[5].replace(b"2024", b"2O24", 1)
         lines[-5] = lines[-5].replace(b",", b";", 1)
@@ -2271,7 +2271,7 @@ def test_report_split_fails_as_serial(tmp_path, case):
             serial = _report_split(tmp_path, 1, timeline, out)
             assert serial[0] == 6 and serial[1] == "" and serial[3] is None, serial
             assert _report_split(tmp_path, shares, timeline, out) == serial
-        _assert_no_process_left(tmp_path, os.sched_getaffinity(0))
+        _assert_no_process_left(tmp_path, mask)
     expected = {"bad-rows": "is not an ISO date", "cut-last-line": "the file was cut",
                 "bad-byte-late": f"line {len(lines) - 2} is not valid UTF-8"}[case]
     assert expected in serial[2]

@@ -45,9 +45,11 @@ from privlog.dice import DeviceIdentity, format_identity
 EPOCH = date(2024, 5, 1)
 _HEAD = "12:00:00.000  1000  1000 I T:"
 _VALUES = ["a@b.com", "x@y.org", "c@d.net"]
-# Never backwards, and never more than 182 days: every year-less date is
-# read as written, across new year too, and the ISO first line of a batch
-# anchors both engines' first date.
+# Never backwards, and never more than 182 days from one line to the next:
+# a year-less date is read as written, across new year too, unless undated
+# lines before it widen the gap from the last dated line past 182 days; it
+# is then read a year early and falls, which only batch mode may protect.
+# The ISO first line of a batch anchors both engines' first date.
 _STEPS = [0, 0, 1, 2, 40, 100, 120]
 
 
@@ -142,7 +144,7 @@ class ProtocolMachine(RuleBasedStateMachine):
         self.logs += 1
         log = f"log{self.logs}"
         (self.dir / f"{log}.raw").write_text("".join(line + "\n" for line in lines))
-        expected = self.model.protect(log, lines, values)
+        expected = self.model.protect(log, lines, values, mode == "stream")
         code = self.client("protect", "--in", f"{log}.raw", "--out", f"{log}.prot", "--mode", mode)
         assert code == (0 if expected else 3)
 
