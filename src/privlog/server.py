@@ -264,22 +264,19 @@ _group = functools.partial(tuple.__new__, LinkageGroup)
 _TYPE = {t.value: t for t in PiiType}
 
 
-def merged_linkage(shares: List[list]) -> List[LinkageGroup]:
+def merged_linkage(shares: Iterable[list]) -> List[LinkageGroup]:
     """One report from the `linkage_report` groups of each share of the
-    events, in file order, those of a later share with each type as its
-    label and each date as its ordinal: counts summed, the earliest first
-    date and the latest last date, and the type from the earliest share
-    that holds the token. One share's groups are the report."""
-    if len(shares) == 1:
-        return shares[0]
-    by_token = {group[0]: list(group[1:]) for group in shares[0]}
-    day = functools.cache(date.fromordinal)
-    for groups in shares[1:]:
+    events, in file order, with each type as its label and each date as
+    its ordinal: counts summed, the earliest first date and the latest last
+    date, and the type from the earliest share that holds the token."""
+    by_token: Dict[bytes, list] = {}
+    for groups in shares:
         for token, label, count, first, last in groups:
-            first, last = day(first), day(last)
-            group = by_token.setdefault(token, [_TYPE[label], 0, first, last])
+            group = by_token.setdefault(token, [label, 0, first, last])
             group[1:] = group[1] + count, min(group[2], first), max(group[3], last)
-    groups = [_group((token, *group)) for token, group in by_token.items()]
+    day = functools.cache(date.fromordinal)
+    groups = [_group((token, _TYPE[label], count, day(first), day(last)))
+              for token, (label, count, first, last) in by_token.items()]
     groups.sort(key=lambda g: (-g.count, g.token))
     return groups
 
@@ -297,15 +294,20 @@ def timeline(
     date then line number, ties in event order. One pass that keeps only
     those, and at most TIMELINE_RUN_ROWS of them in memory."""
     run_rows, spill, runs, hits = TIMELINE_RUN_ROWS, None, [], []
-    for ev in events:
-        if ev.token == token:
-            hits.append((ev.date, ev.line_no, ev.template))
-            if len(hits) == run_rows:
-                if spill is None:
-                    spill = tempfile.TemporaryFile()
-                hits.sort(key=_when)
-                runs.append((spill.tell(), dump_run(hits, spill)))
-                hits = []
+    try:
+        for ev in events:
+            if ev.token == token:
+                hits.append((ev.date, ev.line_no, ev.template))
+                if len(hits) == run_rows:
+                    if spill is None:
+                        spill = tempfile.TemporaryFile()
+                    hits.sort(key=_when)
+                    runs.append((spill.tell(), dump_run(hits, spill)))
+                    hits = []
+    except BaseException:  # a bad row: the spill is closed now, not when collected
+        if spill is not None:
+            spill.close()
+        raise
     hits.sort(key=_when)
     return _merged(spill, runs, hits) if runs else hits
 

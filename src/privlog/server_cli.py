@@ -115,20 +115,16 @@ def _cmd_recover(args) -> int:
 
 def _report_share(token, prefix, lines, start: int, fh):
     """Check the events CSV's rows from line `start` on and reduce them: with
-    no `token`, to its linkage groups, in a later share (a child, whose
-    outcome marshal carries) each date as its ordinal and each type as its
-    label; else to the timeline of `token`, one sorted run written to the
-    empty `fh` in the spill format, returned as (its bytes, its rows)."""
+    no `token`, to its linkage groups, each date as its ordinal and each type
+    as its label; else to the timeline of `token`, one sorted run written to
+    the empty `fh` in the spill format, returned as (its bytes, its rows)."""
     collections.deque(prefix, maxlen=0)
     if start > 1:
         lines = itertools.chain([server_mod.EVENTS_HEADER_LINE], lines)
     events = server_mod.read_events_csv(lines)
     if token is None:
-        groups = server_mod.linkage_report(events)
-        if start == 1:
-            return groups
         return [(tok, pii_type.value, count, first.toordinal(), last.toordinal())
-                for tok, pii_type, count, first, last in groups]
+                for tok, pii_type, count, first, last in server_mod.linkage_report(events)]
     rows = server_mod.dump_run(server_mod.timeline(events, token), fh.buffer)
     return fh.buffer.tell(), rows
 

@@ -2246,6 +2246,19 @@ def test_report_split_reads_a_quoted_newline_across_shares_again(tmp_path):
     assert _csv_rows(timeline[3])[3] == [D(2).isoformat(), "2", "a\n" * 200]
 
 
+def test_report_split_runs_no_share_that_a_long_line_leaves_empty(tmp_path):
+    """A line that spans two cuts leaves the share between them no line:
+    it is not run, and `report` in the shares left writes the serial run's
+    bytes."""
+    rows = [(1, D(1), _TOKENS[0], "x" * 600)] + [(n, D(2), _TOKENS[n % 3], "t") for n in range(2, 6)]
+    (tmp_path / "events.csv").write_text(_events_text(rows), newline="")
+    with _split_into(3) as cli_mod:
+        assert [start for _, start in cli_mod._shares(str(tmp_path / "events.csv"))] == [1, 2, 2]
+    linkage, timeline, _ = _assert_report_split_as_serial(tmp_path, 3)
+    assert linkage[1].startswith("3 token groups over 5 events")
+    assert len(_csv_rows(timeline[3])) == 2
+
+
 @pytest.mark.parametrize("case", ["bad-rows", "cut-last-line", "bad-byte-late"])
 def test_report_split_fails_as_serial(tmp_path, case):
     """A bad row in share 0 and another in share 1 fail with share 0's

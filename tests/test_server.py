@@ -657,6 +657,27 @@ def test_timeline_spilled_runs_match_one_sort(hits, run_rows):
         assert list(timeline(iter(events), tok)) == expected
 
 
+def test_timeline_closes_its_spill_when_a_row_fails(monkeypatch):
+    """A bad row after the hits spilled: its error is raised and the spill
+    file is closed then, not left open until it is collected (a `report`
+    that reads the file again goes on running)."""
+    import privlog.server as server_mod
+
+    tok = b"\x03" * 16
+    spills = []
+    monkeypatch.setattr(server_mod, "TIMELINE_RUN_ROWS", 2)
+    monkeypatch.setattr(server_mod.tempfile, "TemporaryFile",
+                        lambda real=tempfile.TemporaryFile: spills.append(real()) or spills[-1])
+
+    def events():
+        yield from (_event(n, D(1), tok) for n in range(1, 4))
+        raise CorruptState("events csv: line 5: bad row")
+
+    with pytest.raises(CorruptState, match="bad row"):
+        timeline(events(), tok)
+    assert len(spills) == 1 and spills[0].closed
+
+
 # --- persistence --------------------------------------------------------------
 
 
