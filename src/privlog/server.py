@@ -309,7 +309,7 @@ def timeline(
             spill.close()
         raise
     hits.sort(key=_when)
-    return _merged(spill, runs, hits) if runs else hits
+    return merged_runs(spill, runs, hits) if runs else hits
 
 
 def dump_run(hits: Iterable[Tuple[date, int, str]], fh) -> int:
@@ -321,7 +321,7 @@ def dump_run(hits: Iterable[Tuple[date, int, str]], fh) -> int:
     return count
 
 
-def _merged(spill, runs: List[Tuple[int, int]], hits: list) -> Iterator[Tuple[date, int, str]]:
+def merged_runs(spill, runs: List[Tuple[int, int]], hits: list) -> Iterator[Tuple[date, int, str]]:
     """The (start, length) `runs` of `spill`, merged with the last `hits`,
     ties in run order; each run keeps its own place in the file, which is
     closed at the end."""

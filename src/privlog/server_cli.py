@@ -158,7 +158,7 @@ def _cmd_report(args) -> int:
         if token is not None:
             sizes, counts = zip(*outcomes)
             starts = itertools.accumulate(sizes, initial=0)
-            rows = server_mod._merged(runs.buffer, list(zip(starts, counts)), [])
+            rows = server_mod.merged_runs(runs.buffer, list(zip(starts, counts)), [])
             out = atomic_writer(args.outfile) if args.outfile else nullcontext(sys.stdout)
             with out as fh:
                 server_mod.write_timeline_csv(rows, fh)
